@@ -16,6 +16,9 @@ Eigenbasis continuity between nodes is enforced by overlap matching:
 columns are permuted to follow state identity through crossings, and
 near-degenerate clusters are aligned with the previous node's gauge by a
 polar rotation.
+
+The dense operators behind H(s) = A(s) * sum_i sigma^x_i + B(s) * H_z are
+defined here, once, for this integrator and for :mod:`qacsim.dynamics`.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NumericalError, ValidationError
+from .problem import EncodedProblem, _bit_position, all_config_energies, config_from_index
 
 # Dormand-Prince 5(4) tableau
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
@@ -42,6 +46,32 @@ _B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100)
 _B4_LAST = 1 / 40  # weight of the 7th stage at (t+h, y5)
 
 _PIECES = 4  # sub-intervals for the piecewise-linear phase model inside K integrals
+
+
+def flip_indices(num_qubits: int) -> np.ndarray:
+    """Row q maps every basis index to the index with qubit q flipped."""
+    idx = np.arange(1 << num_qubits)
+    return idx ^ (1 << _bit_position(np.arange(num_qubits), num_qubits))[:, None]
+
+
+def pauli_x_sum(num_qubits: int) -> np.ndarray:
+    """Dense sum of single-qubit sigma^x operators (real symmetric)."""
+    dim = 1 << num_qubits
+    out = np.zeros((dim, dim))
+    out[np.arange(dim), flip_indices(num_qubits)] = 1.0
+    return out
+
+
+def ising_diagonal(problem: EncodedProblem) -> np.ndarray:
+    """Diagonal of the physical Ising operator over the computational basis."""
+    return all_config_energies(problem.physical)
+
+
+def annealing_hamiltonian(X: np.ndarray, Ez: np.ndarray, schedule, s: float) -> np.ndarray:
+    """Dense real H(s) = A(s) * X + B(s) * diag(Ez)."""
+    H = float(schedule.A_of(s)) * X
+    H[np.diag_indices_from(H)] += float(schedule.B_of(s)) * Ez
+    return H
 
 
 @dataclass
@@ -76,8 +106,6 @@ class FrameEvolver:
         bin_tol: float = 1e-6,
         max_step_fraction: float = 0.02,
     ):
-        from .dynamics import ising_diagonal, pauli_x_sum
-
         self.problem = problem
         self.schedule = schedule
         self.bath = bath
@@ -94,22 +122,15 @@ class FrameEvolver:
         self.Ez = ising_diagonal(problem)
         self.t_f = schedule.t_f_ns
         self.h_max = max_step_fraction * self.t_f
-        idx = np.arange(self.dim)
-        self.flip_idx = [idx ^ (1 << (n - 1 - q)) for q in range(n)]
-        self.zdiags = [1.0 - 2.0 * ((idx >> (n - 1 - q)) & 1) for q in range(n)]
-        self._diag = np.diag_indices(self.dim)
+        self.flip_idx = flip_indices(n)
+        self.zdiags = np.ascontiguousarray(config_from_index(np.arange(self.dim)[:, None], n).T, dtype=float)
         self._dissipative = bath is not None and bath.kappa > 0.0
 
     # -- node construction ----------------------------------------------------
 
-    def _hamiltonian(self, s: float) -> np.ndarray:
-        H = float(self.schedule.A_of(s)) * self.X
-        H[self._diag] += float(self.schedule.B_of(s)) * self.Ez
-        return H
-
     def _build_node(self, t: float, prev: _Node | None) -> _Node:
         s = t / self.t_f
-        H = self._hamiltonian(s)
+        H = annealing_hamiltonian(self.X, self.Ez, self.schedule, s)
         if self.m < self.dim and self.dim > 1024:
             eps, V = scipy.linalg.eigh(H, subset_by_index=(0, self.m - 1))
         else:
@@ -205,7 +226,7 @@ class FrameEvolver:
 
         # all W_q = V^T (z_q * V) via one batched product
         nq = self.num_qubits
-        Vz = (np.stack(self.zdiags)[:, :, None] * V[None, :, :]).transpose(1, 0, 2).reshape(self.dim, nq * m)
+        Vz = (self.zdiags[:, :, None] * V[None, :, :]).transpose(1, 0, 2).reshape(self.dim, nq * m)
         w_flat = np.ascontiguousarray(
             (V.T @ Vz).reshape(m, nq, m).transpose(1, 0, 2)
         ).reshape(nq, m * m)  # (n_qubits, m*m)

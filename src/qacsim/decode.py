@@ -7,11 +7,16 @@ configuration is matched to the ground with which the majority of its
 logical qubits agree; ties break toward the smaller Hamming distance and
 then lexicographically (with -1 ordered before +1).  A sample is decodable
 when its decoded logical configuration matches the aligned ground exactly.
+
+:func:`majority_decode` takes one readout or a ``(rows, qubits)`` array of
+readouts; the vote and the per-block disagreement counts are array
+operations over all blocks (and rows) at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,12 +95,27 @@ class SampleSet:
 # decoding primitives
 
 
-def _blocks_or_trivial(encoding: LogicalEncoding | None, width: int):
-    if encoding is not None:
-        return encoding.blocks
-    from .topology import LogicalBlock
+def _layout(encoding: LogicalEncoding | None, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """(problem qubits per block, penalty qubit per block or -1); with no
+    encoding every qubit is its own length-1 block."""
+    if encoding is None:
+        return np.arange(width)[:, None], np.full(width, -1)
+    problem_ids = np.array([blk.problem_ids for blk in encoding.blocks], dtype=np.intp).reshape(-1, encoding.n)
+    penalty_ids = np.array([-1 if blk.penalty_id is None else blk.penalty_id for blk in encoding.blocks], dtype=np.intp)
+    return problem_ids, penalty_ids
 
-    return tuple(LogicalBlock(i, (i,), None) for i in range(width))
+
+def _vote(samples: np.ndarray, layout) -> np.ndarray:
+    return np.where(samples[..., layout[0]].sum(axis=-1) > 0, 1, -1)
+
+
+def _disagreements(samples: np.ndarray, layout, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per block: problem qubits differing from the block's target value, and
+    whether its penalty qubit (if any) differs from it."""
+    problem_ids, penalty_ids = layout
+    weights = (samples[..., problem_ids] != target[..., None]).sum(axis=-1)
+    flags = (penalty_ids >= 0) & (samples[..., penalty_ids] != target)
+    return weights, flags
 
 
 def majority_decode(sample, encoding: LogicalEncoding | None):
@@ -103,23 +123,13 @@ def majority_decode(sample, encoding: LogicalEncoding | None):
 
     Returns (logical config, per-block disagreement weight with the majority,
     per-block flag for a penalty qubit disagreeing with the majority).  With
-    no encoding every qubit is its own length-1 block.
+    no encoding every qubit is its own length-1 block.  A ``(rows, qubits)``
+    array of readouts gives one row of each per readout.
     """
     sample = np.asarray(sample)
-    blocks = _blocks_or_trivial(encoding, len(sample))
-    if encoding is not None and encoding.n % 2 == 0:
-        raise ValidationError("majority vote requires odd code length")
-    logical = np.empty(len(blocks), dtype=int)
-    weights = np.zeros(len(blocks), dtype=int)
-    penalty_flags = np.zeros(len(blocks), dtype=bool)
-    for k, blk in enumerate(blocks):
-        votes = sample[list(blk.problem_ids)]
-        value = 1 if votes.sum() > 0 else -1
-        logical[k] = value
-        weights[k] = int((votes != value).sum())
-        if blk.penalty_id is not None:
-            penalty_flags[k] = sample[blk.penalty_id] != value
-    return logical, weights, penalty_flags
+    layout = _layout(encoding, sample.shape[-1])
+    logical = _vote(sample, layout)
+    return (logical, *_disagreements(sample, layout, logical))
 
 
 def ground_reference(problem: IsingProblem, spin_cap: int = 24) -> tuple[tuple[int, ...], ...]:
@@ -142,7 +152,7 @@ def ground_reference(problem: IsingProblem, spin_cap: int = 24) -> tuple[tuple[i
     energies = all_config_energies(problem)
     tol = 1e-12 * max(1.0, float(np.abs(energies).max()))
     idx = np.flatnonzero(energies <= energies.min() + tol)
-    return tuple(sorted(tuple(config_from_index(int(x), problem.num_spins)) for x in idx))
+    return tuple(sorted(map(tuple, config_from_index(idx[:, None], problem.num_spins).tolist())))
 
 
 def align_and_distance(decoded, ground_set) -> tuple[tuple[int, ...], int]:
@@ -163,14 +173,8 @@ def physical_hamming(sample, encoding: LogicalEncoding | None, matched_ground) -
     ground; penalty qubits count, with target value equal to the block's
     logical ground value."""
     sample = np.asarray(sample)
-    blocks = _blocks_or_trivial(encoding, len(sample))
-    d = 0
-    for blk, target in zip(blocks, matched_ground):
-        for q in blk.problem_ids:
-            d += sample[q] != target
-        if blk.penalty_id is not None:
-            d += sample[blk.penalty_id] != target
-    return int(d)
+    weights, flags = _disagreements(sample, _layout(encoding, len(sample)), np.asarray(matched_ground))
+    return int(weights.sum() + flags.sum())
 
 
 def domain_wall_profile(decoded, matched_ground) -> list[int]:
@@ -210,26 +214,19 @@ def decode_record(
 ) -> DecodedRecord:
     """Run the full decoding pipeline on one physical readout."""
     sample = np.asarray(sample)
-    encoding = problem.encoding
     if len(sample) != problem.num_physical:
         raise ValidationError("sample length does not match the problem")
     if ground_set is None:
         ground_set = ground_reference(problem.logical)
-    logical, _, _ = majority_decode(sample, encoding)
+    layout = _layout(problem.encoding, len(sample))
+    logical = _vote(sample, layout)
     matched, d_logical = align_and_distance(logical, ground_set)
-    blocks = _blocks_or_trivial(encoding, len(sample))
-    weights = tuple(
-        int(sum(sample[q] != g for q in blk.problem_ids)) for blk, g in zip(blocks, matched)
-    )
-    pen = tuple(
-        bool(blk.penalty_id is not None and sample[blk.penalty_id] != g)
-        for blk, g in zip(blocks, matched)
-    )
+    weights, flags = _disagreements(sample, layout, np.asarray(matched))
     return DecodedRecord(
-        logical_config=tuple(int(v) for v in logical),
-        per_block_error_weight=weights,
-        penalty_flipped=pen,
-        d_physical=physical_hamming(sample, encoding, matched),
+        logical_config=tuple(logical.tolist()),
+        per_block_error_weight=tuple(weights.tolist()),
+        penalty_flipped=tuple(flags.tolist()),
+        d_physical=int(weights.sum() + flags.sum()),
         d_logical=d_logical,
         decodable=d_logical == 0,
         energy=ising_energy(sample, problem.physical),
@@ -255,12 +252,9 @@ def decodable_mask(problem: EncodedProblem, encoding: LogicalEncoding | None = N
     majority-decodes to a logical ground configuration."""
     encoding = encoding if encoding is not None else problem.encoding
     n = problem.num_physical
-    ground_set = set(ground_reference(problem.logical))
-    mask = np.zeros(1 << n, dtype=bool)
-    for x in range(1 << n):
-        logical, _, _ = majority_decode(config_from_index(x, n), encoding)
-        mask[x] = tuple(int(v) for v in logical) in ground_set
-    return mask
+    logical, _, _ = majority_decode(config_from_index(np.arange(1 << n)[:, None], n), encoding)
+    grounds = np.array(ground_reference(problem.logical))
+    return (logical[:, None, :] == grounds).all(axis=-1).any(axis=-1)
 
 
 def empirical_success(samples: SampleSet, problem: EncodedProblem) -> tuple[float, float]:
@@ -272,7 +266,7 @@ def empirical_success(samples: SampleSet, problem: EncodedProblem) -> tuple[floa
         if rec.bits in code_grounds:
             n_gs += rec.count
         logical, _, _ = majority_decode(rec.bits, problem.encoding)
-        if tuple(int(v) for v in logical) in ground_set:
+        if tuple(logical.tolist()) in ground_set:
             n_s += rec.count
     total = samples.total_count
     return n_gs / total, n_s / total
@@ -314,7 +308,6 @@ def histogram_suite(
     if symmetrize and not problem.logical.is_chain():
         raise ValidationError("direction symmetrization requires a chain problem")
     num_logical = problem.logical.num_spins
-    n = problem.num_physical
     total = samples.total_count
     e_ground = ising_energy(problem.code_config(ground_set[0]), problem.physical)
 
@@ -328,12 +321,10 @@ def histogram_suite(
         record = decode_record(rec.bits, problem, ground_set, rec.count, rec.embedding_id)
         ham_phys[record.d_physical] = ham_phys.get(record.d_physical, 0) + rec.count
         ham_log[record.d_logical] = ham_log.get(record.d_logical, 0) + rec.count
-        for k, w in enumerate(record.per_block_error_weight):
-            if 1 <= w <= 3:
-                pos[k, w - 1] += rec.count
-        for k, flag in enumerate(record.penalty_flipped):
-            if flag:
-                pen[k] += rec.count
+        weights = np.array(record.per_block_error_weight)
+        blocks = np.flatnonzero((weights >= 1) & (weights <= 3))
+        pos[blocks, weights[blocks] - 1] += rec.count
+        pen += rec.count * np.array(record.penalty_flipped)
         energy_rel = round((record.energy - e_ground) / problem.alpha, 9)
         key = (record.d_physical, energy_rel)
         bucket = dec_map.setdefault(key, [0, 0])
@@ -389,8 +380,6 @@ def read_samples_csv(path, problem: EncodedProblem | None = None) -> SampleSet:
 
 def export_histograms(outdir, suite: HistogramSuite) -> list[str]:
     """Write the four histogram CSV files; returns the paths written."""
-    import os
-
     paths = []
 
     def write(name, header, rows):

@@ -20,8 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from ._integrator import FrameEvolver, annealing_hamiltonian, ising_diagonal, pauli_x_sum
+from .decode import SampleRecord, SampleSet, decodable_mask, ground_indices
 from .errors import NumericalError, ResourceLimitError, ValidationError
-from .problem import AnnealSchedule, EncodedProblem, all_config_energies
+from .problem import AnnealSchedule, EncodedProblem, config_from_index
 
 __all__ = [
     "DEFAULT_QUBIT_CAP",
@@ -48,21 +50,6 @@ DEFAULT_QUBIT_CAP = 12
 # operators
 
 
-def pauli_x_sum(num_qubits: int) -> np.ndarray:
-    """Dense sum of single-qubit sigma^x operators (real symmetric)."""
-    dim = 1 << num_qubits
-    out = np.zeros((dim, dim))
-    idx = np.arange(dim)
-    for q in range(num_qubits):
-        out[idx, idx ^ (1 << (num_qubits - 1 - q))] = 1.0
-    return out
-
-
-def ising_diagonal(problem: EncodedProblem) -> np.ndarray:
-    """Diagonal of the physical Ising operator over the computational basis."""
-    return all_config_energies(problem.physical)
-
-
 def hamiltonian_at(
     problem: EncodedProblem,
     schedule: AnnealSchedule,
@@ -75,9 +62,7 @@ def hamiltonian_at(
         raise ResourceLimitError(f"{n} qubits exceeds the dense-operator cap of {qubit_cap}")
     if not 0.0 <= s <= 1.0:
         raise ValidationError("s must lie in [0, 1]")
-    H = float(schedule.A_of(s)) * pauli_x_sum(n)
-    H[np.diag_indices_from(H)] += float(schedule.B_of(s)) * ising_diagonal(problem)
-    return H.astype(complex)
+    return annealing_hamiltonian(pauli_x_sum(n), ising_diagonal(problem), schedule, s).astype(complex)
 
 
 def spectrum(op: np.ndarray, levels: int | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -149,7 +134,7 @@ class QuantumState:
     def transverse_ground(cls, num_qubits: int) -> "QuantumState":
         """Ground state of +sum sigma^x: the alternating-sign uniform superposition."""
         dim = 1 << num_qubits
-        signs = (-1.0) ** np.array([bin(x).count("1") for x in range(dim)])
+        signs = config_from_index(np.arange(dim)[:, None], num_qubits).prod(axis=1)
         return cls.pure(signs / np.sqrt(dim))
 
     @property
@@ -235,10 +220,8 @@ def gap_profile(
     Ez = ising_diagonal(problem)
     grid = np.linspace(0.0, 1.0, grid_points)
     gaps = np.empty(grid_points)
-    diag_idx = np.diag_indices(1 << n)
     for i, s in enumerate(grid):
-        H = float(schedule.A_of(s)) * X
-        H[diag_idx] += float(schedule.B_of(s)) * Ez
+        H = annealing_hamiltonian(X, Ez, schedule, s)
         vals = scipy.linalg.eigh(H, subset_by_index=(0, k), eigvals_only=True)
         gaps[i] = vals[k] - vals[0]
     imin = int(np.argmin(gaps))
@@ -278,8 +261,6 @@ def evolve_closed(
     rather than by the fastest phase.  The norm is preserved to 1e-8 or a
     NumericalError is raised.
     """
-    from ._integrator import FrameEvolver
-
     n = problem.num_physical
     if n > qubit_cap:
         raise ResourceLimitError(f"{n} qubits exceeds the dense-operator cap of {qubit_cap}")
@@ -312,8 +293,6 @@ def success_probabilities(
 ) -> tuple[float, float]:
     """(P_GS, P_S): population on exact physical ground configurations, and
     population on configurations that majority-decode to a logical ground."""
-    from .decode import decodable_mask, ground_indices
-
     pops = final.populations()
     if len(pops) != 1 << problem.num_physical:
         raise ValidationError("state dimension does not match the problem")
@@ -326,22 +305,17 @@ def success_probabilities(
 
 def sample_readout(final: QuantumState, shots: int, rng_seed: int = 0, embedding_id: int = 0):
     """Draw seeded i.i.d. computational-basis samples from the final state."""
-    from .decode import SampleRecord, SampleSet
-    from .problem import config_from_index
-
     if shots < 1:
         raise ValidationError("shots must be >= 1")
     pops = final.populations().clip(min=0.0)
     pops = pops / pops.sum()
     rng = np.random.default_rng(rng_seed)
     counts = rng.multinomial(shots, pops)
-    n = final.num_qubits
-    records = tuple(
-        SampleRecord(tuple(config_from_index(x, n)), int(c), embedding_id)
-        for x, c in enumerate(counts)
-        if c > 0
-    )
-    return SampleSet(records)
+    hits = np.flatnonzero(counts)
+    configs = config_from_index(hits[:, None], final.num_qubits).tolist()
+    return SampleSet(tuple(
+        SampleRecord(tuple(bits), int(c), embedding_id) for bits, c in zip(configs, counts[hits])
+    ))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Exception hierarchy shared across the toolkit.
 
-The CLI maps these onto exit codes: validation problems exit with 2,
-resource-cap violations with 3, numerical failures with 4.
+Every error raised on purpose derives from :class:`QacsimError`; callers can
+tell bad input (:class:`ValidationError`) from exceeded size caps
+(:class:`ResourceLimitError`) and failed accuracy contracts
+(:class:`NumericalError`).
 """
 
 

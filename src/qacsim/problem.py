@@ -7,6 +7,9 @@ Spin and basis-index conventions used throughout the package:
   most-significant-first, spin ``q`` being +1 when bit ``num_spins-1-q`` of
   ``x`` is 0 (this matches Kronecker-product operator ordering with qubit 0
   as the leftmost factor);
+* this module owns that bit order (``_bit_position``) and the Ising energy
+  formula (``_energy_rows``): the dense operators, the integrator and the
+  decoder take both from here rather than re-deriving them;
 * all energies are dimensionless until multiplied by a schedule value; the
   schedule curves A(s), B(s) are angular frequencies in rad/ns (the "GHz"
   of hardware specifications), so with hbar = 1 times are in ns.
@@ -45,7 +48,7 @@ __all__ = [
 STRATEGIES = ("U", "C", "EP", "QAC")
 
 BRUTE_FORCE_SPIN_CAP = 24
-_CHUNK = 1 << 20
+_CHUNK = 1 << 22  # array entries per chunk of configurations
 
 
 # ---------------------------------------------------------------------------
@@ -109,21 +112,43 @@ def ising_energy(config, problem: IsingProblem) -> float:
         raise ValidationError(f"config length {config.shape} != num_spins {problem.num_spins}")
     if not np.all(np.abs(config) == 1):
         raise ValidationError("config entries must be +-1")
-    e = sum(h * config[i] for i, h in problem.local_fields.items())
-    e += sum(v * config[i] * config[j] for (i, j), v in problem.couplings.items())
-    return float(e)
+    return float(_energy_rows(config[None, :], problem)[0])
 
 
-def config_from_index(x: int, num_spins: int) -> np.ndarray:
-    bits = (x >> (num_spins - 1 - np.arange(num_spins))) & 1
+def _energy_rows(spins: np.ndarray, problem: IsingProblem) -> np.ndarray:
+    """Energies of the rows of a (rows, num_spins) array of +-1 spins.
+
+    Each row sums its terms in one fixed order, from 0: the fields, then the
+    couplings, each in dict order.
+    """
+    spins = spins.astype(float)
+    left = [i for i, _ in problem.couplings]
+    right = [j for _, j in problem.couplings]
+    terms = np.concatenate([
+        np.zeros((len(spins), 1)),
+        np.array(list(problem.local_fields.values())) * spins[:, list(problem.local_fields)],
+        np.array(list(problem.couplings.values())) * spins[:, left] * spins[:, right],
+    ], axis=1)
+    return np.cumsum(terms, axis=1)[:, -1]
+
+
+def _bit_position(qubit, num_spins: int):
+    """Bit of a basis index that holds spin ``qubit`` (spin 0 is the most
+    significant bit); accepts an int or an array of qubits."""
+    return num_spins - 1 - qubit
+
+
+def config_from_index(x, num_spins: int) -> np.ndarray:
+    """+-1 configuration of basis index ``x``; an ``(rows, 1)`` array of
+    indices gives one configuration per row."""
+    bits = (x >> _bit_position(np.arange(num_spins), num_spins)) & 1
     return 1 - 2 * bits
 
 
 def index_from_config(config) -> int:
     config = np.asarray(config)
-    n = len(config)
     bits = (1 - config) // 2
-    return int(np.sum(bits << (n - 1 - np.arange(n))))
+    return int(np.sum(bits << _bit_position(np.arange(len(config)), len(config))))
 
 
 def all_config_energies(problem: IsingProblem) -> np.ndarray:
@@ -132,16 +157,10 @@ def all_config_energies(problem: IsingProblem) -> np.ndarray:
     if n > BRUTE_FORCE_SPIN_CAP:
         raise ResourceLimitError(f"{n} spins exceeds the brute-force cap of {BRUTE_FORCE_SPIN_CAP}")
     out = np.empty(1 << n)
-    shifts = n - 1 - np.arange(n)
-    for start in range(0, 1 << n, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, 1 << n), dtype=np.int64)
-        spins = 1.0 - 2.0 * ((idx[:, None] >> shifts) & 1)
-        e = np.zeros(len(idx))
-        for i, h in problem.local_fields.items():
-            e += h * spins[:, i]
-        for (i, j), v in problem.couplings.items():
-            e += v * spins[:, i] * spins[:, j]
-        out[start : start + len(idx)] = e
+    rows = max(1, _CHUNK // (1 + n + len(problem.local_fields) + len(problem.couplings)))
+    for start in range(0, 1 << n, rows):
+        idx = np.arange(start, min(start + rows, 1 << n), dtype=np.int64)
+        out[start : start + len(idx)] = _energy_rows(config_from_index(idx[:, None], n), problem)
     return out
 
 
@@ -322,21 +341,14 @@ def classical_excitation_gaps(problem: EncodedProblem) -> list[GapLevel]:
     """
     u = all_config_energies(problem.problem_part)
     v = all_config_energies(problem.penalty_part)
-    energies = problem.alpha * u + problem.beta * v
-    ground = energies.min()
-    order = np.lexsort((v, u, energies))
-    levels: list[GapLevel] = []
-    k = 0
-    while k < len(order):
-        idx = order[k]
-        same = (u[order[k:]] == u[idx]) & (v[order[k:]] == v[idx]) & (energies[order[k:]] == energies[idx])
-        run = int(np.argmin(same)) if not same.all() else len(same)
-        if energies[idx] != ground or u[idx] != u[order[0]] or v[idx] != v[order[0]]:
-            iground = order[0]
-            du = float(u[idx] - u[iground])
-            dv = float(v[idx] - v[iground])
-            levels.append(GapLevel(du * problem.alpha + dv * problem.beta, run, du, dv))
-        k += run
+    iground = np.lexsort((v, u, problem.alpha * u + problem.beta * v))[0]
+    (us, vs), counts = np.unique(np.stack([u, v]), axis=1, return_counts=True)
+    levels = []
+    for uk, vk, count in zip(us, vs, counts):
+        if uk != u[iground] or vk != v[iground]:
+            du = float(uk - u[iground])
+            dv = float(vk - v[iground])
+            levels.append(GapLevel(du * problem.alpha + dv * problem.beta, int(count), du, dv))
     levels.sort(key=lambda lv: (lv.gap, lv.problem_weight, lv.penalty_weight))
     return levels
 

@@ -188,9 +188,9 @@ class LogicalEncoding:
             for q in blk.problem_ids:
                 if q not in self.host.active_qubits:
                     raise ValidationError(f"problem qubit {q} inactive in host graph")
-            if blk.penalty_id is not None:
-                nbrs = self.host.neighbors(blk.penalty_id)
-                if not set(blk.problem_ids) <= nbrs:
+            p = blk.penalty_id
+            if p is not None:
+                if not all((min(q, p), max(q, p)) in self.host.edges for q in blk.problem_ids):
                     raise ValidationError(f"penalty qubit {blk.penalty_id} not adjacent to all problem qubits of block {blk.logical_id}")
 
     @property

@@ -1,0 +1,168 @@
+import itertools
+
+import numpy as np
+import pytest
+
+from qacsim.decode import (
+    align_and_distance,
+    decodable_mask,
+    decode_record,
+    ground_reference,
+    majority_decode,
+    physical_hamming,
+)
+from qacsim.dynamics import QuantumState, success_probabilities
+from qacsim.problem import (
+    STRATEGIES,
+    IsingProblem,
+    dense_encoding,
+    encode_problem,
+    make_af_chain,
+)
+
+# independent oracles: plain loops over blocks and basis states
+
+
+def naive_blocks(encoding, width):
+    if encoding is None:
+        return [((q,), None) for q in range(width)]
+    return [(blk.problem_ids, blk.penalty_id) for blk in encoding.blocks]
+
+
+def naive_vote(bits, encoding):
+    logical, weights, flags = [], [], []
+    for problem_ids, penalty in naive_blocks(encoding, len(bits)):
+        ups = sum(1 for q in problem_ids if bits[q] == 1)
+        value = 1 if 2 * ups > len(problem_ids) else -1
+        logical.append(value)
+        weights.append(sum(1 for q in problem_ids if bits[q] != value))
+        flags.append(penalty is not None and bits[penalty] != value)
+    return logical, weights, flags
+
+
+def naive_align(decoded, grounds):
+    best = None
+    for g in grounds:
+        d = sum(1 for a, b in zip(decoded, g) if a != b)
+        if best is None or (d, g) < best:
+            best = (d, g)
+    return best[1], best[0]
+
+
+def naive_energy(config, problem):
+    e = 0.0
+    for i, h in problem.local_fields.items():
+        e += h * config[i]
+    for (i, j), v in problem.couplings.items():
+        e += v * config[i] * config[j]
+    return e
+
+
+def basis_configs(num_spins):
+    # itertools order is basis-index order: spin 0 most significant, +1 is bit 0
+    return list(itertools.product((1, -1), repeat=num_spins))
+
+
+def encoded(logical, strategy, encoding=None):
+    beta = 0.25 if strategy in ("EP", "QAC") else 0.0
+    return encode_problem(logical, strategy, 0.5, beta, encoding)
+
+
+TRIANGLE = IsingProblem(3, {}, {(0, 1): 1.0, (1, 2): 1.0, (0, 2): 1.0})
+
+CASES = [(S, None) for S in STRATEGIES] + [("EP", dense_encoding(3, incomplete={1})),
+                                          ("QAC", dense_encoding(3, incomplete={1}))]
+
+
+@pytest.mark.parametrize("strategy,encoding", CASES)
+class TestMajorityDecode:
+    def test_single_rows(self, strategy, encoding):
+        problem = encoded(make_af_chain(3), strategy, encoding)
+        rng = np.random.default_rng(1)
+        for bits in rng.choice([-1, 1], size=(40, problem.num_physical)):
+            logical, weights, flags = majority_decode(bits, problem.encoding)
+            assert (logical.tolist(), weights.tolist(), flags.tolist()) == naive_vote(bits, problem.encoding)
+
+    def test_array_of_rows_matches_row_by_row(self, strategy, encoding):
+        problem = encoded(make_af_chain(3), strategy, encoding)
+        rows = np.random.default_rng(2).choice([-1, 1], size=(25, problem.num_physical))
+        logical, weights, flags = majority_decode(rows, problem.encoding)
+        num_logical = 3
+        assert logical.shape == weights.shape == flags.shape == (25, num_logical)
+        for r, bits in enumerate(rows):
+            assert (logical[r].tolist(), weights[r].tolist(), flags[r].tolist()) == naive_vote(bits, problem.encoding)
+
+
+def test_incomplete_block_never_flags_a_penalty():
+    enc = dense_encoding(3, incomplete={1})
+    rows = np.array(basis_configs(enc.num_physical))
+    _, _, flags = majority_decode(rows, enc)
+    assert not flags[:, 1].any()
+    assert flags[:, 0].any() and flags[:, 2].any()
+
+
+class TestFrustratedTriangle:
+    def test_six_grounds(self):
+        grounds = ground_reference(TRIANGLE)
+        assert len(grounds) == 6
+        assert set(grounds) == set(basis_configs(3)) - {(1, 1, 1), (-1, -1, -1)}
+
+    def test_align_tie_rule(self):
+        grounds = ground_reference(TRIANGLE)
+        for decoded in basis_configs(3):
+            assert align_and_distance(decoded, grounds) == naive_align(decoded, grounds)
+        # all-up is one flip from three grounds: the lexicographically smallest wins
+        assert align_and_distance((1, 1, 1), grounds) == ((-1, 1, 1), 1)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_decode_record_and_hamming(self, strategy):
+        problem = encoded(TRIANGLE, strategy)
+        grounds = ground_reference(TRIANGLE)
+        rng = np.random.default_rng(3)
+        for bits in rng.choice([-1, 1], size=(60, problem.num_physical)):
+            rec = decode_record(bits, problem, grounds, count=2, embedding_id=4)
+            logical, _, _ = naive_vote(bits, problem.encoding)
+            matched, d_logical = naive_align(tuple(logical), grounds)
+            target = problem.code_config(matched)
+            per_block = [(sum(1 for q in ids if bits[q] != target[q]), pen is not None and bits[pen] != target[pen])
+                         for ids, pen in naive_blocks(problem.encoding, len(bits))]
+            d_physical = sum(1 for a, b in zip(bits, target) if a != b)
+            assert rec.logical_config == tuple(logical)
+            assert rec.matched_ground == matched
+            assert rec.d_logical == d_logical
+            assert rec.decodable == (d_logical == 0)
+            assert rec.per_block_error_weight == tuple(w for w, _ in per_block)
+            assert rec.penalty_flipped == tuple(f for _, f in per_block)
+            assert rec.d_physical == d_physical
+            assert physical_hamming(bits, problem.encoding, matched) == d_physical
+            assert rec.energy == pytest.approx(naive_energy(bits, problem.physical), abs=1e-12)
+            assert (rec.count, rec.embedding_id) == (2, 4)
+
+
+DECODABLE_CASES = [(make_af_chain(L), S) for L in (2, 3) for S in STRATEGIES] + [(TRIANGLE, "C"), (make_af_chain(12), "U")]
+
+
+@pytest.mark.parametrize("logical,strategy", DECODABLE_CASES)
+def test_decodable_mask_against_enumeration(logical, strategy):
+    problem = encoded(logical, strategy)
+    assert problem.num_physical <= 12
+    grounds = set(ground_reference(logical))
+    expected = [tuple(naive_vote(bits, problem.encoding)[0]) in grounds for bits in basis_configs(problem.num_physical)]
+    assert decodable_mask(problem).tolist() == expected
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_success_probabilities_against_enumeration(strategy):
+    problem = encoded(make_af_chain(3), strategy)
+    n = problem.num_physical
+    amps = np.random.default_rng(4).normal(size=1 << n) + 1j * np.random.default_rng(5).normal(size=1 << n)
+    state = QuantumState.pure(amps / np.linalg.norm(amps))
+    pops = np.abs(state.data) ** 2
+    configs = basis_configs(n)
+    energies = [naive_energy(c, problem.physical) for c in configs]
+    e_min = min(energies)
+    grounds = set(ground_reference(problem.logical))
+    p_gs = sum(p for p, e in zip(pops, energies) if e <= e_min + 1e-9)
+    p_s = sum(p for p, c in zip(pops, configs) if tuple(naive_vote(c, problem.encoding)[0]) in grounds)
+    got = success_probabilities(state, problem)
+    assert got == pytest.approx((p_gs, p_s), rel=1e-12, abs=1e-15)

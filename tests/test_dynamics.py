@@ -1,0 +1,106 @@
+import itertools
+from functools import reduce
+
+import numpy as np
+import pytest
+
+from qacsim.dynamics import (
+    QuantumState,
+    gap_profile,
+    hamiltonian_at,
+    ising_diagonal,
+    pauli_x_sum,
+    sample_readout,
+)
+from qacsim.problem import STRATEGIES, config_from_index, encode_problem, make_af_chain, schedule_linear
+
+# independent oracles: Kronecker products with qubit 0 as the leftmost factor
+
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def kron_x_sum(num_qubits):
+    total = np.zeros((1 << num_qubits, 1 << num_qubits))
+    for q in range(num_qubits):
+        factors = [SIGMA_X if k == q else np.eye(2) for k in range(num_qubits)]
+        total += reduce(np.kron, factors)
+    return total
+
+
+def naive_diagonal(problem):
+    out = []
+    for config in itertools.product((1, -1), repeat=problem.num_spins):
+        e = 0.0
+        for i, h in problem.local_fields.items():
+            e += h * config[i]
+        for (i, j), v in problem.couplings.items():
+            e += v * config[i] * config[j]
+        out.append(e)
+    return np.array(out)
+
+
+def kron_hamiltonian(problem, schedule, s):
+    return float(schedule.A_of(s)) * kron_x_sum(problem.num_physical) + float(schedule.B_of(s)) * np.diag(
+        naive_diagonal(problem.physical)
+    )
+
+
+def encoded(strategy, length=2):
+    beta = 0.3 if strategy in ("EP", "QAC") else 0.0
+    return encode_problem(make_af_chain(length), strategy, 0.4, beta)
+
+
+SCHEDULE = schedule_linear(1.0, 0.01)
+
+
+@pytest.mark.parametrize("num_qubits", range(1, 9))
+def test_transverse_ground_popcount(num_qubits):
+    dim = 1 << num_qubits
+    expected = np.array([(-1.0) ** bin(x).count("1") for x in range(dim)]) / np.sqrt(dim)
+    assert np.array_equal(QuantumState.transverse_ground(num_qubits).data, expected)
+
+
+@pytest.mark.parametrize("num_qubits", range(1, 8))
+def test_pauli_x_sum_kronecker(num_qubits):
+    assert np.array_equal(pauli_x_sum(num_qubits), kron_x_sum(num_qubits))
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_ising_diagonal_enumeration(strategy):
+    problem = encoded(strategy)
+    assert np.allclose(ising_diagonal(problem), naive_diagonal(problem.physical), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("s", [0.0, 0.37, 1.0])
+def test_hamiltonian_at_kronecker(strategy, s):
+    problem = encoded(strategy)
+    H = hamiltonian_at(problem, SCHEDULE, s)
+    assert H.dtype == complex
+    assert np.allclose(H, kron_hamiltonian(problem, SCHEDULE, s), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("strategy,length", [("U", 2), ("U", 4), ("C", 2), ("EP", 2), ("QAC", 2)])
+def test_gap_profile_dense_eigvalsh(strategy, length):
+    problem = encoded(strategy, length)
+    profile = gap_profile(problem, SCHEDULE, grid_points=9)
+    final = np.sort(naive_diagonal(problem.physical))
+    # the relevant level is the first above the degenerate final ground manifold
+    assert profile.level_index == int(np.sum(np.isclose(final, final[0])))
+    for s, gap in zip(profile.s, profile.gap):
+        vals = np.linalg.eigvalsh(kron_hamiltonian(problem, SCHEDULE, s))
+        assert gap == pytest.approx(vals[profile.level_index] - vals[0], rel=1e-9, abs=1e-9)
+    assert profile.delta_min == profile.gap.min()
+
+
+@pytest.mark.parametrize("num_qubits", [1, 3, 6])
+def test_sample_readout_records(num_qubits):
+    rng = np.random.default_rng(num_qubits)
+    amps = rng.normal(size=1 << num_qubits)
+    state = QuantumState.pure(amps / np.linalg.norm(amps))
+    samples = sample_readout(state, 300, rng_seed=9, embedding_id=5)
+    counts = np.random.default_rng(9).multinomial(300, np.abs(state.data) ** 2 / np.sum(np.abs(state.data) ** 2))
+    expected = [(tuple(int(b) for b in config_from_index(x, num_qubits)), int(c)) for x, c in enumerate(counts) if c]
+    assert [(rec.bits, rec.count) for rec in samples.records] == expected
+    assert all(rec.embedding_id == 5 for rec in samples.records)
+    assert samples.total_count == 300

@@ -100,6 +100,30 @@ class TestBuildEncoding:
             nbrs = hw.neighbors(blk.penalty_id)
             assert set(blk.problem_ids) <= nbrs
 
+    def test_inactive_problem_qubit_rejected(self):
+        from qacsim.topology import LogicalBlock, LogicalEncoding
+
+        hw = build_chimera(1, 1, 4, {build_chimera(1, 1, 4).qubit_id(0, 0, 0, 1)})
+        problem = tuple(hw.qubit_id(0, 0, 0, i) for i in range(3))
+        block = LogicalBlock(0, problem, hw.qubit_id(0, 0, 1, 3))
+        with pytest.raises(ValidationError, match="inactive"):
+            LogicalEncoding(3, (block,), host=hw)
+
+    def test_penalty_not_adjacent_rejected(self):
+        from qacsim.topology import LogicalBlock, LogicalEncoding
+
+        hw = build_chimera(1, 2, 4)
+        problem = tuple(hw.qubit_id(0, 0, 0, i) for i in range(3))
+        # shore-1 qubit of the neighbouring cell: no coupler to these problem qubits
+        far = LogicalBlock(0, problem, hw.qubit_id(0, 1, 1, 3))
+        with pytest.raises(ValidationError, match="not adjacent"):
+            LogicalEncoding(3, (far,), host=hw)
+        # same-shore qubit of the own cell: active but uncoupled
+        same_shore = LogicalBlock(0, problem, hw.qubit_id(0, 0, 0, 3))
+        with pytest.raises(ValidationError, match="not adjacent"):
+            LogicalEncoding(3, (same_shore,), host=hw)
+        assert LogicalEncoding(3, (LogicalBlock(0, problem, hw.qubit_id(0, 0, 1, 3)),), host=hw).blocks
+
 
 class TestConflictGroups:
     def test_shared_coupler_detected(self):
