@@ -1,6 +1,9 @@
-"""Adaptive integrator working in the instantaneous eigenbasis of H(s).
+"""Adaptive master-equation integrator working in the instantaneous eigenbasis of H(s).
 
-State components are tracked in the frame of the instantaneous eigenvectors.
+:class:`FrameEvolver` integrates the adiabatic master equation for
+:mod:`qacsim.master_equation`, with or without a bath (closed anneals of
+pure states run matrix-free in :mod:`qacsim.dynamics`).  The density matrix
+is tracked in the frame of the instantaneous eigenvectors.
 Within each step the coherent part of the frame equation (dynamical phases
 plus the non-adiabatic coupling K) is applied as a unitary built from a
 phased Magnus term: the phases come from a cubic Hermite model of the
@@ -17,8 +20,9 @@ columns are permuted to follow state identity through crossings, and
 near-degenerate clusters are aligned with the previous node's gauge by a
 polar rotation.
 
-The dense operators behind H(s) = A(s) * sum_i sigma^x_i + B(s) * H_z are
-defined here, once, for this integrator and for :mod:`qacsim.dynamics`.
+The operators behind H(s) = A(s) * sum_i sigma^x_i + B(s) * H_z, and the
+anneal fractions where steps must end, are defined here, once, for this
+integrator and for :mod:`qacsim.dynamics`.
 """
 
 from __future__ import annotations
@@ -72,6 +76,16 @@ def annealing_hamiltonian(X: np.ndarray, Ez: np.ndarray, schedule, s: float) -> 
     H = float(schedule.A_of(s)) * X
     H[np.diag_indices_from(H)] += float(schedule.B_of(s)) * Ez
     return H
+
+
+def step_boundaries(schedule, snapshots: int) -> tuple[np.ndarray, np.ndarray]:
+    """Anneal fractions where steps must end - ``snapshots`` evenly spaced
+    points from 0 to 1 and the schedule's interior knots, where dA/ds and
+    dB/ds jump - and a mask of the ones that are snapshots."""
+    s_points = np.linspace(0.0, 1.0, max(2, snapshots))
+    knots = np.asarray(schedule.s, dtype=float)
+    bounds = np.unique(np.concatenate([s_points, knots[(knots > 0) & (knots < 1)]]))
+    return bounds, np.isin(bounds, s_points)
 
 
 @dataclass
@@ -313,64 +327,37 @@ class FrameEvolver:
     def _dress(self, y: np.ndarray, phi: np.ndarray, W: np.ndarray) -> np.ndarray:
         """Lawson variable -> frame components at the stage time."""
         p = np.exp(-1j * phi)
-        if y.ndim == 1:
-            return p * (W @ y)
         return (p[:, None] * p.conj()[None, :]) * (W @ y @ W.conj().T)
 
     def _undress(self, k: np.ndarray, phi: np.ndarray, W: np.ndarray) -> np.ndarray:
         p = np.exp(1j * phi)
-        if k.ndim == 1:
-            return W.conj().T @ (p * k)
         return W.conj().T @ ((p[:, None] * p.conj()[None, :]) * k) @ W
 
     # -- driver -----------------------------------------------------------------
 
-    def run(self, initial_cb: np.ndarray, snapshots: int = 9, s_points=None):
-        """Integrate from s=0 to s=1; returns (s values, states in the
-        computational basis) at the requested snapshot points."""
+    def run(self, rho0: np.ndarray, snapshots: int = 9):
+        """Integrate a density matrix from s=0 to s=1; returns (s values,
+        density matrices in the computational basis) at the snapshots."""
         node = self._build_node(0.0, None)
-        pure = initial_cb.ndim == 1
-        if pure:
-            y = node.V.T @ initial_cb.astype(complex)
-            captured = float(np.linalg.norm(y) ** 2)
-        else:
-            y = node.V.T @ initial_cb.astype(complex) @ node.V
-            captured = float(np.real(np.trace(y)))
+        y = node.V.T @ rho0.astype(complex) @ node.V
+        captured = float(np.real(np.trace(y)))
         if captured < 1.0 - 1e-9:
             raise ValidationError(
                 f"initial state has weight {1 - captured:.2e} outside the {self.m} tracked levels"
             )
 
-        if s_points is None:
-            s_points = np.linspace(0.0, 1.0, max(2, snapshots))
-        s_points = np.asarray(s_points, dtype=float)
-        knots = np.asarray(self.schedule.s, dtype=float)
-        boundaries = np.unique(np.concatenate([s_points, knots[(knots > 0) & (knots < 1)], [0.0, 1.0]]))
-        record_set = {round(float(s), 15) for s in s_points}
-
-        out_s: list[float] = []
-        out_states: list[np.ndarray] = []
-
-        def record(s_val: float, nd: _Node, state) -> None:
-            if pure:
-                out_states.append(nd.V @ state)
-            else:
-                out_states.append(nd.V @ state @ nd.V.T)
-            out_s.append(s_val)
-
-        if round(float(boundaries[0]), 15) in record_set:
-            record(0.0, node, y)
-
+        boundaries, snapshot = step_boundaries(self.schedule, snapshots)
+        out_states = [node.V @ y @ node.V.T]
         h = min(self.h_max, self.t_f / 400)
-        for left, right in zip(boundaries[:-1], boundaries[1:]):
+        for left, right, keep in zip(boundaries[:-1], boundaries[1:], snapshot[1:]):
             t_end = right * self.t_f
             t = left * self.t_f
             while t < t_end - 1e-9 * self.t_f:
                 h = min(h, t_end - t)
                 node, y, t, h = self._step(node, y, t, h)
-            if round(float(right), 15) in record_set:
-                record(float(right), node, y)
-        return np.array(out_s), out_states
+            if keep:
+                out_states.append(node.V @ y @ node.V.T)
+        return boundaries[snapshot], out_states
 
     def _step(self, node0: _Node, y: np.ndarray, t: float, h: float):
         """One adaptive step: phased-Magnus coherent propagator with a
@@ -425,8 +412,7 @@ class FrameEvolver:
                 y_new = self._dress(u5, phi_full, W_full)
 
             if err <= 1.0:
-                if y_new.ndim == 2:
-                    y_new = 0.5 * (y_new + y_new.conj().T)
+                y_new = 0.5 * (y_new + y_new.conj().T)
                 grow = 5.0 if err == 0 else min(5.0, max(0.2, 0.9 * err ** (-0.2)))
                 return node1, y_new, t + h, min(self.h_max, h * grow)
             h *= max(0.1, 0.9 * err ** (-0.25))

@@ -1,5 +1,5 @@
-"""Thermal independent-kink model for antiferromagnetic chains, an exact
-Boltzmann oracle, and success-vs-length curve fits.
+"""Thermal independent-kink model for antiferromagnetic chains and
+success-vs-length curve fits.
 
 For an N-spin chain at coupling scale alpha and temperature T (same units),
 a kink is one violated nearest-neighbour bond, costing 2*alpha.  With N-1
@@ -16,22 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize_scalar
-from scipy.special import gammaln
 
 from .errors import ValidationError
-from .problem import IsingProblem, all_config_energies
 
 __all__ = [
     "KinkModel",
     "flip_probability",
     "no_kink_probability",
-    "kink_distribution",
-    "boltzmann_oracle",
     "FitResult",
     "lorentzian_fit",
     "exponential_fit",
-    "read_success_csv",
-    "write_success_csv",
 ]
 
 
@@ -55,33 +49,6 @@ def no_kink_probability(model: KinkModel, N: int) -> float:
     if N < 1:
         raise ValidationError("N must be >= 1")
     return float((1.0 / (1.0 + np.exp(-2.0 * model.alpha / model.temperature))) ** (N - 1))
-
-
-def kink_distribution(model: KinkModel, N: int) -> np.ndarray:
-    """P_N(k) for k = 0..N-1: binomial(N-1, k) Boltzmann weights.
-
-    Evaluated in log space so large N and low temperatures stay finite;
-    the result sums to 1 within 1e-12.
-    """
-    if N < 2:
-        raise ValidationError("N must be >= 2")
-    k = np.arange(N)
-    x = model.alpha / model.temperature
-    log_binom = gammaln(N) - gammaln(k + 1) - gammaln(N - k)
-    # energy of k kinks is alpha*(-(N-1) + 2k); normalization (2cosh x)^(N-1)
-    log_p = log_binom - 2.0 * k * x + (N - 1) * (x - np.log(2.0 * np.cosh(x)))
-    p = np.exp(log_p)
-    return p / p.sum()
-
-
-def boltzmann_oracle(problem: IsingProblem, temperature: float) -> np.ndarray:
-    """Exact Gibbs distribution over all 2^N configurations (basis-indexed)."""
-    if temperature <= 0:
-        raise ValidationError("temperature must be positive")
-    energies = all_config_energies(problem)
-    w = -(energies - energies.min()) / temperature
-    p = np.exp(w)
-    return p / p.sum()
 
 
 # ---------------------------------------------------------------------------
@@ -159,24 +126,3 @@ def exponential_fit(data) -> ExponentialFit:
     res = minimize_scalar(loss, bounds=(0.0, 1.0 - 1e-12), method="bounded", options={"xatol": 1e-14})
     p_hat = float(res.x)
     return ExponentialFit(p_hat, loss(p_hat))
-
-
-def read_success_csv(path):
-    out = []
-    with open(path) as fh:
-        for ln in fh:
-            ln = ln.strip()
-            if not ln or ln.startswith("#") or ln.lower().startswith("n,"):
-                continue
-            n, prob = ln.split(",")[:2]
-            out.append((int(n), float(prob)))
-    if not out:
-        raise ValidationError(f"{path}: empty success-curve file")
-    return out
-
-
-def write_success_csv(path, data) -> None:
-    with open(path, "w") as fh:
-        fh.write("N,P\n")
-        for n, prob in data:
-            fh.write(f"{n},{float(prob)!r}\n")

@@ -15,12 +15,11 @@ operations over all blocks (and rows) at once.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, ResourceLimitError, ValidationError
+from .errors import ResourceLimitError, ValidationError
 from .problem import (
     EncodedProblem,
     IsingProblem,
@@ -39,15 +38,11 @@ __all__ = [
     "ground_reference",
     "align_and_distance",
     "physical_hamming",
-    "domain_wall_profile",
     "decode_record",
     "decodable_mask",
     "ground_indices",
     "empirical_success",
     "histogram_suite",
-    "read_samples_csv",
-    "write_samples_csv",
-    "export_histograms",
 ]
 
 
@@ -175,17 +170,6 @@ def physical_hamming(sample, encoding: LogicalEncoding | None, matched_ground) -
     sample = np.asarray(sample)
     weights, flags = _disagreements(sample, _layout(encoding, len(sample)), np.asarray(matched_ground))
     return int(weights.sum() + flags.sum())
-
-
-def domain_wall_profile(decoded, matched_ground) -> list[int]:
-    """Positions where the per-qubit correctness flag changes along a chain.
-
-    A flipped suffix starting at position k yields the single kink [k]; an
-    interior flipped qubit yields two kinks."""
-    decoded = np.asarray(decoded)
-    ground = np.asarray(matched_ground)
-    correct = decoded == ground
-    return [i + 1 for i in range(len(correct) - 1) if correct[i] != correct[i + 1]]
 
 
 @dataclass(frozen=True)
@@ -344,69 +328,3 @@ def histogram_suite(
         decodability={k: (v[0], v[1]) for k, v in sorted(dec_map.items())},
         total_count=total,
     )
-
-
-# ---------------------------------------------------------------------------
-# files
-
-
-def write_samples_csv(path, samples: SampleSet) -> None:
-    with open(path, "w") as fh:
-        fh.write("embedding_id,count,bits\n")
-        for rec in samples.records:
-            bits = "".join("0" if b == 1 else "1" for b in rec.bits)
-            fh.write(f"{rec.embedding_id},{rec.count},{bits}\n")
-
-
-def read_samples_csv(path, problem: EncodedProblem | None = None) -> SampleSet:
-    records = []
-    with open(path) as fh:
-        for ln in fh:
-            ln = ln.strip()
-            if not ln or ln.startswith("#") or ln.startswith("embedding_id"):
-                continue
-            try:
-                emb, count, bits = ln.split(",")
-                values = tuple(1 if ch == "0" else -1 for ch in bits.strip())
-                if not all(ch in "01" for ch in bits.strip()):
-                    raise ValueError(bits)
-                records.append(SampleRecord(values, int(count), int(emb)))
-            except (ValueError, IndexError) as exc:
-                raise FormatError(f"{path}: bad sample row {ln!r}") from exc
-    if not records:
-        raise FormatError(f"{path}: empty sample file")
-    return SampleSet(tuple(records), problem)
-
-
-def export_histograms(outdir, suite: HistogramSuite) -> list[str]:
-    """Write the four histogram CSV files; returns the paths written."""
-    paths = []
-
-    def write(name, header, rows):
-        path = os.path.join(outdir, name)
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for row in rows:
-                fh.write(",".join(str(x) for x in row) + "\n")
-        paths.append(path)
-
-    write("hamming_physical.csv", "d_physical,frequency", [(d, repr(f)) for d, f in suite.hamming_physical.items()])
-    write("hamming_logical.csv", "d_logical,frequency", [(d, repr(f)) for d, f in suite.hamming_logical.items()])
-    write(
-        "position_error_classes.csv",
-        "position,weight1,weight2,weight3,penalty_flip",
-        [
-            (k, repr(float(suite.position_weights[k, 0])), repr(float(suite.position_weights[k, 1])),
-             repr(float(suite.position_weights[k, 2])), repr(float(suite.penalty_flips[k])))
-            for k in range(suite.position_weights.shape[0])
-        ],
-    )
-    write(
-        "decodability_map.csv",
-        "d_physical,energy,total,decodable,fraction",
-        [
-            (d, repr(e), tot, dec, repr(dec / tot))
-            for (d, e), (tot, dec) in suite.decodability.items()
-        ],
-    )
-    return paths

@@ -1,4 +1,4 @@
-"""Dense annealing Hamiltonians, spectra, gap profiles, and closed evolution.
+"""Annealing Hamiltonians, spectra, gap profiles, and closed evolution.
 
 Conventions: hbar = 1, energies and the schedule curves A(s), B(s) in rad/ns,
 times in ns.  The transverse-field term enters with a positive coefficient,
@@ -10,7 +10,8 @@ convention.
 The annealing Hamiltonian is ``H(s) = A(s) * sum_i sigma^x_i + B(s) * H_z``
 with ``H_z`` the diagonal physical Ising operator of an encoded problem
 (problem scale alpha and penalty scale beta are already folded into the
-physical couplings).
+physical couplings).  Hamiltonians and gap profiles are dense; closed
+evolution is matrix-free in the computational basis.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from ._integrator import FrameEvolver, annealing_hamiltonian, ising_diagonal, pauli_x_sum
+from ._integrator import annealing_hamiltonian, flip_indices, ising_diagonal, pauli_x_sum, step_boundaries
 from .decode import SampleRecord, SampleSet, decodable_mask, ground_indices
 from .errors import NumericalError, ResourceLimitError, ValidationError
 from .problem import AnnealSchedule, EncodedProblem, config_from_index
@@ -38,8 +39,6 @@ __all__ = [
     "evolve_closed",
     "success_probabilities",
     "sample_readout",
-    "export_gap_csv",
-    "export_trajectory_csv",
     "Trajectory",
 ]
 
@@ -244,6 +243,62 @@ class Trajectory:
         return self.states[-1]
 
 
+# Yoshida's triple jump (Phys. Lett. A 150, 262 (1990)): symmetric
+# second-order steps of w*h, (1 - 2w)*h and w*h compose to fourth order
+_W = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+_TRIPLE_JUMP = np.array([_W, 1.0 - 2.0 * _W, _W])
+_TRIPLE_JUMP_MIDPOINTS = np.cumsum(_TRIPLE_JUMP) - 0.5 * _TRIPLE_JUMP
+
+
+def _split_operator_run(problem, schedule, psi0, snapshots, rtol, atol):
+    """Unitary fourth-order splitting of H(s) = A(s) * sum_q sigma^x_q + B(s) * diag(E_z).
+
+    A Strang step over [t, t+h] takes A and B at its midpoint and applies
+    exp(-i h/2 B E_z), then exp(-i h A sigma^x_q) for every qubit q, then
+    exp(-i h/2 B E_z) again; three Strang steps make a triple-jump step.
+    Step doubling estimates the error as |full - halves| / 15, which must
+    stay within atol + rtol; the two half steps are kept.  Steps end on the
+    snapshots and on the schedule's knots.  Returns (s values, states).
+    """
+    Ez = ising_diagonal(problem)
+    flips = flip_indices(problem.num_physical)
+    t_f = schedule.t_f_ns
+
+    def fourth_order(psi, t, h):
+        s = (t + _TRIPLE_JUMP_MIDPOINTS * h) / t_f
+        half_phases = np.exp(np.outer(-0.5j * h * _TRIPLE_JUMP * schedule.B_of(s), Ez))
+        theta = h * _TRIPLE_JUMP * schedule.A_of(s)
+        for half_phase, cos, minus_i_sin in zip(half_phases, np.cos(theta), -1j * np.sin(theta)):
+            psi = half_phase * psi
+            for row in flips:
+                psi = cos * psi + minus_i_sin * psi[row]
+            psi = half_phase * psi
+        return psi
+
+    boundaries, snapshot = step_boundaries(schedule, snapshots)
+    psi = psi0.astype(complex)
+    out = [psi]
+    h = t_f / 400
+    for left, right, keep in zip(boundaries[:-1], boundaries[1:], snapshot[1:]):
+        t, t_end = left * t_f, right * t_f
+        while t < t_end - 1e-9 * t_f:
+            h = min(h, t_end - t)
+            for _ in range(60):
+                full = fourth_order(psi, t, h)
+                halves = fourth_order(fourth_order(psi, t, 0.5 * h), t + 0.5 * h, 0.5 * h)
+                err = float(np.linalg.norm(full - halves)) / (15.0 * (atol + rtol))
+                if err <= 1.0:
+                    break
+                h *= max(0.1, 0.9 * err ** (-0.2))
+            else:
+                raise NumericalError(f"step size underflow at t={t} ns (err={err:.3e})")
+            psi, t = halves, t + h
+            h *= 5.0 if err == 0 else min(5.0, max(0.2, 0.9 * err ** (-0.2)))
+        if keep:
+            out.append(psi)
+    return boundaries[snapshot], out
+
+
 def evolve_closed(
     problem: EncodedProblem,
     schedule: AnnealSchedule,
@@ -256,14 +311,18 @@ def evolve_closed(
 ) -> Trajectory:
     """Integrate the Schroedinger equation across the anneal.
 
-    Works in the instantaneous eigenbasis with the dynamical phases applied
-    exactly per step, so the step size is set by the non-adiabatic coupling
-    rather than by the fastest phase.  The norm is preserved to 1e-8 or a
-    NumericalError is raised.
+    Uses the matrix-free split-operator integrator in the computational
+    basis (see :func:`_split_operator_run`): every factor of a step is an
+    exact exponential, so the integrator is unitary by construction and
+    renormalizes nothing; the norm is checked to 1e-8 or a NumericalError
+    is raised.  Every level is tracked: ``levels`` must lie in [1, 2^n] but
+    is otherwise ignored.
     """
     n = problem.num_physical
     if n > qubit_cap:
-        raise ResourceLimitError(f"{n} qubits exceeds the dense-operator cap of {qubit_cap}")
+        raise ResourceLimitError(f"{n} qubits exceeds the state-vector cap of {qubit_cap}")
+    if levels is not None and not 1 <= levels <= 1 << n:
+        raise ValidationError(f"levels must lie in [1, {1 << n}]")
     if initial is None:
         initial = QuantumState.transverse_ground(n)
     if initial.kind != "pure":
@@ -271,8 +330,7 @@ def evolve_closed(
     if initial.data.shape[0] != (1 << n):
         raise ValidationError("initial state dimension does not match the problem")
 
-    evolver = FrameEvolver(problem, schedule, bath=None, levels=levels, rtol=rtol, atol=atol)
-    s_points, raw = evolver.run(initial.data, snapshots=snapshots)
+    s_points, raw = _split_operator_run(problem, schedule, initial.data, snapshots, rtol, atol)
     states = []
     for vec in raw:
         norm = np.linalg.norm(vec)
@@ -316,28 +374,3 @@ def sample_readout(final: QuantumState, shots: int, rng_seed: int = 0, embedding
     return SampleSet(tuple(
         SampleRecord(tuple(bits), int(c), embedding_id) for bits, c in zip(configs, counts[hits])
     ))
-
-
-# ---------------------------------------------------------------------------
-# exports
-
-
-def export_gap_csv(path, profile: GapProfile) -> None:
-    with open(path, "w") as fh:
-        fh.write("s,gap\n")
-        for s, g in zip(profile.s, profile.gap):
-            fh.write(f"{float(s)!r},{float(g)!r}\n")
-
-
-def export_trajectory_csv(path, traj: Trajectory, problem: EncodedProblem | None = None) -> None:
-    """Write s, trace, purity and, when a problem is given, P_GS and P_S."""
-    with open(path, "w") as fh:
-        fh.write("s,trace,purity,P_GS,P_S\n")
-        for s, state in zip(traj.s, traj.states):
-            trace = float(np.real(np.trace(state.as_density())))
-            purity = state.purity()
-            if problem is not None:
-                p_gs, p_s = success_probabilities(state, problem)
-            else:
-                p_gs = p_s = float("nan")
-            fh.write(f"{float(s)!r},{trace!r},{purity!r},{p_gs!r},{p_s!r}\n")

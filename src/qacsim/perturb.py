@@ -37,7 +37,6 @@ __all__ = [
     "exact_relevant_gap",
     "single_logical_excited_manifold",
     "coupled_pairs_excited_manifold",
-    "export_gap_curves_csv",
 ]
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -304,10 +303,3 @@ def exact_relevant_gap(H: np.ndarray, manifold: np.ndarray) -> float:
     k = manifold.shape[1]
     matched = np.sort(np.argsort(weights)[-k:])
     return float(vals[matched].mean() - vals[0])
-
-
-def export_gap_curves_csv(path, s_grid, gap_perturbed, gap_exact) -> None:
-    with open(path, "w") as fh:
-        fh.write("s,gap_perturbed,gap_exact\n")
-        for s, gp, ge in zip(s_grid, gap_perturbed, gap_exact):
-            fh.write(f"{float(s)!r},{float(gp)!r},{float(ge)!r}\n")

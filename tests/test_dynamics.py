@@ -3,16 +3,27 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from qacsim.dynamics import (
     QuantumState,
+    evolve_closed,
     gap_profile,
     hamiltonian_at,
     ising_diagonal,
     pauli_x_sum,
     sample_readout,
 )
-from qacsim.problem import STRATEGIES, config_from_index, encode_problem, make_af_chain, schedule_linear
+from qacsim.errors import ValidationError
+from qacsim.problem import (
+    STRATEGIES,
+    AnnealSchedule,
+    IsingProblem,
+    config_from_index,
+    encode_problem,
+    make_af_chain,
+    schedule_linear,
+)
 
 # independent oracles: Kronecker products with qubit 0 as the leftmost factor
 
@@ -51,6 +62,27 @@ def encoded(strategy, length=2):
 
 
 SCHEDULE = schedule_linear(1.0, 0.01)
+# dA/ds and dB/ds jump at s = 0.3, which is not a snapshot
+KNOTTED = AnnealSchedule(0.01, np.array([0.0, 0.3, 1.0]), np.array([2.0, 0.6, 0.0]), np.array([0.0, 1.1, 2.0]))
+
+
+def schroedinger_reference(problem, schedule, s_values):
+    """States at s_values under the Kronecker H(s), integrated by DOP853
+    at rtol 1e-10 from knot to knot."""
+    n = problem.num_physical
+    X, Ez, t_f = kron_x_sum(n), naive_diagonal(problem.physical), schedule.t_f_ns
+
+    def rhs(t, psi):
+        s = t / t_f
+        return -1j * (float(schedule.A_of(s)) * (X @ psi) + float(schedule.B_of(s)) * (Ez * psi))
+
+    psi = reduce(np.kron, [np.array([1.0, -1.0]) / np.sqrt(2.0)] * n).astype(complex)
+    states = {0.0: psi}
+    bounds = np.union1d(s_values, schedule.s)
+    for left, right in zip(bounds[:-1], bounds[1:]):
+        psi = solve_ivp(rhs, (left * t_f, right * t_f), psi, method="DOP853", rtol=1e-10, atol=1e-12).y[:, -1]
+        states[right] = psi
+    return [states[s] for s in s_values]
 
 
 @pytest.mark.parametrize("num_qubits", range(1, 9))
@@ -104,3 +136,30 @@ def test_sample_readout_records(num_qubits):
     assert [(rec.bits, rec.count) for rec in samples.records] == expected
     assert all(rec.embedding_id == 5 for rec in samples.records)
     assert samples.total_count == 300
+
+
+@pytest.mark.parametrize(
+    "problem,schedule",
+    [
+        (encoded("U"), SCHEDULE),
+        (encoded("C"), SCHEDULE),
+        (encode_problem(IsingProblem(1, {0: 1.0}), "EP", 0.4, 0.3), SCHEDULE),
+        (encoded("C"), KNOTTED),
+    ],
+    ids=["U", "C", "EP-one-block", "C-knotted"],
+)
+def test_evolve_closed_schroedinger_reference(problem, schedule):
+    traj = evolve_closed(problem, schedule, rtol=1e-6, snapshots=4)
+    assert np.array_equal(traj.s, np.linspace(0.0, 1.0, 4))
+    for state, want in zip(traj.states, schroedinger_reference(problem, schedule, traj.s), strict=True):
+        assert abs(np.linalg.norm(state.data) - 1.0) < 1e-12
+        assert abs(np.vdot(want, state.data)) ** 2 >= 1.0 - 1e-6
+
+
+def test_evolve_closed_levels_checked_then_ignored():
+    problem = encoded("C")
+    for bad in (0, 65):
+        with pytest.raises(ValidationError):
+            evolve_closed(problem, SCHEDULE, levels=bad)
+    full = evolve_closed(problem, SCHEDULE, rtol=1e-6).final.data
+    assert np.array_equal(evolve_closed(problem, SCHEDULE, rtol=1e-6, levels=8).final.data, full)
