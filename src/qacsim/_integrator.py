@@ -11,9 +11,12 @@ eigenvalue curves and the oscillatory integrals of K are evaluated
 analytically, so steps are never limited by the fastest Bohr frequency.
 The remaining generator - the Lindblad dissipator expressed in the
 instantaneous eigenbasis, which is non-oscillatory in this frame because
-its terms pair equal Bohr frequencies - is integrated with an embedded
-Dormand-Prince 5(4) pair.  Step control combines the embedded dissipator
-error with a Richardson (step-doubling) estimate of the coherent model.
+its terms pair equal Bohr frequencies - is integrated with classical RK4
+on the three nodes the coherent step already builds (its start, midpoint
+and end), with Kutta's third-order rule on the same nodes as the embedded
+estimate, so a step builds two nodes.  Step control combines that estimate
+with a Richardson (step-doubling) estimate of the coherent model.  Each run
+leaves an :class:`IntegratorReport` of what it did.
 
 Eigenbasis continuity between nodes is enforced by overlap matching:
 columns are permuted to follow state identity through crossings, and
@@ -34,20 +37,6 @@ import scipy.linalg
 
 from .errors import NumericalError, ValidationError
 from .problem import EncodedProblem, _bit_position, all_config_energies, config_from_index
-
-# Dormand-Prince 5(4) tableau
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
-_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-)
-_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
-_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100)
-_B4_LAST = 1 / 40  # weight of the 7th stage at (t+h, y5)
 
 _PIECES = 4  # sub-intervals for the piecewise-linear phase model inside K integrals
 
@@ -86,6 +75,24 @@ def step_boundaries(schedule, snapshots: int) -> tuple[np.ndarray, np.ndarray]:
     knots = np.asarray(schedule.s, dtype=float)
     bounds = np.unique(np.concatenate([s_points, knots[(knots > 0) & (knots < 1)]]))
     return bounds, np.isin(bounds, s_points)
+
+
+@dataclass(frozen=True)
+class IntegratorReport:
+    """What one :class:`FrameEvolver` run did.
+
+    ``node_builds`` counts eigensolves; ``min_step_ns`` is the smallest
+    accepted step.  ``truncation_margin`` is the smallest gap between the
+    last kept and the first dropped level over the nodes with 0 < s < 1, or
+    None when every level is kept: near zero, the truncation cuts a
+    (near-)degenerate cluster.
+    """
+
+    accepted: int
+    rejected: int
+    node_builds: int
+    min_step_ns: float
+    truncation_margin: float | None
 
 
 @dataclass
@@ -140,16 +147,30 @@ class FrameEvolver:
         self.zdiags = np.ascontiguousarray(config_from_index(np.arange(self.dim)[:, None], n).T, dtype=float)
         self._dissipative = bath is not None and bath.kappa > 0.0
 
+    def _reset_counts(self) -> None:
+        self.accepted = 0
+        self.rejected = 0
+        self.node_builds = 0
+        self.min_step = np.inf
+        self.margin = None if self.m == self.dim else np.inf
+
+    @property
+    def report(self) -> IntegratorReport:
+        return IntegratorReport(self.accepted, self.rejected, self.node_builds, float(self.min_step), self.margin)
+
     # -- node construction ----------------------------------------------------
 
     def _build_node(self, t: float, prev: _Node | None) -> _Node:
         s = t / self.t_f
         H = annealing_hamiltonian(self.X, self.Ez, self.schedule, s)
+        self.node_builds += 1
         if self.m < self.dim and self.dim > 1024:
-            eps, V = scipy.linalg.eigh(H, subset_by_index=(0, self.m - 1))
+            eps, V = scipy.linalg.eigh(H, subset_by_index=(0, self.m))
         else:
             eps, V = np.linalg.eigh(H)
-            eps, V = eps[: self.m], V[:, : self.m]
+        if self.m < self.dim and 0.0 < s < 1.0:
+            self.margin = min(self.margin, float(eps[self.m] - eps[self.m - 1]))
+        eps, V = eps[: self.m], V[:, : self.m]
         M_dot = self._m_dot(s, V)
 
         # Within each (near-)degenerate cluster the eigensolver basis is
@@ -333,11 +354,16 @@ class FrameEvolver:
         p = np.exp(1j * phi)
         return W.conj().T @ ((p[:, None] * p.conj()[None, :]) * k) @ W
 
+    def _dressed_dissipator_rhs(self, node: _Node, u: np.ndarray, phi: np.ndarray, W: np.ndarray) -> np.ndarray:
+        """Dissipator at ``node`` acting on the Lawson variable ``u``."""
+        return self._undress(self._dissipator_rhs(node, self._dress(u, phi, W)), phi, W)
+
     # -- driver -----------------------------------------------------------------
 
     def run(self, rho0: np.ndarray, snapshots: int = 9):
         """Integrate a density matrix from s=0 to s=1; returns (s values,
         density matrices in the computational basis) at the snapshots."""
+        self._reset_counts()
         node = self._build_node(0.0, None)
         y = node.V.T @ rho0.astype(complex) @ node.V
         captured = float(np.real(np.trace(y)))
@@ -361,7 +387,9 @@ class FrameEvolver:
 
     def _step(self, node0: _Node, y: np.ndarray, t: float, h: float):
         """One adaptive step: phased-Magnus coherent propagator with a
-        Richardson estimate, plus an embedded DP5(4) pair for the dissipator."""
+        Richardson estimate, plus classical RK4 for the dissipator on the same
+        three nodes (c = 0, 1/2, 1), with Kutta's third-order rule on those
+        nodes as its embedded error estimate."""
         for _ in range(60):
             node_mid = self._build_node(t + 0.5 * h, node0)
             node1 = self._build_node(t + h, node_mid)
@@ -381,40 +409,26 @@ class FrameEvolver:
             if not self._dissipative:
                 y_new = y_halves
             else:
-                stage_nodes = [node0]
-                prev = node0
-                for c in _C[1:]:
-                    if c == 1.0:
-                        stage_nodes.append(node1)
-                        continue
-                    base = node_mid if (c > 0.5 and prev.t < node_mid.t) else prev
-                    nd = self._build_node(t + c * h, base)
-                    stage_nodes.append(nd)
-                    prev = nd
-                dress_data = []
-                for c in _C:
-                    phi_c = self._phases(node0, node1, h, c)
-                    W_c = self._coherent_unitary(node0, node1, h, c) if c > 0 else None
-                    dress_data.append((phi_c, W_c))
-
-                ks = []
-                for i, c in enumerate(_C):
-                    u_i = y if i == 0 else y + h * sum(a * k for a, k in zip(_A[i], ks))
-                    phi_c, W_c = dress_data[i]
-                    y_phys = u_i if W_c is None else self._dress(u_i, phi_c, W_c)
-                    k_phys = self._dissipator_rhs(stage_nodes[i], y_phys)
-                    ks.append(k_phys if W_c is None else self._undress(k_phys, phi_c, W_c))
-                u5 = y + h * sum(b * k for b, k in zip(_B5, ks))
-                y5_phys = self._dress(u5, phi_full, W_full)
-                k7 = self._undress(self._dissipator_rhs(node1, y5_phys), phi_full, W_full)
-                u4 = y + h * (sum(b * k for b, k in zip(_B4, ks)) + _B4_LAST * k7)
-                err = max(err, float(np.linalg.norm(u5 - u4)) / scale)
-                y_new = self._dress(u5, phi_full, W_full)
+                phi_mid = self._phases(node0, node1, h, 0.5)
+                W_mid = self._coherent_unitary(node0, node1, h, 0.5)
+                rhs = self._dressed_dissipator_rhs
+                k1 = self._dissipator_rhs(node0, y)
+                k2 = rhs(node_mid, y + 0.5 * h * k1, phi_mid, W_mid)
+                k3 = rhs(node_mid, y + 0.5 * h * k2, phi_mid, W_mid)
+                k4 = rhs(node1, y + h * k3, phi_full, W_full)
+                k3_kutta = rhs(node1, y + h * (2.0 * k2 - k1), phi_full, W_full)
+                u4 = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+                u3 = y + (h / 6.0) * (k1 + 4.0 * k2 + k3_kutta)
+                err = max(err, float(np.linalg.norm(u4 - u3)) / scale)
+                y_new = self._dress(u4, phi_full, W_full)
 
             if err <= 1.0:
                 y_new = 0.5 * (y_new + y_new.conj().T)
                 grow = 5.0 if err == 0 else min(5.0, max(0.2, 0.9 * err ** (-0.2)))
+                self.accepted += 1
+                self.min_step = min(self.min_step, h)
                 return node1, y_new, t + h, min(self.h_max, h * grow)
+            self.rejected += 1
             h *= max(0.1, 0.9 * err ** (-0.25))
         raise NumericalError(f"step size underflow at t={t} ns (err={err:.3e})")
 

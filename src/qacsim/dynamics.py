@@ -21,7 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from ._integrator import annealing_hamiltonian, flip_indices, ising_diagonal, pauli_x_sum, step_boundaries
+from ._integrator import (
+    IntegratorReport,
+    annealing_hamiltonian,
+    flip_indices,
+    ising_diagonal,
+    pauli_x_sum,
+    step_boundaries,
+)
 from .decode import SampleRecord, SampleSet, decodable_mask, ground_indices
 from .errors import NumericalError, ResourceLimitError, ValidationError
 from .problem import AnnealSchedule, EncodedProblem, config_from_index
@@ -233,10 +240,12 @@ def gap_profile(
 
 @dataclass(frozen=True)
 class Trajectory:
-    """States recorded along an anneal, in the computational basis."""
+    """States recorded along an anneal, in the computational basis, and the
+    eigenbasis integrator's report where one ran (open anneals)."""
 
     s: np.ndarray
     states: tuple[QuantumState, ...]
+    report: IntegratorReport | None = None
 
     @property
     def final(self) -> QuantumState:

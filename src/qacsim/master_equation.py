@@ -133,6 +133,13 @@ def evolve_open(
     instantaneous states; the Lamb shift enters when ``bath.lamb_shift`` is
     set.  Trace preservation is checked against ``trace_tol`` at every
     snapshot and Hermiticity is enforced by symmetrization.
+
+    The returned trajectory's ``report`` (an ``IntegratorReport``) gives the
+    accepted and rejected steps, the node builds (one eigensolve each, two a
+    step), the smallest accepted step in ns and, under truncation, the
+    truncation margin: the smallest gap between the last kept and the first
+    dropped level for 0 < s < 1.  A margin near zero means ``levels`` cuts a
+    degenerate cluster, where the step size collapses and the answer moves.
     """
     n = problem.num_physical
     if n > qubit_cap:
@@ -156,4 +163,4 @@ def evolve_open(
         if abs(trace - 1.0) > trace_tol:
             raise NumericalError(f"trace drifted to {trace}; tighten rtol or raise levels")
         states.append(QuantumState.density(rho))
-    return Trajectory(np.asarray(s_points), tuple(states))
+    return Trajectory(np.asarray(s_points), tuple(states), evolver.report)

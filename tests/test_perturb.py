@@ -1,0 +1,79 @@
+import numpy as np
+import pytest
+
+from qacsim import perturb
+from qacsim.perturb import PerturbParams
+
+SX = np.array([[0.0, 1.0], [1.0, 0.0]])
+SZ = np.diag([1.0, -1.0])
+
+
+def op(num_qubits, factors):
+    """Kronecker product with the given single-qubit factors, identity elsewhere."""
+    out = np.ones((1, 1))
+    for q in range(num_qubits):
+        out = np.kron(out, factors.get(q, np.eye(2)))
+    return out
+
+
+def single_logical_kron(p, s):
+    """Three omega-split qubits and an omega0 penalty qubit (qubit 3), coupled
+    ferromagnetically to it with strength A0 s beta."""
+    H = sum(p.A0 * (1 - s) * op(4, {q: SX}) for q in range(4))
+    H = H + sum(p.A0 * s * 0.5 * p.omega * op(4, {q: SZ}) for q in range(3))
+    H = H + p.A0 * s * 0.5 * p.omega0 * op(4, {3: SZ})
+    return H - sum(p.A0 * s * p.beta * op(4, {q: SZ, 3: SZ}) for q in range(3))
+
+
+def coupled_pairs_kron(p, s):
+    """Pairs (0, 1), (2, 3), (4, 5) with unit AF coupling; penalty qubit 6
+    attached to the first qubit of each pair."""
+    H = sum(p.A0 * (1 - s) * op(7, {q: SX}) for q in range(7))
+    H = H + sum(p.A0 * s * op(7, {a: SZ, a + 1: SZ}) for a in (0, 2, 4))
+    H = H + p.A0 * s * 0.5 * p.omega0 * op(7, {6: SZ})
+    return H - sum(p.A0 * s * p.beta * op(7, {a: SZ, 6: SZ}) for a in (0, 2, 4))
+
+
+PARAMS = PerturbParams(A0=1.3, omega=0.9, omega0=0.02, beta=0.07)
+
+
+@pytest.mark.parametrize("s", [0.0, 0.3, 0.77, 1.0])
+def test_models_equal_kronecker_builds(s):
+    assert np.abs(perturb.single_logical_model(PARAMS, s) - single_logical_kron(PARAMS, s)).max() < 1e-12
+    assert np.abs(perturb.coupled_pairs_model(PARAMS, s) - coupled_pairs_kron(PARAMS, s)).max() < 1e-12
+
+
+@pytest.mark.parametrize("omega", [1.0, 0.01])
+def test_single_qubit_eigs_against_eigh(omega):
+    grid = np.array([0.0, 0.2, 0.5, 0.8, 1.0])
+    A0 = 1.7
+    eig = perturb.single_qubit_eigs(omega, grid, A0=A0)
+    for i, s in enumerate(grid):
+        H = A0 * (1 - s) * SX + A0 * s * 0.5 * omega * SZ
+        vals, vecs = np.linalg.eigh(H)
+        assert eig.eps_minus[i] == pytest.approx(vals[0], abs=1e-12)
+        assert eig.eps_plus[i] == pytest.approx(vals[1], abs=1e-12)
+        for vec, ref in ((eig.vec_minus[i], vecs[:, 0]), (eig.vec_plus[i], vecs[:, 1])):
+            assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+            assert abs(vec @ ref) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "gap, model, manifold, lo, hi",
+    [
+        # a first-order formula leaves an error of order beta^2
+        (perturb.logical_qubit_perturbed_gap, perturb.single_logical_model,
+         perturb.single_logical_excited_manifold, 3.0, 5.0),
+        # odd orders vanish by symmetry, so the second-order one leaves beta^4
+        (perturb.coupled_pairs_perturbed_gap, perturb.coupled_pairs_model,
+         perturb.coupled_pairs_excited_manifold, 12.0, 20.0),
+    ],
+)
+def test_perturbative_error_scaling_in_beta(gap, model, manifold, lo, hi):
+    grid = np.linspace(0.1, 0.85, 16)
+    errors = []
+    for beta in (0.05, 0.025):
+        p = PerturbParams(A0=1.0, omega=1.0, omega0=0.01, beta=beta)
+        exact = np.array([perturb.exact_relevant_gap(model(p, s), manifold(p, s)) for s in grid])
+        errors.append(np.abs(gap(p, grid) - exact).max())
+    assert lo <= errors[0] / errors[1] <= hi
