@@ -1,9 +1,10 @@
 """Adaptive master-equation integrator working in the instantaneous eigenbasis of H(s).
 
 :class:`FrameEvolver` integrates the adiabatic master equation for
-:mod:`qacsim.master_equation`, with or without a bath (closed anneals of
-pure states run matrix-free in :mod:`qacsim.dynamics`).  The density matrix
-is tracked in the frame of the instantaneous eigenvectors.
+:mod:`qacsim.master_equation` when a bath is coupled (kappa > 0); unitary
+anneals, closed or open at kappa = 0, run matrix-free in
+:mod:`qacsim.dynamics`.  The density matrix is tracked in the frame of the
+instantaneous eigenvectors.
 Within each step the coherent part of the frame equation (dynamical phases
 plus the non-adiabatic coupling K) is applied as a unitary built from a
 phased Magnus term: the phases come from a cubic Hermite model of the
@@ -15,17 +16,17 @@ its terms pair equal Bohr frequencies - is integrated with classical RK4
 on the three nodes the coherent step already builds (its start, midpoint
 and end), with Kutta's third-order rule on the same nodes as the embedded
 estimate, so a step builds two nodes.  Step control combines that estimate
-with a Richardson (step-doubling) estimate of the coherent model.  Each run
-leaves an :class:`IntegratorReport` of what it did.
+with a Richardson (step-doubling) estimate of the coherent model.
 
 Eigenbasis continuity between nodes is enforced by overlap matching:
 columns are permuted to follow state identity through crossings, and
 near-degenerate clusters are aligned with the previous node's gauge by a
 polar rotation.
 
-The operators behind H(s) = A(s) * sum_i sigma^x_i + B(s) * H_z, and the
-anneal fractions where steps must end, are defined here, once, for this
-integrator and for :mod:`qacsim.dynamics`.
+The operators behind H(s) = A(s) * sum_i sigma^x_i + B(s) * H_z, the
+anneal fractions where steps must end, the level-count check and the
+:class:`IntegratorReport` that every anneal returns are defined here, once,
+for this integrator and for :mod:`qacsim.dynamics`.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ from .errors import NumericalError, ValidationError
 from .problem import EncodedProblem, _bit_position, all_config_energies, config_from_index
 
 _PIECES = 4  # sub-intervals for the piecewise-linear phase model inside K integrals
+_BIN_TOL = 1e-6  # Bohr frequencies closer than this share a Lindblad operator
+_MAX_STEP_FRACTION = 0.02  # largest step as a fraction of the anneal time
 
 
 def flip_indices(num_qubits: int) -> np.ndarray:
@@ -77,15 +80,27 @@ def step_boundaries(schedule, snapshots: int) -> tuple[np.ndarray, np.ndarray]:
     return bounds, np.isin(bounds, s_points)
 
 
+def tracked_levels(levels: int | None, num_qubits: int) -> int:
+    """Instantaneous levels an anneal tracks: all 2^n when ``levels`` is
+    None; ValidationError outside [1, 2^n]."""
+    dim = 1 << num_qubits
+    m = dim if levels is None else int(levels)
+    if not 1 <= m <= dim:
+        raise ValidationError(f"levels must lie in [1, {dim}]")
+    return m
+
+
 @dataclass(frozen=True)
 class IntegratorReport:
-    """What one :class:`FrameEvolver` run did.
+    """What one anneal's integrator did.
 
-    ``node_builds`` counts eigensolves; ``min_step_ns`` is the smallest
-    accepted step.  ``truncation_margin`` is the smallest gap between the
-    last kept and the first dropped level over the nodes with 0 < s < 1, or
-    None when every level is kept: near zero, the truncation cuts a
-    (near-)degenerate cluster.
+    ``accepted`` and ``rejected`` count steps; ``min_step_ns`` is the
+    smallest accepted step.  ``node_builds`` counts eigensolves: 0 for the
+    matrix-free unitary integrator of :mod:`qacsim.dynamics`, two a step for
+    :class:`FrameEvolver`.  ``truncation_margin`` is the smallest gap
+    between the last kept and the first dropped level over the nodes with
+    0 < s < 1, or None when every level is kept: near zero, the truncation
+    cuts a (near-)degenerate cluster.
     """
 
     accepted: int
@@ -102,7 +117,7 @@ class _Node:
     V: np.ndarray
     eps_dot: np.ndarray
     K: np.ndarray
-    dissipator: "_DissipatorProgram | None"
+    dissipator: "_DissipatorProgram"
 
 
 @dataclass
@@ -110,42 +125,35 @@ class _DissipatorProgram:
     # per bin-size class: (prefactors, gather indices, scatter indices)
     classes: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
     M: np.ndarray
-    H_LS: np.ndarray | None
 
 
 class FrameEvolver:
-    """Drives one anneal for a fixed problem, schedule and optional bath."""
+    """Drives one anneal for a fixed problem, schedule and bath (kappa > 0)."""
 
     def __init__(
         self,
         problem,
         schedule,
-        bath=None,
+        bath,
         levels: int | None = None,
         rtol: float = 1e-8,
         atol: float = 1e-10,
-        bin_tol: float = 1e-6,
-        max_step_fraction: float = 0.02,
     ):
         self.problem = problem
         self.schedule = schedule
         self.bath = bath
         self.rtol = rtol
         self.atol = atol
-        self.bin_tol = bin_tol
         n = problem.num_physical
         self.num_qubits = n
         self.dim = 1 << n
-        self.m = self.dim if levels is None else int(levels)
-        if not 1 <= self.m <= self.dim:
-            raise ValidationError(f"levels must lie in [1, {self.dim}]")
+        self.m = tracked_levels(levels, n)
         self.X = pauli_x_sum(n)
         self.Ez = ising_diagonal(problem)
         self.t_f = schedule.t_f_ns
-        self.h_max = max_step_fraction * self.t_f
+        self.h_max = _MAX_STEP_FRACTION * self.t_f
         self.flip_idx = flip_indices(n)
         self.zdiags = np.ascontiguousarray(config_from_index(np.arange(self.dim)[:, None], n).T, dtype=float)
-        self._dissipative = bath is not None and bath.kappa > 0.0
 
     def _reset_counts(self) -> None:
         self.accepted = 0
@@ -194,8 +202,7 @@ class FrameEvolver:
         K = M_dot / safe
         np.fill_diagonal(K, 0.0)
 
-        program = self._build_dissipator(eps, V) if self._dissipative else None
-        return _Node(t, eps, V, eps_dot, K, program)
+        return _Node(t, eps, V, eps_dot, K, self._build_dissipator(eps, V))
 
     def _m_dot(self, s: float, V: np.ndarray) -> np.ndarray:
         dA, dB = self.schedule.derivatives_of(s)
@@ -250,14 +257,12 @@ class FrameEvolver:
     def _build_dissipator(self, eps: np.ndarray, V: np.ndarray) -> _DissipatorProgram:
         m = len(eps)
         gaps = (eps[None, :] - eps[:, None]).ravel()
-        key = np.rint(gaps / self.bin_tol).astype(np.int64)
+        key = np.rint(gaps / _BIN_TOL).astype(np.int64)
         order = np.argsort(key, kind="stable")
         sorted_key = key[order]
         starts = np.flatnonzero(np.r_[True, sorted_key[1:] != sorted_key[:-1]])
         lengths = np.diff(np.r_[starts, len(sorted_key)])
-        omegas = gaps[order[starts]]
-        rates = self.bath.rate(omegas)
-        s_rates = self.bath.lamb_shift_rate(omegas) if self.bath.lamb_shift else None
+        rates = self.bath.rate(gaps[order[starts]])
 
         # all W_q = V^T (z_q * V) via one batched product
         nq = self.num_qubits
@@ -268,7 +273,6 @@ class FrameEvolver:
 
         classes = []
         M = np.zeros(m * m)
-        H_LS = np.zeros(m * m) if s_rates is not None else None
         for c in np.unique(lengths):
             bins_c = np.flatnonzero(lengths == c)
             members = order[starts[bins_c][:, None] + np.arange(c)[None, :]]  # (nb, c)
@@ -281,21 +285,12 @@ class FrameEvolver:
             classes.append((pref.ravel(), gather, scatter))
             same_a = a_idx[:, :, None] == a_idx[:, None, :]
             M += np.bincount(gather, weights=(pref * same_a).ravel(), minlength=m * m)
-            if H_LS is not None:
-                pref_s = s_rates[bins_c][:, None, None] * outer
-                H_LS += np.bincount(gather, weights=(pref_s * same_a).ravel(), minlength=m * m)
-        return _DissipatorProgram(
-            classes,
-            M.reshape(m, m),
-            H_LS.reshape(m, m) if H_LS is not None else None,
-        )
+        return _DissipatorProgram(classes, M.reshape(m, m))
 
     def _dissipator_rhs(self, node: _Node, rho: np.ndarray) -> np.ndarray:
         program = node.dissipator
         m = rho.shape[0]
         out = np.zeros_like(rho)
-        if program is None:
-            return out
         acc = np.zeros(m * m, dtype=complex)
         flat = rho.ravel()
         for pref, gather, scatter in program.classes:
@@ -304,8 +299,6 @@ class FrameEvolver:
             acc += 1j * np.bincount(scatter, weights=vals.imag, minlength=m * m)
         out += acc.reshape(m, m)
         out -= 0.5 * (program.M @ rho + rho @ program.M)
-        if program.H_LS is not None:
-            out += -1j * (program.H_LS @ rho - rho @ program.H_LS)
         return out
 
     # -- coherent propagator ------------------------------------------------------
@@ -406,21 +399,18 @@ class FrameEvolver:
             scale = self.atol + self.rtol * float(np.linalg.norm(y))
             err = float(np.linalg.norm(y_full - y_halves)) / (3.0 * scale)
 
-            if not self._dissipative:
-                y_new = y_halves
-            else:
-                phi_mid = self._phases(node0, node1, h, 0.5)
-                W_mid = self._coherent_unitary(node0, node1, h, 0.5)
-                rhs = self._dressed_dissipator_rhs
-                k1 = self._dissipator_rhs(node0, y)
-                k2 = rhs(node_mid, y + 0.5 * h * k1, phi_mid, W_mid)
-                k3 = rhs(node_mid, y + 0.5 * h * k2, phi_mid, W_mid)
-                k4 = rhs(node1, y + h * k3, phi_full, W_full)
-                k3_kutta = rhs(node1, y + h * (2.0 * k2 - k1), phi_full, W_full)
-                u4 = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-                u3 = y + (h / 6.0) * (k1 + 4.0 * k2 + k3_kutta)
-                err = max(err, float(np.linalg.norm(u4 - u3)) / scale)
-                y_new = self._dress(u4, phi_full, W_full)
+            phi_mid = self._phases(node0, node1, h, 0.5)
+            W_mid = self._coherent_unitary(node0, node1, h, 0.5)
+            rhs = self._dressed_dissipator_rhs
+            k1 = self._dissipator_rhs(node0, y)
+            k2 = rhs(node_mid, y + 0.5 * h * k1, phi_mid, W_mid)
+            k3 = rhs(node_mid, y + 0.5 * h * k2, phi_mid, W_mid)
+            k4 = rhs(node1, y + h * k3, phi_full, W_full)
+            k3_kutta = rhs(node1, y + h * (2.0 * k2 - k1), phi_full, W_full)
+            u4 = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+            u3 = y + (h / 6.0) * (k1 + 4.0 * k2 + k3_kutta)
+            err = max(err, float(np.linalg.norm(u4 - u3)) / scale)
+            y_new = self._dress(u4, phi_full, W_full)
 
             if err <= 1.0:
                 y_new = 0.5 * (y_new + y_new.conj().T)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResourceLimitError, ValidationError
+from .errors import ValidationError
 from .problem import (
     EncodedProblem,
     IsingProblem,
@@ -127,11 +127,12 @@ def majority_decode(sample, encoding: LogicalEncoding | None):
     return (logical, *_disagreements(sample, layout, logical))
 
 
-def ground_reference(problem: IsingProblem, spin_cap: int = 24) -> tuple[tuple[int, ...], ...]:
+def ground_reference(problem: IsingProblem) -> tuple[tuple[int, ...], ...]:
     """Complete set of logical ground configurations.
 
     Chains are solved analytically (propagate the bond signs from each end
-    spin value); anything else is enumerated up to ``spin_cap`` spins.
+    spin value); anything else is enumerated by :func:`all_config_energies`,
+    which caps the spin count.
     """
     if problem.is_chain() and all(v != 0 for v in problem.couplings.values()):
         grounds = []
@@ -142,11 +143,7 @@ def ground_reference(problem: IsingProblem, spin_cap: int = 24) -> tuple[tuple[i
                 cfg.append(-sign * cfg[-1])
             grounds.append(tuple(cfg))
         return tuple(sorted(grounds))
-    if problem.num_spins > spin_cap:
-        raise ResourceLimitError(f"{problem.num_spins} spins exceeds the ground-search cap of {spin_cap}")
-    energies = all_config_energies(problem)
-    tol = 1e-12 * max(1.0, float(np.abs(energies).max()))
-    idx = np.flatnonzero(energies <= energies.min() + tol)
+    idx = _ground_indices(problem)
     return tuple(sorted(map(tuple, config_from_index(idx[:, None], problem.num_spins).tolist())))
 
 
@@ -224,11 +221,16 @@ def decode_record(
 # state-level classifiers
 
 
-def ground_indices(problem: EncodedProblem) -> np.ndarray:
-    """Basis indices of the exact physical ground configurations."""
-    energies = all_config_energies(problem.physical)
+def _ground_indices(problem: IsingProblem) -> np.ndarray:
+    """Basis indices within 1e-12 * max(1, |E|max) of the lowest energy."""
+    energies = all_config_energies(problem)
     tol = 1e-12 * max(1.0, float(np.abs(energies).max()))
     return np.flatnonzero(energies <= energies.min() + tol)
+
+
+def ground_indices(problem: EncodedProblem) -> np.ndarray:
+    """Basis indices of the exact physical ground configurations."""
+    return _ground_indices(problem.physical)
 
 
 def decodable_mask(problem: EncodedProblem, encoding: LogicalEncoding | None = None) -> np.ndarray:

@@ -10,7 +10,7 @@ convention.
 The annealing Hamiltonian is ``H(s) = A(s) * sum_i sigma^x_i + B(s) * H_z``
 with ``H_z`` the diagonal physical Ising operator of an encoded problem
 (problem scale alpha and penalty scale beta are already folded into the
-physical couplings).  Hamiltonians and gap profiles are dense; closed
+physical couplings).  Hamiltonians and gap profiles are dense; unitary
 evolution is matrix-free in the computational basis.
 """
 
@@ -28,6 +28,7 @@ from ._integrator import (
     ising_diagonal,
     pauli_x_sum,
     step_boundaries,
+    tracked_levels,
 )
 from .decode import SampleRecord, SampleSet, decodable_mask, ground_indices
 from .errors import NumericalError, ResourceLimitError, ValidationError
@@ -40,7 +41,6 @@ __all__ = [
     "pauli_x_sum",
     "ising_diagonal",
     "hamiltonian_at",
-    "spectrum",
     "gap_profile",
     "relevant_level_index",
     "evolve_closed",
@@ -60,36 +60,14 @@ def hamiltonian_at(
     problem: EncodedProblem,
     schedule: AnnealSchedule,
     s: float,
-    qubit_cap: int = DEFAULT_QUBIT_CAP,
 ) -> np.ndarray:
     """Dense annealing Hamiltonian A(s)*H_X + B(s)*H_z at one anneal fraction."""
     n = problem.num_physical
-    if n > qubit_cap:
-        raise ResourceLimitError(f"{n} qubits exceeds the dense-operator cap of {qubit_cap}")
+    if n > DEFAULT_QUBIT_CAP:
+        raise ResourceLimitError(f"{n} qubits exceeds the dense-operator cap of {DEFAULT_QUBIT_CAP}")
     if not 0.0 <= s <= 1.0:
         raise ValidationError("s must lie in [0, 1]")
     return annealing_hamiltonian(pauli_x_sum(n), ising_diagonal(problem), schedule, s).astype(complex)
-
-
-def spectrum(op: np.ndarray, levels: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and eigenvectors of a Hermitian operator.
-
-    Raises ValidationError for non-Hermitian input and NumericalError if any
-    residual ||H v - e v|| exceeds 1e-8 * ||H||.
-    """
-    op = np.asarray(op)
-    if op.ndim != 2 or op.shape[0] != op.shape[1]:
-        raise ValidationError("operator must be a square matrix")
-    scale = np.linalg.norm(op)
-    if np.linalg.norm(op - op.conj().T) > 1e-12 * max(scale, 1e-300):
-        raise ValidationError("operator is not Hermitian")
-    eigvals, eigvecs = np.linalg.eigh(op)
-    if levels is not None:
-        eigvals, eigvecs = eigvals[:levels], eigvecs[:, :levels]
-    residual = np.linalg.norm(op @ eigvecs - eigvecs * eigvals, axis=0).max()
-    if residual > 1e-8 * max(scale, 1e-300):
-        raise NumericalError(f"eigenpair residual {residual} exceeds 1e-8 * ||H||")
-    return eigvals, eigvecs
 
 
 # ---------------------------------------------------------------------------
@@ -157,19 +135,6 @@ class QuantumState:
             return np.outer(self.data, self.data.conj())
         return self.data
 
-    def purity(self) -> float:
-        rho = self.as_density()
-        return float(np.real(np.trace(rho @ rho)))
-
-    def fidelity_with_pure(self, other: "QuantumState") -> float:
-        """<psi| rho |psi> against a pure reference state."""
-        if other.kind != "pure":
-            raise ValidationError("reference state must be pure")
-        psi = other.data
-        if self.kind == "pure":
-            return float(abs(np.vdot(psi, self.data)) ** 2)
-        return float(np.real(np.vdot(psi, self.data @ psi)))
-
 
 # ---------------------------------------------------------------------------
 # gap profiles
@@ -186,13 +151,13 @@ class GapProfile:
     delta_min: float
 
 
-def relevant_level_index(problem: EncodedProblem, schedule: AnnealSchedule, degeneracy_tol: float = 1e-9) -> int:
+def relevant_level_index(problem: EncodedProblem, schedule: AnnealSchedule) -> int:
     """Smallest level index whose end-of-anneal energy exceeds the ground
     manifold: population reaching the degenerate final ground states is not
     an error, so the relevant excitations start above them."""
     diag = float(schedule.B_of(1.0)) * ising_diagonal(problem)
     diag = np.sort(diag)
-    tol = degeneracy_tol * max(1.0, abs(diag[0]))
+    tol = 1e-9 * max(1.0, abs(diag[0]))
     return int(np.searchsorted(diag, diag[0] + tol, side="left"))
 
 
@@ -200,27 +165,18 @@ def gap_profile(
     problem: EncodedProblem,
     schedule: AnnealSchedule,
     grid_points: int = 201,
-    level_policy: str | int = "relevant",
-    qubit_cap: int = DEFAULT_QUBIT_CAP,
 ) -> GapProfile:
-    """Gap to the relevant excited level on a uniform s-grid.
-
-    ``level_policy`` is "relevant" (skip the degenerate final ground
-    manifold), "first" (always level 1), or an explicit level index.
-    """
+    """Gap to the relevant excited level (see :func:`relevant_level_index`)
+    on a uniform s-grid; ValidationError when no level lies above the final
+    ground manifold."""
     n = problem.num_physical
-    if n > qubit_cap:
-        raise ResourceLimitError(f"{n} qubits exceeds the dense-operator cap of {qubit_cap}")
+    if n > DEFAULT_QUBIT_CAP:
+        raise ResourceLimitError(f"{n} qubits exceeds the dense-operator cap of {DEFAULT_QUBIT_CAP}")
     if grid_points < 2:
         raise ValidationError("grid_points must be >= 2")
-    if level_policy == "relevant":
-        k = relevant_level_index(problem, schedule)
-    elif level_policy == "first":
-        k = 1
-    elif isinstance(level_policy, int) and level_policy >= 1:
-        k = level_policy
-    else:
-        raise ValidationError(f"bad level policy {level_policy!r}")
+    k = relevant_level_index(problem, schedule)
+    if k >= 1 << n:
+        raise ValidationError(f"all {1 << n} levels end in the ground manifold: no gap to profile")
 
     X = pauli_x_sum(n)
     Ez = ising_diagonal(problem)
@@ -235,17 +191,17 @@ def gap_profile(
 
 
 # ---------------------------------------------------------------------------
-# closed evolution
+# unitary evolution
 
 
 @dataclass(frozen=True)
 class Trajectory:
     """States recorded along an anneal, in the computational basis, and the
-    eigenbasis integrator's report where one ran (open anneals)."""
+    report of the integrator that ran it."""
 
     s: np.ndarray
     states: tuple[QuantumState, ...]
-    report: IntegratorReport | None = None
+    report: IntegratorReport
 
     @property
     def final(self) -> QuantumState:
@@ -259,53 +215,62 @@ _TRIPLE_JUMP = np.array([_W, 1.0 - 2.0 * _W, _W])
 _TRIPLE_JUMP_MIDPOINTS = np.cumsum(_TRIPLE_JUMP) - 0.5 * _TRIPLE_JUMP
 
 
-def _split_operator_run(problem, schedule, psi0, snapshots, rtol, atol):
+def _split_operator_run(problem, schedule, W0, snapshots, rtol, atol):
     """Unitary fourth-order splitting of H(s) = A(s) * sum_q sigma^x_q + B(s) * diag(E_z).
 
-    A Strang step over [t, t+h] takes A and B at its midpoint and applies
-    exp(-i h/2 B E_z), then exp(-i h A sigma^x_q) for every qubit q, then
-    exp(-i h/2 B E_z) again; three Strang steps make a triple-jump step.
-    Step doubling estimates the error as |full - halves| / 15, which must
+    Evolves a state vector W0, or the columns of a (2^n, r) factor W0 of a
+    density matrix rho0 = W0 W0^dagger.  A Strang step over
+    [t, t+h] takes A and B at its midpoint and applies exp(-i h/2 B E_z),
+    then exp(-i h A sigma^x_q) for every qubit q, then exp(-i h/2 B E_z)
+    again; three Strang steps make a triple-jump step.  Step doubling
+    estimates the error as |full - halves| / 15 (Frobenius norm), which must
     stay within atol + rtol; the two half steps are kept.  Steps end on the
-    snapshots and on the schedule's knots.  Returns (s values, states).
+    snapshots and on the schedule's knots.  Returns (s values, factors,
+    IntegratorReport).
     """
     Ez = ising_diagonal(problem)
     flips = flip_indices(problem.num_physical)
     t_f = schedule.t_f_ns
+    columns = (1,) * (W0.ndim - 1)  # the diagonal phases act on every column alike
+    accepted = rejected = 0
+    min_step = np.inf
 
-    def fourth_order(psi, t, h):
+    def fourth_order(W, t, h):
         s = (t + _TRIPLE_JUMP_MIDPOINTS * h) / t_f
-        half_phases = np.exp(np.outer(-0.5j * h * _TRIPLE_JUMP * schedule.B_of(s), Ez))
+        half_phases = np.exp(np.outer(-0.5j * h * _TRIPLE_JUMP * schedule.B_of(s), Ez)).reshape(3, -1, *columns)
         theta = h * _TRIPLE_JUMP * schedule.A_of(s)
         for half_phase, cos, minus_i_sin in zip(half_phases, np.cos(theta), -1j * np.sin(theta)):
-            psi = half_phase * psi
+            W = half_phase * W
             for row in flips:
-                psi = cos * psi + minus_i_sin * psi[row]
-            psi = half_phase * psi
-        return psi
+                W = cos * W + minus_i_sin * W[row]
+            W = half_phase * W
+        return W
 
     boundaries, snapshot = step_boundaries(schedule, snapshots)
-    psi = psi0.astype(complex)
-    out = [psi]
+    W = W0.astype(complex)
+    out = [W]
     h = t_f / 400
     for left, right, keep in zip(boundaries[:-1], boundaries[1:], snapshot[1:]):
         t, t_end = left * t_f, right * t_f
         while t < t_end - 1e-9 * t_f:
             h = min(h, t_end - t)
             for _ in range(60):
-                full = fourth_order(psi, t, h)
-                halves = fourth_order(fourth_order(psi, t, 0.5 * h), t + 0.5 * h, 0.5 * h)
+                full = fourth_order(W, t, h)
+                halves = fourth_order(fourth_order(W, t, 0.5 * h), t + 0.5 * h, 0.5 * h)
                 err = float(np.linalg.norm(full - halves)) / (15.0 * (atol + rtol))
                 if err <= 1.0:
                     break
+                rejected += 1
                 h *= max(0.1, 0.9 * err ** (-0.2))
             else:
                 raise NumericalError(f"step size underflow at t={t} ns (err={err:.3e})")
-            psi, t = halves, t + h
+            accepted += 1
+            min_step = min(min_step, h)
+            W, t = halves, t + h
             h *= 5.0 if err == 0 else min(5.0, max(0.2, 0.9 * err ** (-0.2)))
         if keep:
-            out.append(psi)
-    return boundaries[snapshot], out
+            out.append(W)
+    return boundaries[snapshot], out, IntegratorReport(accepted, rejected, 0, float(min_step), None)
 
 
 def evolve_closed(
@@ -316,7 +281,6 @@ def evolve_closed(
     atol: float = 1e-10,
     snapshots: int = 9,
     levels: int | None = None,
-    qubit_cap: int = DEFAULT_QUBIT_CAP,
 ) -> Trajectory:
     """Integrate the Schroedinger equation across the anneal.
 
@@ -325,13 +289,15 @@ def evolve_closed(
     exact exponential, so the integrator is unitary by construction and
     renormalizes nothing; the norm is checked to 1e-8 or a NumericalError
     is raised.  Every level is tracked: ``levels`` must lie in [1, 2^n] but
-    is otherwise ignored.
+    is otherwise ignored.  The trajectory's ``report`` gives the accepted
+    and rejected steps and the smallest accepted step in ns; the integrator
+    builds no eigenbasis, so ``node_builds`` is 0 and the truncation margin
+    None.
     """
     n = problem.num_physical
-    if n > qubit_cap:
-        raise ResourceLimitError(f"{n} qubits exceeds the state-vector cap of {qubit_cap}")
-    if levels is not None and not 1 <= levels <= 1 << n:
-        raise ValidationError(f"levels must lie in [1, {1 << n}]")
+    if n > DEFAULT_QUBIT_CAP:
+        raise ResourceLimitError(f"{n} qubits exceeds the state-vector cap of {DEFAULT_QUBIT_CAP}")
+    tracked_levels(levels, n)
     if initial is None:
         initial = QuantumState.transverse_ground(n)
     if initial.kind != "pure":
@@ -339,14 +305,14 @@ def evolve_closed(
     if initial.data.shape[0] != (1 << n):
         raise ValidationError("initial state dimension does not match the problem")
 
-    s_points, raw = _split_operator_run(problem, schedule, initial.data, snapshots, rtol, atol)
+    s_points, raw, report = _split_operator_run(problem, schedule, initial.data, snapshots, rtol, atol)
     states = []
     for vec in raw:
         norm = np.linalg.norm(vec)
         if abs(norm - 1.0) > 1e-8:
             raise NumericalError(f"norm drifted to {norm}; tighten rtol")
         states.append(QuantumState.pure(vec / norm if abs(norm - 1) > QuantumState.PURE_NORM_TOL else vec))
-    return Trajectory(np.asarray(s_points), tuple(states))
+    return Trajectory(np.asarray(s_points), tuple(states), report)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,12 @@ with kappa the effective system-bath coupling, omega_c the UV cutoff and T
 the bath temperature (all in rad/ns).  gamma(0) is the analytic limit
 2 pi kappa T.  The exponential cutoff is applied to signed omega by default
 ("printed" mode); "absolute" mode uses exp(-|omega|/omega_c) instead, which
-makes the gamma(-omega)/gamma(omega) ratio exactly thermal.
+makes the gamma(-omega)/gamma(omega) ratio exactly thermal.  The
+principal-value (Lamb-shift) part of the bath correlation is not modelled.
+
+At kappa = 0 the anneal is unitary and runs on the matrix-free integrator
+of :func:`qacsim.dynamics.evolve_closed`; with a bath it runs on the
+eigenbasis integrator of :mod:`qacsim._integrator`.
 """
 
 from __future__ import annotations
@@ -21,12 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._integrator import FrameEvolver
-from .dynamics import QuantumState, Trajectory
+from ._integrator import FrameEvolver, tracked_levels
+from .dynamics import QuantumState, Trajectory, _split_operator_run
 from .errors import NumericalError, ResourceLimitError, ValidationError
 from .problem import AnnealSchedule, EncodedProblem
 
-__all__ = ["BathSpec", "bath_rate", "lamb_shift_rate", "evolve_open", "DEFAULT_OPEN_QUBIT_CAP"]
+__all__ = ["BathSpec", "bath_rate", "evolve_open", "DEFAULT_OPEN_QUBIT_CAP"]
 
 DEFAULT_OPEN_QUBIT_CAP = 8
 
@@ -39,9 +44,6 @@ class BathSpec:
     omega_c: float = 8.0 * np.pi
     temperature: float = 2.2
     cutoff_mode: str = "printed"
-    lamb_shift: bool = False
-    lamb_cutoff_factor: float = 10.0
-    lamb_points: int = 4001
 
     def __post_init__(self) -> None:
         if self.kappa < 0:
@@ -53,9 +55,6 @@ class BathSpec:
 
     def rate(self, omega):
         return bath_rate(omega, self)
-
-    def lamb_shift_rate(self, omega):
-        return lamb_shift_rate(omega, self)
 
 
 def bath_rate(omega, bath: BathSpec):
@@ -74,45 +73,6 @@ def bath_rate(omega, bath: BathSpec):
     return float(out) if np.isscalar(omega) else out
 
 
-def lamb_shift_rate(omega, bath: BathSpec):
-    """Principal-value transform S(omega) = PV integral gamma(w')/(omega-w') dw'.
-
-    Integrates over [-L, L] with L = lamb_cutoff_factor * omega_c using
-    singularity subtraction: the subtracted integrand is smooth and handled
-    by a uniform Simpson rule, the subtracted pole integrates to
-    gamma(omega) * log|(L+omega)/(L-omega)|.
-    """
-    w = np.atleast_1d(np.asarray(omega, dtype=float))
-    L = bath.lamb_cutoff_factor * bath.omega_c
-    if np.any(np.abs(w) >= L):
-        raise ValidationError("evaluation frequency outside the principal-value window")
-    npts = bath.lamb_points | 1  # Simpson needs an odd count
-    grid = np.linspace(-L, L, npts)
-    gamma_grid = bath_rate(grid, bath)
-    gamma_w = bath_rate(w, bath)
-    out = np.empty_like(w)
-    chunk = max(1, int(2e6) // npts)
-    for lo in range(0, len(w), chunk):
-        sel = slice(lo, min(lo + chunk, len(w)))
-        diff = w[sel, None] - grid[None, :]
-        integrand = np.where(
-            np.abs(diff) < 1e-12,
-            0.0,
-            (gamma_grid[None, :] - gamma_w[sel, None]) / np.where(np.abs(diff) < 1e-12, 1.0, diff),
-        )
-        out[sel] = _simpson(integrand, grid)
-    out += gamma_w * np.log(np.abs((w + L) / np.where(np.abs(w - L) < 1e-300, 1e-300, w - L)))
-    return float(out[0]) if np.isscalar(omega) else out
-
-
-def _simpson(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    h = grid[1] - grid[0]
-    weights = np.ones_like(grid)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    return (h / 3.0) * (values * weights).sum(axis=-1)
-
-
 def evolve_open(
     problem: EncodedProblem,
     schedule: AnnealSchedule,
@@ -122,28 +82,30 @@ def evolve_open(
     rtol: float = 1e-8,
     atol: float = 1e-10,
     snapshots: int = 9,
-    bin_tol: float = 1e-6,
-    qubit_cap: int = DEFAULT_OPEN_QUBIT_CAP,
-    trace_tol: float = 1e-8,
 ) -> Trajectory:
     """Integrate the adiabatic master equation across the anneal.
 
-    The density matrix is propagated in the instantaneous eigenbasis (see
-    :mod:`qacsim._integrator`), optionally truncated to the lowest ``levels``
-    instantaneous states; the Lamb shift enters when ``bath.lamb_shift`` is
-    set.  Trace preservation is checked against ``trace_tol`` at every
-    snapshot and Hermiticity is enforced by symmetrization.
+    With a bath (kappa > 0) the density matrix is propagated in the
+    instantaneous eigenbasis (see :mod:`qacsim._integrator`), optionally
+    truncated to the lowest ``levels`` instantaneous states.  At kappa = 0
+    the anneal is unitary: a factor W of rho0 = W W^dagger (the state itself
+    when pure, sqrt(p)-scaled eigenvectors when mixed) runs on the
+    matrix-free integrator of :func:`qacsim.dynamics.evolve_closed`, every
+    level is tracked and ``levels`` is range-checked but otherwise ignored.
+    Trace preservation is checked to 1e-8 at every snapshot and Hermiticity
+    is enforced by symmetrization.
 
     The returned trajectory's ``report`` (an ``IntegratorReport``) gives the
     accepted and rejected steps, the node builds (one eigensolve each, two a
-    step), the smallest accepted step in ns and, under truncation, the
-    truncation margin: the smallest gap between the last kept and the first
-    dropped level for 0 < s < 1.  A margin near zero means ``levels`` cuts a
-    degenerate cluster, where the step size collapses and the answer moves.
+    step with a bath, none at kappa = 0), the smallest accepted step in ns
+    and, under truncation, the truncation margin: the smallest gap between
+    the last kept and the first dropped level for 0 < s < 1.  A margin near
+    zero means ``levels`` cuts a degenerate cluster, where the step size
+    collapses and the answer moves.
     """
     n = problem.num_physical
-    if n > qubit_cap:
-        raise ResourceLimitError(f"{n} qubits exceeds the density-matrix cap of {qubit_cap}")
+    if n > DEFAULT_OPEN_QUBIT_CAP:
+        raise ResourceLimitError(f"{n} qubits exceeds the density-matrix cap of {DEFAULT_OPEN_QUBIT_CAP}")
     if initial is None:
         initial = QuantumState.transverse_ground(n)
     if initial.data.shape[0] != (1 << n):
@@ -152,15 +114,24 @@ def evolve_open(
     if abs(np.trace(rho0).real - 1.0) > QuantumState.TRACE_TOL:
         raise ValidationError("initial density matrix must have unit trace")
 
-    evolver = FrameEvolver(
-        problem, schedule, bath=bath, levels=levels, rtol=rtol, atol=atol, bin_tol=bin_tol
-    )
-    s_points, raw = evolver.run(rho0, snapshots=snapshots)
+    if bath.kappa == 0.0:
+        tracked_levels(levels, n)
+        if initial.kind == "pure":
+            W0 = initial.data
+        else:
+            p, V = np.linalg.eigh(rho0)
+            W0 = V[:, p > 0] * np.sqrt(p[p > 0])
+        s_points, factors, report = _split_operator_run(problem, schedule, W0, snapshots, rtol, atol)
+        raw = [W @ W.conj().T for W in (F.reshape(1 << n, -1) for F in factors)]
+    else:
+        evolver = FrameEvolver(problem, schedule, bath, levels=levels, rtol=rtol, atol=atol)
+        s_points, raw = evolver.run(rho0, snapshots=snapshots)
+        report = evolver.report
     states = []
     for rho in raw:
         rho = 0.5 * (rho + rho.conj().T)
         trace = float(np.real(np.trace(rho)))
-        if abs(trace - 1.0) > trace_tol:
+        if abs(trace - 1.0) > 1e-8:
             raise NumericalError(f"trace drifted to {trace}; tighten rtol or raise levels")
         states.append(QuantumState.density(rho))
-    return Trajectory(np.asarray(s_points), tuple(states), evolver.report)
+    return Trajectory(np.asarray(s_points), tuple(states), report)

@@ -1,9 +1,7 @@
 """Closed-form gap analytics for penalty-coupled model systems.
 
-Covers three tractable models under the linear schedule A0(1-s), A0*s:
+Covers two tractable models under the linear schedule A0(1-s), A0*s:
 
-* the location and size of the minimum gap implied by the crossing condition
-  A(s) = alpha * B(s), exact in the large-chain limit;
 * one logical qubit: three field-split problem qubits plus a penalty qubit,
   with the ferromagnetic penalty treated in first-order perturbation theory;
 * three antiferromagnetic pairs sharing a penalty qubit on their first
@@ -27,8 +25,6 @@ from .errors import NumericalError, ValidationError
 __all__ = [
     "PerturbParams",
     "SingleQubitEigs",
-    "s_min_linear",
-    "delta_min_linear",
     "single_qubit_eigs",
     "logical_qubit_perturbed_gap",
     "coupled_pairs_perturbed_gap",
@@ -61,24 +57,6 @@ class PerturbParams:
             raise ValidationError("s must lie in [0, 1]")
         if self.omega0 > 0.5 * self.omega:
             warnings.warn("omega0 is not small against omega; perturbative formulas assume omega0 << omega", stacklevel=2)
-
-
-def s_min_linear(alpha: float) -> float:
-    """Crossing point A(s) = alpha * B(s) of the linear schedule: 1/(1+alpha).
-
-    This locates the minimum gap in the large-chain limit where the
-    transition happens at equal transverse and problem scales; small chains
-    deviate (the exact 2-site relevant-gap minimum sits at
-    (4 - alpha^2)/(4 + alpha^2)).
-    """
-    if alpha <= 0:
-        raise ValidationError("alpha must be positive")
-    return 1.0 / (1.0 + alpha)
-
-
-def delta_min_linear(alpha: float, A0: float, delta0: float) -> float:
-    """Companion minimum-gap size 2 A0 delta0 alpha / (1 + alpha)."""
-    return 2.0 * A0 * delta0 * alpha / (1.0 + alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +126,7 @@ def logical_qubit_perturbed_gap(params: PerturbParams, s=None) -> np.ndarray:
     f_plus = (eig.c_plus**2 - 2.0 * (1.0 - s) ** 2) / eig.c_plus**2
     f_minus = (2.0 - eig.c_minus**2) / eig.c_minus**2
     g_tilde = (2.0 - pen.c_minus**2) / pen.c_minus**2
-    lam = np.sqrt(4.0 * (1.0 - s) ** 2 + s**2 * params.omega**2)
+    lam = 2.0 * eig.eps_plus  # eps_plus = lambda / 2 at A0 = 1
     return params.A0 * (lam + params.beta * s * (f_plus + f_minus) * g_tilde)
 
 
@@ -163,7 +141,7 @@ def _two_site_data(s):
     up to the sign pattern, giving the three nonzero sigma^z_1 elements used
     by the second-order sums.  Both normalizations carry the same (1-s)
     outer components; each reproduces dense-diagonalization elements to
-    machine precision.
+    machine precision.  Returns (lam, c_minus, m02, m32, m01).
     """
     lam = np.sqrt(4.0 * (1.0 - s) ** 2 + s**2)
     c_minus = np.sqrt(2.0 * (1.0 - s) ** 2 + 0.5 * (s + lam) ** 2)
@@ -171,7 +149,7 @@ def _two_site_data(s):
     m02 = -np.sqrt(2.0) * (1.0 - s) / c_minus
     m32 = -np.sqrt(2.0) * (1.0 - s) / c_plus
     m01 = (s + lam) / (np.sqrt(2.0) * c_minus)
-    return lam, m02, m32, m01
+    return lam, c_minus, m02, m32, m01
 
 
 def coupled_pairs_perturbed_gap(params: PerturbParams, s=None) -> np.ndarray:
@@ -185,10 +163,10 @@ def coupled_pairs_perturbed_gap(params: PerturbParams, s=None) -> np.ndarray:
     """
     s = np.asarray(params.s if s is None else s, dtype=float)
     A0 = params.A0
-    lam, m02, m32, m01 = _two_site_data(s)
+    lam, _, m02, m32, m01 = _two_site_data(s)
     eps0, eps1, eps2, eps3 = -lam, -s, s, lam
     pen = single_qubit_eigs(params.omega0, s)
-    lam_t = np.sqrt(4.0 * (1.0 - s) ** 2 + s**2 * params.omega0**2)
+    lam_t = 2.0 * pen.eps_plus
     d_mm = (pen.c_minus**2 - 2.0) / pen.c_minus**2
     d_mp = -2.0 * (1.0 - s) / (pen.c_minus * pen.c_plus)
 
@@ -281,8 +259,7 @@ def coupled_pairs_excited_manifold(params: PerturbParams, s=None) -> np.ndarray:
     """Unperturbed triple with one pair in its eps_2 state (the lowest level
     whose decoded value is wrong)."""
     s = float(params.s if s is None else s)
-    lam = np.sqrt(4.0 * (1.0 - s) ** 2 + s**2)
-    c_minus = np.sqrt(2.0 * (1.0 - s) ** 2 + 0.5 * (s + lam) ** 2)
+    lam, c_minus, *_ = _two_site_data(s)
     ground = np.array([1.0 - s, -(s + lam) / 2.0, -(s + lam) / 2.0, 1.0 - s]) / c_minus
     eps2_vec = np.array([-1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
     pm = single_qubit_eigs(params.omega0, s).vec_minus

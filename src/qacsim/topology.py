@@ -49,6 +49,14 @@ __all__ = [
 # hardware graph
 
 
+def _chimera_num_ids(rows: int, cols: int, cell_size: int) -> int:
+    return 2 * cell_size * rows * cols
+
+
+def _chimera_qubit_id(cols: int, cell_size: int, row: int, col: int, shore: int, index: int) -> int:
+    return 2 * cell_size * (row * cols + col) + shore * cell_size + index
+
+
 @dataclass(frozen=True)
 class HardwareGraph:
     """Chimera-structured physical qubit graph (immutable)."""
@@ -62,10 +70,10 @@ class HardwareGraph:
     @property
     def num_ids(self) -> int:
         """Size of the qubit id range, including defective ids."""
-        return 2 * self.cell_size * self.rows * self.cols
+        return _chimera_num_ids(self.rows, self.cols, self.cell_size)
 
     def qubit_id(self, row: int, col: int, shore: int, index: int) -> int:
-        return 2 * self.cell_size * (row * self.cols + col) + shore * self.cell_size + index
+        return _chimera_qubit_id(self.cols, self.cell_size, row, col, shore, index)
 
     def locate(self, qid: int) -> tuple[int, int, int, int]:
         """Inverse of :meth:`qubit_id`: returns (row, col, shore, index)."""
@@ -106,14 +114,14 @@ def build_chimera(
     """Build the Chimera graph minus defective qubits and their edges."""
     if rows < 1 or cols < 1 or cell_size < 1:
         raise ValidationError("rows, cols and cell_size must all be >= 1")
-    num_ids = 2 * cell_size * rows * cols
+    num_ids = _chimera_num_ids(rows, cols, cell_size)
     defects = frozenset(defects)
     for d in defects:
         if not 0 <= d < num_ids:
             raise ValidationError(f"defect id {d} outside [0, {num_ids})")
 
     def qid(r: int, c: int, shore: int, idx: int) -> int:
-        return 2 * cell_size * (r * cols + c) + shore * cell_size + idx
+        return _chimera_qubit_id(cols, cell_size, r, c, shore, idx)
 
     active = frozenset(range(num_ids)) - defects
     edges: set[tuple[int, int]] = set()
@@ -314,14 +322,15 @@ def build_encoding(hw: HardwareGraph) -> tuple[LogicalEncoding, EncodedGraph]:
 # ---------------------------------------------------------------------------
 # chain embeddings
 
+_EMBED_RESTARTS = 20000  # randomized walks before the exhaustive fallback
+_EMBED_EXHAUSTIVE_NODES = 24  # largest usable graph searched exhaustively
+
 
 def embed_chain(
     eg: EncodedGraph,
     length: int,
     count: int,
     rng_seed: int = 0,
-    max_restarts: int = 20000,
-    exhaustive_limit: int = 24,
 ) -> list[tuple[int, ...]]:
     """Find ``count`` distinct simple paths of ``length`` logical qubits.
 
@@ -331,7 +340,7 @@ def embed_chain(
 
     Returns fewer than ``count`` paths only when exhaustive enumeration
     proves no more exist (always the case for graphs with at most
-    ``exhaustive_limit`` usable nodes); otherwise raises
+    24 usable nodes); otherwise raises
     :class:`ResourceLimitError` when the randomized budget is exhausted.
     """
     if length < 2:
@@ -354,12 +363,6 @@ def embed_chain(
         rev = path[::-1]
         return path if path <= rev else rev
 
-    def edge_ok(path_edges: set[tuple[int, int]], edge: tuple[int, int]) -> bool:
-        for group in conflict_of.get(edge, ()):
-            if len(group & path_edges) >= len(group) - 1:
-                return False
-        return True
-
     def random_attempt(budget: int) -> tuple[int, ...] | None:
         start = nodes[rng.integers(len(nodes))]
         path = [start]
@@ -380,7 +383,7 @@ def embed_chain(
             while cands:
                 nxt = cands.pop()
                 edge = (min(path[-1], nxt), max(path[-1], nxt))
-                if edge_ok(path_edges, edge):
+                if _edge_ok(conflict_of, path_edges, edge):
                     path.append(nxt)
                     on_path.add(nxt)
                     path_edges.add(edge)
@@ -395,7 +398,7 @@ def embed_chain(
                 path_edges.discard((min(path[-1], last), max(path[-1], last)))
         return None
 
-    for _ in range(max_restarts):
+    for _ in range(_EMBED_RESTARTS):
         if len(found) >= count:
             break
         path = random_attempt(budget=20 * length)
@@ -405,7 +408,7 @@ def embed_chain(
     if len(found) >= count:
         return list(found.values())[:count]
 
-    if len(adj) <= exhaustive_limit:
+    if len(adj) <= _EMBED_EXHAUSTIVE_NODES:
         found.clear()
         for path in _all_simple_paths(adj, length, conflict_of):
             found.setdefault(canonical(path), path)
@@ -417,13 +420,16 @@ def embed_chain(
     )
 
 
-def _all_simple_paths(adj, length, conflict_of):
-    def edge_ok(path_edges, edge):
-        for group in conflict_of.get(edge, ()):
-            if len(group & path_edges) >= len(group) - 1:
-                return False
-        return True
+def _edge_ok(conflict_of, path_edges: set[tuple[int, int]], edge: tuple[int, int]) -> bool:
+    """Adding ``edge`` leaves at least one edge of each of its conflict
+    groups off the path."""
+    for group in conflict_of.get(edge, ()):
+        if len(group & path_edges) >= len(group) - 1:
+            return False
+    return True
 
+
+def _all_simple_paths(adj, length, conflict_of):
     def extend(path, on_path, path_edges):
         if len(path) == length:
             yield tuple(path)
@@ -432,7 +438,7 @@ def _all_simple_paths(adj, length, conflict_of):
             if nxt in on_path:
                 continue
             edge = (min(path[-1], nxt), max(path[-1], nxt))
-            if not edge_ok(path_edges, edge):
+            if not _edge_ok(conflict_of, path_edges, edge):
                 continue
             path.append(nxt)
             on_path.add(nxt)
@@ -448,6 +454,9 @@ def _all_simple_paths(adj, length, conflict_of):
 
 # ---------------------------------------------------------------------------
 # K3,3 subdivision search
+
+_K33_RESTARTS = 600  # random branch sextets tried on large graphs
+_K33_EXHAUSTIVE_CORE = 11  # largest 2-core searched exhaustively
 
 
 @dataclass(frozen=True)
@@ -595,12 +604,10 @@ def _route_disjoint(adj, pairs, branch, rng, exhaustive: bool):
 def contains_k33_subdivision(
     graph,
     rng_seed: int = 0,
-    max_restarts: int = 600,
-    exhaustive_limit: int = 11,
 ) -> K33Certificate | None:
     """Search for a K3,3 subdivision; certificates are always validated.
 
-    Graphs whose 2-core has at most ``exhaustive_limit`` vertices are searched
+    Graphs whose 2-core has at most 11 vertices are searched
     exhaustively (a None answer is then a proof of absence).  Larger graphs
     use a seeded randomized search with restarts: a returned certificate is
     sound, but None only means nothing was found within the budget.
@@ -621,7 +628,7 @@ def contains_k33_subdivision(
         cert = K33Certificate(tuple(left), tuple(right), paths)
         return cert if validate_k33_certificate(adj, cert) else None
 
-    if len(core) <= exhaustive_limit:
+    if len(core) <= _K33_EXHAUSTIVE_CORE:
         for sextet in itertools.combinations(candidates, 6):
             remaining = set(sextet)
             first = sextet[0]
@@ -635,7 +642,7 @@ def contains_k33_subdivision(
 
     rng = np.random.default_rng(rng_seed)
     cand = np.array(candidates)
-    for _ in range(max_restarts):
+    for _ in range(_K33_RESTARTS):
         pick = rng.choice(len(cand), size=6, replace=False)
         order = [int(cand[i]) for i in pick]
         for li, re_ in (((0, 1, 2), (3, 4, 5)), ((0, 1, 3), (2, 4, 5)), ((0, 2, 4), (1, 3, 5))):

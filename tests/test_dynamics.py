@@ -125,6 +125,12 @@ def test_gap_profile_dense_eigvalsh(strategy, length):
     assert profile.delta_min == profile.gap.min()
 
 
+def test_gap_profile_without_a_level_above_the_ground_manifold():
+    # no couplings: all four levels end degenerate, so the relevant level is 4 of 4
+    with pytest.raises(ValidationError):
+        gap_profile(encode_problem(IsingProblem(2), "U", 0.3), SCHEDULE, grid_points=3)
+
+
 @pytest.mark.parametrize("num_qubits", [1, 3, 6])
 def test_sample_readout_records(num_qubits):
     rng = np.random.default_rng(num_qubits)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from qacsim.dynamics import evolve_closed
+from qacsim.dynamics import QuantumState, evolve_closed
+from qacsim.errors import ValidationError
 from qacsim.master_equation import BathSpec, bath_rate, evolve_open
 from qacsim.problem import encode_problem, make_af_chain, schedule_linear
 
@@ -34,11 +35,18 @@ def test_bath_rate_vanishes_without_coupling(mode):
 
 
 def test_open_anneal_without_coupling_matches_closed():
+    # at kappa = 0 both anneals run the same unitary integrator
     problem = encode_problem(make_af_chain(2), "C", 0.4)
     schedule = schedule_linear(1.0, 0.01)
-    psi = evolve_closed(problem, schedule, rtol=1e-8).final.data
-    rho = evolve_open(problem, schedule, BathSpec(kappa=0.0), rtol=1e-6, snapshots=2).final.data
-    assert np.abs(rho - np.outer(psi, psi.conj())).max() < 1e-6
+    closed = evolve_closed(problem, schedule, rtol=1e-6, snapshots=3)
+    opened = evolve_open(problem, schedule, BathSpec(kappa=0.0), rtol=1e-6, snapshots=3, levels=8)
+    assert np.array_equal(opened.s, closed.s)
+    for rho, psi in zip(opened.states, closed.states, strict=True):
+        column = psi.data[:, None]
+        assert np.array_equal(rho.data, column @ column.conj().T)
+    assert opened.report == closed.report
+    with pytest.raises(ValidationError):
+        evolve_open(problem, schedule, BathSpec(kappa=0.0), levels=65)
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +59,11 @@ I2 = np.eye(2)
 HX = np.kron(SX, I2) + np.kron(I2, SX)
 HZ = ALPHA * np.kron(SZ, SZ)  # the U two-spin antiferromagnetic chain
 ZS = np.stack([np.diag(np.kron(SZ, I2)), np.diag(np.kron(I2, SZ))])
-ORACLE_KAPPAS = (1e-3, 8e-3)
+ORACLE_KAPPAS = (1e-3, 8e-3, 0.0)
+# the mixed kappa = 0 input carries coherences between levels, whose phase
+# errors make its error about 20x the pure state's at one rtol (2e-5 at
+# rtol 1e-6 for the split operator and for the eigenbasis integrator alike)
+ORACLE_RTOLS = (1e-6, 1e-6, 1e-7)
 
 
 def lindblad_rhs(t, y, baths):
@@ -80,21 +92,32 @@ def lindblad_rhs(t, y, baths):
     return out.ravel()
 
 
+def oracle_initial_states():
+    """The ground state of +sum sigma^x for each kappa > 0, and a mixed state
+    of rank 3 (a random unitary applied to populations 0.5, 0.3, 0.2, 0) for
+    kappa = 0."""
+    psi0 = 0.5 * np.array([1.0, -1.0, -1.0, 1.0])
+    rng = np.random.default_rng(7)
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    mixed = (q * np.array([0.5, 0.3, 0.2, 0.0])) @ q.conj().T
+    return [np.outer(psi0, psi0).astype(complex) if kappa > 0 else 0.5 * (mixed + mixed.conj().T)
+            for kappa in ORACLE_KAPPAS]
+
+
 @pytest.fixture(scope="module")
 def u_oracle_runs():
     """(final rho of evolve_open, final rho of the oracle, trajectory) per kappa."""
     problem = encode_problem(make_af_chain(2), "U", ALPHA)
     schedule = schedule_linear(A0, T_F_US)
     baths = [BathSpec(kappa) for kappa in ORACLE_KAPPAS]
-    psi0 = 0.5 * np.array([1.0, -1.0, -1.0, 1.0])  # ground state of +sum sigma^x
-    rho0 = np.outer(psi0, psi0).astype(complex)
-    sol = solve_ivp(lindblad_rhs, (0.0, T_F_US * 1e3), np.tile(rho0.ravel(), len(baths)), method="DOP853",
+    rho0s = oracle_initial_states()
+    sol = solve_ivp(lindblad_rhs, (0.0, T_F_US * 1e3), np.concatenate([r.ravel() for r in rho0s]), method="DOP853",
                     rtol=1e-10, atol=1e-12, args=(baths,))
     assert sol.success
     expected = sol.y[:, -1].reshape(len(baths), 4, 4)
     runs = []
-    for bath, rho_ref in zip(baths, expected):
-        traj = evolve_open(problem, schedule, bath, rtol=1e-6, snapshots=2)
+    for bath, rho0, rtol, rho_ref in zip(baths, rho0s, ORACLE_RTOLS, expected):
+        traj = evolve_open(problem, schedule, bath, initial=QuantumState.density(rho0), rtol=rtol, snapshots=2)
         runs.append((traj.final.data, rho_ref, traj))
     return runs
 
@@ -117,10 +140,20 @@ def _check_counts(report):
     assert report.accepted > 0 and 0.0 < report.min_step_ns <= T_F_US * 1e3
 
 
+def _check_unitary_report(report):
+    # the split-operator integrator builds no eigenbasis and truncates nothing
+    assert report.accepted > 0 and report.rejected >= 0
+    assert report.node_builds == 0 and report.truncation_margin is None
+    assert 0.0 < report.min_step_ns <= T_F_US * 1e3
+
+
 def test_report_untruncated_u_chain(u_oracle_runs):
-    for _, _, traj in u_oracle_runs:
-        _check_counts(traj.report)
-        assert traj.report.truncation_margin is None
+    for kappa, (_, _, traj) in zip(ORACLE_KAPPAS, u_oracle_runs):
+        if kappa == 0.0:
+            _check_unitary_report(traj.report)
+        else:
+            _check_counts(traj.report)
+            assert traj.report.node_builds > 0 and traj.report.truncation_margin is None
 
 
 def test_report_c_chain_truncation_keeps_clusters():
@@ -138,6 +171,7 @@ def test_report_ep_chain_truncation_cuts_a_cluster():
     assert traj.report.truncation_margin < 1e-9
 
 
-def test_trajectory_report_is_empty_for_closed_anneals():
-    problem = encode_problem(make_af_chain(2), "U", ALPHA)
-    assert evolve_closed(problem, schedule_linear(A0, T_F_US), rtol=1e-6).report is None
+def test_closed_anneal_report():
+    for strategy, beta in (("U", 0.0), ("EP", 0.2)):
+        problem = encode_problem(make_af_chain(2), strategy, ALPHA, beta)
+        _check_unitary_report(evolve_closed(problem, schedule_linear(A0, T_F_US), rtol=1e-6).report)
