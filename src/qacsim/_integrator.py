@@ -1,40 +1,47 @@
-"""Adaptive master-equation integrator working in the instantaneous eigenbasis of H(s).
+"""The anneal integrators, their shared step controller, and the operators behind H(s).
 
-:class:`FrameEvolver` integrates the adiabatic master equation for
-:mod:`qacsim.master_equation` when a bath is coupled (kappa > 0); unitary
-anneals, closed or open at kappa = 0, run matrix-free in
-:mod:`qacsim.dynamics`.  The density matrix is tracked in the frame of the
-instantaneous eigenvectors.
-Within each step the coherent part of the frame equation (dynamical phases
-plus the non-adiabatic coupling K) is applied as a unitary built from a
-phased Magnus term: the phases come from a cubic Hermite model of the
-eigenvalue curves and the oscillatory integrals of K are evaluated
-analytically, so steps are never limited by the fastest Bohr frequency.
-The remaining generator - the Lindblad dissipator expressed in the
-instantaneous eigenbasis, which is non-oscillatory in this frame because
-its terms pair equal Bohr frequencies - is integrated with classical RK4
-on the three nodes the coherent step already builds (its start, midpoint
-and end), with Kutta's third-order rule on the same nodes as the embedded
-estimate, so a step builds two nodes.  Step control combines that estimate
-with a Richardson (step-doubling) estimate of the coherent model.
+Every anneal runs under one adaptive driver, :func:`adaptive_run`: it ends
+steps on the snapshots and on the schedule's knots, caps a step at 2% of the
+anneal time, shrinks a rejected step by err^(-1/order), grows an accepted
+one by at most fivefold, gives up with NumericalError after 60 rejections
+in a row, and counts what it did into an :class:`IntegratorReport`.  An
+integrator supplies one step attempt, ``step(state, t, h) -> (state, err)``.
+There are two:
 
-Eigenbasis continuity between nodes is enforced by overlap matching:
-columns are permuted to follow state identity through crossings, and
-near-degenerate clusters are aligned with the previous node's gauge by a
-polar rotation.
+* :func:`split_operator_run`, the unitary anneal (closed, or open at kappa =
+  0): a matrix-free fourth-order splitting in the computational basis that
+  evolves a state vector or a factor W of rho0 = W W^dagger;
+* :class:`FrameEvolver`, the adiabatic master equation for
+  :mod:`qacsim.master_equation` when a bath is coupled (kappa > 0).  The
+  density matrix is tracked in the frame of the instantaneous eigenvectors.
+  Within each step the coherent part of the frame equation (dynamical phases
+  plus the non-adiabatic coupling K) is applied as a unitary built from a
+  phased Magnus term: the phases come from a cubic Hermite model of the
+  eigenvalue curves and the oscillatory integrals of K are evaluated
+  analytically, so steps are never limited by the fastest Bohr frequency.
+  The remaining generator - the Lindblad dissipator expressed in the
+  instantaneous eigenbasis, which is non-oscillatory in this frame because
+  its terms pair equal Bohr frequencies - is integrated with classical RK4
+  on the three nodes the coherent step already builds (its start, midpoint
+  and end), with Kutta's third-order rule on the same nodes as the embedded
+  estimate, so a step builds two nodes.  Its error combines that estimate
+  with a Richardson (step-doubling) estimate of the coherent model.
 
-The operators behind H(s) = A(s) * sum_i sigma^x_i + B(s) * H_z, the
-anneal fractions where steps must end, the level-count check and the
-:class:`IntegratorReport` that every anneal returns are defined here, once,
-for this integrator and for :mod:`qacsim.dynamics`.
+  Eigenbasis continuity between nodes is enforced by overlap matching:
+  columns are permuted to follow state identity through crossings, and
+  near-degenerate clusters are aligned with the previous node's gauge by a
+  polar rotation.
+
+The operators behind H(s) = A(s) * sum_i sigma^x_i + B(s) * H_z, the anneal
+fractions where steps must end and the level-count check are defined here,
+once, for both integrators, :mod:`qacsim.dynamics` and :mod:`qacsim.perturb`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalError, ValidationError
 from .problem import EncodedProblem, _bit_position, all_config_energies, config_from_index
@@ -96,7 +103,7 @@ class IntegratorReport:
 
     ``accepted`` and ``rejected`` count steps; ``min_step_ns`` is the
     smallest accepted step.  ``node_builds`` counts eigensolves: 0 for the
-    matrix-free unitary integrator of :mod:`qacsim.dynamics`, two a step for
+    matrix-free :func:`split_operator_run`, two a step for
     :class:`FrameEvolver`.  ``truncation_margin`` is the smallest gap
     between the last kept and the first dropped level over the nodes with
     0 < s < 1, or None when every level is kept: near zero, the truncation
@@ -108,6 +115,90 @@ class IntegratorReport:
     node_builds: int
     min_step_ns: float
     truncation_margin: float | None
+
+
+def adaptive_run(step, state, schedule, snapshots: int, order: int, record):
+    """Drive ``step(state, t, h) -> (new_state, err)`` from s = 0 to s = 1,
+    keeping ``record(state)`` at each snapshot (a frame state holds its
+    node's dissipator program, too large to keep nine of).
+
+    A step is accepted when err <= 1.  Steps end on the anneal fractions of
+    :func:`step_boundaries` and never exceed 2% of the anneal time; a
+    rejected step shrinks by 0.9 err^(-1/order) (at least to a tenth), an
+    accepted one grows by 0.9 err^(-1/5), within [0.2, 5].  Sixty rejections
+    in a row raise NumericalError.  Returns (s values, states at the
+    snapshots, IntegratorReport with no node builds and no margin).
+    """
+    t_f = schedule.t_f_ns
+    h_max = _MAX_STEP_FRACTION * t_f
+    accepted = rejected = 0
+    min_step = np.inf
+    boundaries, snapshot = step_boundaries(schedule, snapshots)
+    out = [record(state)]
+    h = t_f / 400
+    for left, right, keep in zip(boundaries[:-1], boundaries[1:], snapshot[1:]):
+        t, t_end = left * t_f, right * t_f
+        while t < t_end - 1e-9 * t_f:
+            h = min(h, t_end - t)
+            for _ in range(60):
+                new_state, err = step(state, t, h)
+                if err <= 1.0:
+                    break
+                rejected += 1
+                h *= max(0.1, 0.9 * err ** (-1.0 / order))
+            else:
+                raise NumericalError(f"step size underflow at t={t} ns (err={err:.3e})")
+            accepted += 1
+            min_step = min(min_step, h)
+            state, t = new_state, t + h
+            h = min(h_max, h * (5.0 if err == 0 else min(5.0, max(0.2, 0.9 * err ** (-0.2)))))
+        if keep:
+            out.append(record(state))
+    return boundaries[snapshot], out, IntegratorReport(accepted, rejected, 0, float(min_step), None)
+
+
+# Yoshida's triple jump (Phys. Lett. A 150, 262 (1990)): symmetric
+# second-order steps of w*h, (1 - 2w)*h and w*h compose to fourth order
+_W = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+_TRIPLE_JUMP = np.array([_W, 1.0 - 2.0 * _W, _W])
+_TRIPLE_JUMP_MIDPOINTS = np.cumsum(_TRIPLE_JUMP) - 0.5 * _TRIPLE_JUMP
+
+
+def split_operator_run(problem, schedule, W0, snapshots, rtol, atol):
+    """Unitary fourth-order splitting of H(s) = A(s) * sum_q sigma^x_q + B(s) * diag(E_z).
+
+    Evolves a state vector W0, or the columns of a (2^n, r) factor W0 of a
+    density matrix rho0 = W0 W0^dagger.  A Strang step over
+    [t, t+h] takes A and B at its midpoint and applies exp(-i h/2 B E_z),
+    then exp(-i h A sigma^x_q) for every qubit q, then exp(-i h/2 B E_z)
+    again; three Strang steps make a triple-jump step.  Step doubling
+    estimates the error as |full - halves| / 15 (Frobenius norm), which must
+    stay within atol + rtol; the two half steps are kept.  Runs under
+    :func:`adaptive_run` at order 5; returns (s values, factors,
+    IntegratorReport).
+    """
+    Ez = ising_diagonal(problem)
+    flips = flip_indices(problem.num_physical)
+    t_f = schedule.t_f_ns
+    columns = (1,) * (W0.ndim - 1)  # the diagonal phases act on every column alike
+
+    def fourth_order(W, t, h):
+        s = (t + _TRIPLE_JUMP_MIDPOINTS * h) / t_f
+        half_phases = np.exp(np.outer(-0.5j * h * _TRIPLE_JUMP * schedule.B_of(s), Ez)).reshape(3, -1, *columns)
+        theta = h * _TRIPLE_JUMP * schedule.A_of(s)
+        for half_phase, cos, minus_i_sin in zip(half_phases, np.cos(theta), -1j * np.sin(theta)):
+            W = half_phase * W
+            for row in flips:
+                W = cos * W + minus_i_sin * W[row]
+            W = half_phase * W
+        return W
+
+    def step(W, t, h):
+        full = fourth_order(W, t, h)
+        halves = fourth_order(fourth_order(W, t, 0.5 * h), t + 0.5 * h, 0.5 * h)
+        return halves, float(np.linalg.norm(full - halves)) / (15.0 * (atol + rtol))
+
+    return adaptive_run(step, W0.astype(complex), schedule, snapshots, 5, lambda W: W)
 
 
 @dataclass
@@ -151,20 +242,8 @@ class FrameEvolver:
         self.X = pauli_x_sum(n)
         self.Ez = ising_diagonal(problem)
         self.t_f = schedule.t_f_ns
-        self.h_max = _MAX_STEP_FRACTION * self.t_f
         self.flip_idx = flip_indices(n)
         self.zdiags = np.ascontiguousarray(config_from_index(np.arange(self.dim)[:, None], n).T, dtype=float)
-
-    def _reset_counts(self) -> None:
-        self.accepted = 0
-        self.rejected = 0
-        self.node_builds = 0
-        self.min_step = np.inf
-        self.margin = None if self.m == self.dim else np.inf
-
-    @property
-    def report(self) -> IntegratorReport:
-        return IntegratorReport(self.accepted, self.rejected, self.node_builds, float(self.min_step), self.margin)
 
     # -- node construction ----------------------------------------------------
 
@@ -172,10 +251,7 @@ class FrameEvolver:
         s = t / self.t_f
         H = annealing_hamiltonian(self.X, self.Ez, self.schedule, s)
         self.node_builds += 1
-        if self.m < self.dim and self.dim > 1024:
-            eps, V = scipy.linalg.eigh(H, subset_by_index=(0, self.m))
-        else:
-            eps, V = np.linalg.eigh(H)
+        eps, V = np.linalg.eigh(H)
         if self.m < self.dim and 0.0 < s < 1.0:
             self.margin = min(self.margin, float(eps[self.m] - eps[self.m - 1]))
         eps, V = eps[: self.m], V[:, : self.m]
@@ -351,12 +427,22 @@ class FrameEvolver:
         """Dissipator at ``node`` acting on the Lawson variable ``u``."""
         return self._undress(self._dissipator_rhs(node, self._dress(u, phi, W)), phi, W)
 
-    # -- driver -----------------------------------------------------------------
+    # -- one step -----------------------------------------------------------------
 
     def run(self, rho0: np.ndarray, snapshots: int = 9):
-        """Integrate a density matrix from s=0 to s=1; returns (s values,
-        density matrices in the computational basis) at the snapshots."""
-        self._reset_counts()
+        """Integrate a density matrix from s=0 to s=1 under :func:`adaptive_run`
+        at order 4; returns (s values, density matrices in the computational
+        basis at the snapshots, IntegratorReport)."""
+        self.node_builds = 0
+        self.margin = None if self.m == self.dim else np.inf
+        # no local holds the start state: its node, at the most degenerate
+        # point, has the largest dissipator program and is freed after one step
+        s_points, rhos, report = adaptive_run(self._step, self._start(rho0), self.schedule, snapshots, 4,
+                                              lambda state: state[0].V @ state[1] @ state[0].V.T)
+        return s_points, rhos, replace(report, node_builds=self.node_builds, truncation_margin=self.margin)
+
+    def _start(self, rho0: np.ndarray):
+        """The state at s = 0: its node, and rho0 in that node's frame."""
         node = self._build_node(0.0, None)
         y = node.V.T @ rho0.astype(complex) @ node.V
         captured = float(np.real(np.trace(y)))
@@ -364,63 +450,43 @@ class FrameEvolver:
             raise ValidationError(
                 f"initial state has weight {1 - captured:.2e} outside the {self.m} tracked levels"
             )
+        return node, y
 
-        boundaries, snapshot = step_boundaries(self.schedule, snapshots)
-        out_states = [node.V @ y @ node.V.T]
-        h = min(self.h_max, self.t_f / 400)
-        for left, right, keep in zip(boundaries[:-1], boundaries[1:], snapshot[1:]):
-            t_end = right * self.t_f
-            t = left * self.t_f
-            while t < t_end - 1e-9 * self.t_f:
-                h = min(h, t_end - t)
-                node, y, t, h = self._step(node, y, t, h)
-            if keep:
-                out_states.append(node.V @ y @ node.V.T)
-        return boundaries[snapshot], out_states
+    def _step(self, state, t: float, h: float):
+        """One step attempt from ``state`` = (node, frame density matrix):
+        phased-Magnus coherent propagator with a Richardson estimate, plus
+        classical RK4 for the dissipator on the same three nodes (c = 0, 1/2,
+        1), with Kutta's third-order rule on those nodes as its embedded error
+        estimate.  Returns ((end node, state there), err)."""
+        node0, y = state
+        node_mid = self._build_node(t + 0.5 * h, node0)
+        node1 = self._build_node(t + h, node_mid)
 
-    def _step(self, node0: _Node, y: np.ndarray, t: float, h: float):
-        """One adaptive step: phased-Magnus coherent propagator with a
-        Richardson estimate, plus classical RK4 for the dissipator on the same
-        three nodes (c = 0, 1/2, 1), with Kutta's third-order rule on those
-        nodes as its embedded error estimate."""
-        for _ in range(60):
-            node_mid = self._build_node(t + 0.5 * h, node0)
-            node1 = self._build_node(t + h, node_mid)
+        # coherent model error: full step vs two half steps
+        phi_full = self._phases(node0, node1, h, 1.0)
+        W_full = self._coherent_unitary(node0, node1, h, 1.0)
+        phi_h1 = self._phases(node0, node_mid, 0.5 * h, 1.0)
+        W_h1 = self._coherent_unitary(node0, node_mid, 0.5 * h, 1.0)
+        phi_h2 = self._phases(node_mid, node1, 0.5 * h, 1.0)
+        W_h2 = self._coherent_unitary(node_mid, node1, 0.5 * h, 1.0)
+        y_full = self._dress(y, phi_full, W_full)
+        y_halves = self._dress(self._dress(y, phi_h1, W_h1), phi_h2, W_h2)
+        scale = self.atol + self.rtol * float(np.linalg.norm(y))
+        err = float(np.linalg.norm(y_full - y_halves)) / (3.0 * scale)
 
-            # coherent model error: full step vs two half steps
-            phi_full = self._phases(node0, node1, h, 1.0)
-            W_full = self._coherent_unitary(node0, node1, h, 1.0)
-            phi_h1 = self._phases(node0, node_mid, 0.5 * h, 1.0)
-            W_h1 = self._coherent_unitary(node0, node_mid, 0.5 * h, 1.0)
-            phi_h2 = self._phases(node_mid, node1, 0.5 * h, 1.0)
-            W_h2 = self._coherent_unitary(node_mid, node1, 0.5 * h, 1.0)
-            y_full = self._dress(y, phi_full, W_full)
-            y_halves = self._dress(self._dress(y, phi_h1, W_h1), phi_h2, W_h2)
-            scale = self.atol + self.rtol * float(np.linalg.norm(y))
-            err = float(np.linalg.norm(y_full - y_halves)) / (3.0 * scale)
-
-            phi_mid = self._phases(node0, node1, h, 0.5)
-            W_mid = self._coherent_unitary(node0, node1, h, 0.5)
-            rhs = self._dressed_dissipator_rhs
-            k1 = self._dissipator_rhs(node0, y)
-            k2 = rhs(node_mid, y + 0.5 * h * k1, phi_mid, W_mid)
-            k3 = rhs(node_mid, y + 0.5 * h * k2, phi_mid, W_mid)
-            k4 = rhs(node1, y + h * k3, phi_full, W_full)
-            k3_kutta = rhs(node1, y + h * (2.0 * k2 - k1), phi_full, W_full)
-            u4 = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-            u3 = y + (h / 6.0) * (k1 + 4.0 * k2 + k3_kutta)
-            err = max(err, float(np.linalg.norm(u4 - u3)) / scale)
-            y_new = self._dress(u4, phi_full, W_full)
-
-            if err <= 1.0:
-                y_new = 0.5 * (y_new + y_new.conj().T)
-                grow = 5.0 if err == 0 else min(5.0, max(0.2, 0.9 * err ** (-0.2)))
-                self.accepted += 1
-                self.min_step = min(self.min_step, h)
-                return node1, y_new, t + h, min(self.h_max, h * grow)
-            self.rejected += 1
-            h *= max(0.1, 0.9 * err ** (-0.25))
-        raise NumericalError(f"step size underflow at t={t} ns (err={err:.3e})")
+        phi_mid = self._phases(node0, node1, h, 0.5)
+        W_mid = self._coherent_unitary(node0, node1, h, 0.5)
+        rhs = self._dressed_dissipator_rhs
+        k1 = self._dissipator_rhs(node0, y)
+        k2 = rhs(node_mid, y + 0.5 * h * k1, phi_mid, W_mid)
+        k3 = rhs(node_mid, y + 0.5 * h * k2, phi_mid, W_mid)
+        k4 = rhs(node1, y + h * k3, phi_full, W_full)
+        k3_kutta = rhs(node1, y + h * (2.0 * k2 - k1), phi_full, W_full)
+        u4 = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        u3 = y + (h / 6.0) * (k1 + 4.0 * k2 + k3_kutta)
+        err = max(err, float(np.linalg.norm(u4 - u3)) / scale)
+        y_new = self._dress(u4, phi_full, W_full)
+        return (node1, 0.5 * (y_new + y_new.conj().T)), err
 
 
 def _greedy_match(weights: np.ndarray) -> np.ndarray:

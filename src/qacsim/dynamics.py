@@ -11,7 +11,8 @@ The annealing Hamiltonian is ``H(s) = A(s) * sum_i sigma^x_i + B(s) * H_z``
 with ``H_z`` the diagonal physical Ising operator of an encoded problem
 (problem scale alpha and penalty scale beta are already folded into the
 physical couplings).  Hamiltonians and gap profiles are dense; unitary
-evolution is matrix-free in the computational basis.
+evolution runs the matrix-free split-operator integrator of
+:mod:`qacsim._integrator` under the step controller every anneal shares.
 """
 
 from __future__ import annotations
@@ -24,10 +25,9 @@ import scipy.linalg
 from ._integrator import (
     IntegratorReport,
     annealing_hamiltonian,
-    flip_indices,
     ising_diagonal,
     pauli_x_sum,
-    step_boundaries,
+    split_operator_run,
     tracked_levels,
 )
 from .decode import SampleRecord, SampleSet, decodable_mask, ground_indices
@@ -208,71 +208,6 @@ class Trajectory:
         return self.states[-1]
 
 
-# Yoshida's triple jump (Phys. Lett. A 150, 262 (1990)): symmetric
-# second-order steps of w*h, (1 - 2w)*h and w*h compose to fourth order
-_W = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
-_TRIPLE_JUMP = np.array([_W, 1.0 - 2.0 * _W, _W])
-_TRIPLE_JUMP_MIDPOINTS = np.cumsum(_TRIPLE_JUMP) - 0.5 * _TRIPLE_JUMP
-
-
-def _split_operator_run(problem, schedule, W0, snapshots, rtol, atol):
-    """Unitary fourth-order splitting of H(s) = A(s) * sum_q sigma^x_q + B(s) * diag(E_z).
-
-    Evolves a state vector W0, or the columns of a (2^n, r) factor W0 of a
-    density matrix rho0 = W0 W0^dagger.  A Strang step over
-    [t, t+h] takes A and B at its midpoint and applies exp(-i h/2 B E_z),
-    then exp(-i h A sigma^x_q) for every qubit q, then exp(-i h/2 B E_z)
-    again; three Strang steps make a triple-jump step.  Step doubling
-    estimates the error as |full - halves| / 15 (Frobenius norm), which must
-    stay within atol + rtol; the two half steps are kept.  Steps end on the
-    snapshots and on the schedule's knots.  Returns (s values, factors,
-    IntegratorReport).
-    """
-    Ez = ising_diagonal(problem)
-    flips = flip_indices(problem.num_physical)
-    t_f = schedule.t_f_ns
-    columns = (1,) * (W0.ndim - 1)  # the diagonal phases act on every column alike
-    accepted = rejected = 0
-    min_step = np.inf
-
-    def fourth_order(W, t, h):
-        s = (t + _TRIPLE_JUMP_MIDPOINTS * h) / t_f
-        half_phases = np.exp(np.outer(-0.5j * h * _TRIPLE_JUMP * schedule.B_of(s), Ez)).reshape(3, -1, *columns)
-        theta = h * _TRIPLE_JUMP * schedule.A_of(s)
-        for half_phase, cos, minus_i_sin in zip(half_phases, np.cos(theta), -1j * np.sin(theta)):
-            W = half_phase * W
-            for row in flips:
-                W = cos * W + minus_i_sin * W[row]
-            W = half_phase * W
-        return W
-
-    boundaries, snapshot = step_boundaries(schedule, snapshots)
-    W = W0.astype(complex)
-    out = [W]
-    h = t_f / 400
-    for left, right, keep in zip(boundaries[:-1], boundaries[1:], snapshot[1:]):
-        t, t_end = left * t_f, right * t_f
-        while t < t_end - 1e-9 * t_f:
-            h = min(h, t_end - t)
-            for _ in range(60):
-                full = fourth_order(W, t, h)
-                halves = fourth_order(fourth_order(W, t, 0.5 * h), t + 0.5 * h, 0.5 * h)
-                err = float(np.linalg.norm(full - halves)) / (15.0 * (atol + rtol))
-                if err <= 1.0:
-                    break
-                rejected += 1
-                h *= max(0.1, 0.9 * err ** (-0.2))
-            else:
-                raise NumericalError(f"step size underflow at t={t} ns (err={err:.3e})")
-            accepted += 1
-            min_step = min(min_step, h)
-            W, t = halves, t + h
-            h *= 5.0 if err == 0 else min(5.0, max(0.2, 0.9 * err ** (-0.2)))
-        if keep:
-            out.append(W)
-    return boundaries[snapshot], out, IntegratorReport(accepted, rejected, 0, float(min_step), None)
-
-
 def evolve_closed(
     problem: EncodedProblem,
     schedule: AnnealSchedule,
@@ -285,7 +220,7 @@ def evolve_closed(
     """Integrate the Schroedinger equation across the anneal.
 
     Uses the matrix-free split-operator integrator in the computational
-    basis (see :func:`_split_operator_run`): every factor of a step is an
+    basis (see :func:`qacsim._integrator.split_operator_run`): every factor of a step is an
     exact exponential, so the integrator is unitary by construction and
     renormalizes nothing; the norm is checked to 1e-8 or a NumericalError
     is raised.  Every level is tracked: ``levels`` must lie in [1, 2^n] but
@@ -305,7 +240,7 @@ def evolve_closed(
     if initial.data.shape[0] != (1 << n):
         raise ValidationError("initial state dimension does not match the problem")
 
-    s_points, raw, report = _split_operator_run(problem, schedule, initial.data, snapshots, rtol, atol)
+    s_points, raw, report = split_operator_run(problem, schedule, initial.data, snapshots, rtol, atol)
     states = []
     for vec in raw:
         norm = np.linalg.norm(vec)

@@ -15,9 +15,10 @@ the bath temperature (all in rad/ns).  gamma(0) is the analytic limit
 makes the gamma(-omega)/gamma(omega) ratio exactly thermal.  The
 principal-value (Lamb-shift) part of the bath correlation is not modelled.
 
-At kappa = 0 the anneal is unitary and runs on the matrix-free integrator
-of :func:`qacsim.dynamics.evolve_closed`; with a bath it runs on the
-eigenbasis integrator of :mod:`qacsim._integrator`.
+Both integrators live in :mod:`qacsim._integrator` and share its step
+controller: at kappa = 0 the anneal is unitary and runs on the matrix-free
+split-operator integrator behind :func:`qacsim.dynamics.evolve_closed`; with
+a bath it runs on the eigenbasis integrator ``FrameEvolver``.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._integrator import FrameEvolver, tracked_levels
-from .dynamics import QuantumState, Trajectory, _split_operator_run
+from ._integrator import FrameEvolver, split_operator_run, tracked_levels
+from .dynamics import QuantumState, Trajectory
 from .errors import NumericalError, ResourceLimitError, ValidationError
 from .problem import AnnealSchedule, EncodedProblem
 
@@ -90,7 +91,7 @@ def evolve_open(
     truncated to the lowest ``levels`` instantaneous states.  At kappa = 0
     the anneal is unitary: a factor W of rho0 = W W^dagger (the state itself
     when pure, sqrt(p)-scaled eigenvectors when mixed) runs on the
-    matrix-free integrator of :func:`qacsim.dynamics.evolve_closed`, every
+    matrix-free integrator behind :func:`qacsim.dynamics.evolve_closed`, every
     level is tracked and ``levels`` is range-checked but otherwise ignored.
     Trace preservation is checked to 1e-8 at every snapshot and Hermiticity
     is enforced by symmetrization.
@@ -121,12 +122,11 @@ def evolve_open(
         else:
             p, V = np.linalg.eigh(rho0)
             W0 = V[:, p > 0] * np.sqrt(p[p > 0])
-        s_points, factors, report = _split_operator_run(problem, schedule, W0, snapshots, rtol, atol)
+        s_points, factors, report = split_operator_run(problem, schedule, W0, snapshots, rtol, atol)
         raw = [W @ W.conj().T for W in (F.reshape(1 << n, -1) for F in factors)]
     else:
         evolver = FrameEvolver(problem, schedule, bath, levels=levels, rtol=rtol, atol=atol)
-        s_points, raw = evolver.run(rho0, snapshots=snapshots)
-        report = evolver.report
+        s_points, raw, report = evolver.run(rho0, snapshots=snapshots)
     states = []
     for rho in raw:
         rho = 0.5 * (rho + rho.conj().T)

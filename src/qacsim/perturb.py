@@ -10,7 +10,12 @@ Covers two tractable models under the linear schedule A0(1-s), A0*s:
 
 Each perturbative formula has an exact dense-model companion
 (:func:`single_logical_model`, :func:`coupled_pairs_model`) so truncation
-errors can be measured directly.
+errors can be measured directly.  Both are built as
+A0 [(1-s) sum_q sigma^x_q + s diag(E_z)] from the package's one transverse
+operator (:func:`qacsim._integrator.pauli_x_sum`) and one Ising energy
+(:func:`qacsim.problem.all_config_energies`), with E_z summed from
+unit-weight Ising problems, each scaled like the problem and penalty parts
+of an encoded problem.
 """
 
 from __future__ import annotations
@@ -20,7 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._integrator import pauli_x_sum
 from .errors import NumericalError, ValidationError
+from .problem import IsingProblem, all_config_energies
 
 __all__ = [
     "PerturbParams",
@@ -34,10 +41,6 @@ __all__ = [
     "single_logical_excited_manifold",
     "coupled_pairs_excited_manifold",
 ]
-
-_SX = np.array([[0.0, 1.0], [1.0, 0.0]])
-_SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
-
 
 @dataclass(frozen=True)
 class PerturbParams:
@@ -199,44 +202,35 @@ def coupled_pairs_perturbed_gap(params: PerturbParams, s=None) -> np.ndarray:
 # exact dense models
 
 
-def _kron_op(num_qubits: int, factors: dict[int, np.ndarray]) -> np.ndarray:
-    out = np.array([[1.0]])
-    for q in range(num_qubits):
-        out = np.kron(out, factors.get(q, np.eye(2)))
-    return out
+def _dense_model(A0: float, s: float, num_qubits: int, parts) -> np.ndarray:
+    """A0 [(1-s) sum_q sigma^x_q + s diag(E_z)], E_z the sum of weight times
+    the energies of the unit-weight Ising problem (fields, couplings) over
+    the (weight, fields, couplings) ``parts``: weights such as omega/2 never
+    meet IsingProblem's |h|, |J| <= 1 bound."""
+    Ez = sum(w * all_config_energies(IsingProblem(num_qubits, h, J)) for w, h, J in parts)
+    H = A0 * (1.0 - s) * pauli_x_sum(num_qubits)
+    H[np.diag_indices_from(H)] += A0 * s * Ez
+    return H
 
 
 def single_logical_model(params: PerturbParams, s=None) -> np.ndarray:
     """Dense 16x16 Hamiltonian: three omega-split qubits, one omega0 penalty
     qubit, ferromagnetic penalty coupling of strength A0 s beta."""
-    s = float(params.s if s is None else s)
-    A0 = params.A0
-    H = np.zeros((16, 16))
-    for q in range(4):
-        H += A0 * (1.0 - s) * _kron_op(4, {q: _SX})
-        w = params.omega if q < 3 else params.omega0
-        H += A0 * s * 0.5 * w * _kron_op(4, {q: _SZ})
-    for q in range(3):
-        H -= A0 * s * params.beta * _kron_op(4, {q: _SZ, 3: _SZ})
-    return H
+    return _dense_model(params.A0, float(params.s if s is None else s), 4, [
+        (0.5 * params.omega, {0: 1.0, 1: 1.0, 2: 1.0}, {}),
+        (0.5 * params.omega0, {3: 1.0}, {}),
+        (-params.beta, {}, {(0, 3): 1.0, (1, 3): 1.0, (2, 3): 1.0}),
+    ])
 
 
 def coupled_pairs_model(params: PerturbParams, s=None) -> np.ndarray:
     """Dense 128-dim Hamiltonian: three AF pairs (coupling 1) plus an omega0
     penalty qubit attached to the first qubit of each pair."""
-    s = float(params.s if s is None else s)
-    A0 = params.A0
-    n = 7
-    H = np.zeros((128, 128))
-    for pair in range(3):
-        a, b = 2 * pair, 2 * pair + 1
-        H += A0 * (1.0 - s) * (_kron_op(n, {a: _SX}) + _kron_op(n, {b: _SX}))
-        H += A0 * s * _kron_op(n, {a: _SZ, b: _SZ})
-    H += A0 * (1.0 - s) * _kron_op(n, {6: _SX})
-    H += A0 * s * 0.5 * params.omega0 * _kron_op(n, {6: _SZ})
-    for pair in range(3):
-        H -= A0 * s * params.beta * _kron_op(n, {2 * pair: _SZ, 6: _SZ})
-    return H
+    return _dense_model(params.A0, float(params.s if s is None else s), 7, [
+        (1.0, {}, {(0, 1): 1.0, (2, 3): 1.0, (4, 5): 1.0}),
+        (0.5 * params.omega0, {6: 1.0}, {}),
+        (-params.beta, {}, {(0, 6): 1.0, (2, 6): 1.0, (4, 6): 1.0}),
+    ])
 
 
 def single_logical_excited_manifold(params: PerturbParams, s=None) -> np.ndarray:

@@ -39,8 +39,10 @@ PARAMS = PerturbParams(A0=1.3, omega=0.9, omega0=0.02, beta=0.07)
 
 @pytest.mark.parametrize("s", [0.0, 0.3, 0.77, 1.0])
 def test_models_equal_kronecker_builds(s):
-    assert np.abs(perturb.single_logical_model(PARAMS, s) - single_logical_kron(PARAMS, s)).max() < 1e-12
-    assert np.abs(perturb.coupled_pairs_model(PARAMS, s) - coupled_pairs_kron(PARAMS, s)).max() < 1e-12
+    # omega = 3 puts omega/2 above the |h| <= 1 bound of an Ising problem
+    for p in (PARAMS, PerturbParams(A0=1.3, omega=3.0, omega0=0.02, beta=0.07)):
+        assert np.abs(perturb.single_logical_model(p, s) - single_logical_kron(p, s)).max() < 1e-12
+        assert np.abs(perturb.coupled_pairs_model(p, s) - coupled_pairs_kron(p, s)).max() < 1e-12
 
 
 @pytest.mark.parametrize("omega", [1.0, 0.01])
