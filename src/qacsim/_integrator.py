@@ -102,8 +102,10 @@ class IntegratorReport:
     """What one anneal's integrator did.
 
     ``accepted`` and ``rejected`` count steps; ``min_step_ns`` is the
-    smallest accepted step.  ``node_builds`` counts eigensolves: 0 for the
-    matrix-free :func:`split_operator_run`, two a step for
+    smallest step the error control chose: a step cut short to land on a
+    snapshot or a schedule knot counts at the length it was cut from, so
+    ``min_step_ns`` lies in (0, t_f].  ``node_builds`` counts eigensolves: 0
+    for the matrix-free :func:`split_operator_run`, two a step for
     :class:`FrameEvolver`.  ``truncation_margin`` is the smallest gap
     between the last kept and the first dropped level over the nodes with
     0 < s < 1, or None when every level is kept: near zero, the truncation
@@ -125,9 +127,11 @@ def adaptive_run(step, state, schedule, snapshots: int, order: int, record):
     A step is accepted when err <= 1.  Steps end on the anneal fractions of
     :func:`step_boundaries` and never exceed 2% of the anneal time; a
     rejected step shrinks by 0.9 err^(-1/order) (at least to a tenth), an
-    accepted one grows by 0.9 err^(-1/5), within [0.2, 5].  Sixty rejections
-    in a row raise NumericalError.  Returns (s values, states at the
-    snapshots, IntegratorReport with no node builds and no margin).
+    accepted one grows by 0.9 err^(-1/5), within [0.2, 5].  A proposal cut
+    short to land on a boundary is resumed after the landing rather than
+    grown from the cut step.  Sixty rejections in a row raise
+    NumericalError.  Returns (s values, states at the snapshots,
+    IntegratorReport with no node builds and no margin).
     """
     t_f = schedule.t_f_ns
     h_max = _MAX_STEP_FRACTION * t_f
@@ -139,19 +143,22 @@ def adaptive_run(step, state, schedule, snapshots: int, order: int, record):
     for left, right, keep in zip(boundaries[:-1], boundaries[1:], snapshot[1:]):
         t, t_end = left * t_f, right * t_f
         while t < t_end - 1e-9 * t_f:
-            h = min(h, t_end - t)
+            # a proposal longer than the rest of the segment is cut to land
+            trial, landing = min(h, t_end - t), h > t_end - t
             for _ in range(60):
-                new_state, err = step(state, t, h)
+                new_state, err = step(state, t, trial)
                 if err <= 1.0:
                     break
                 rejected += 1
-                h *= max(0.1, 0.9 * err ** (-1.0 / order))
+                landing = False
+                trial *= max(0.1, 0.9 * err ** (-1.0 / order))
             else:
                 raise NumericalError(f"step size underflow at t={t} ns (err={err:.3e})")
             accepted += 1
-            min_step = min(min_step, h)
-            state, t = new_state, t + h
-            h = min(h_max, h * (5.0 if err == 0 else min(5.0, max(0.2, 0.9 * err ** (-0.2)))))
+            state, t = new_state, t + trial
+            min_step = min(min_step, h if landing else trial)
+            if not landing:  # a landing keeps the proposal it was cut from
+                h = min(h_max, trial * (5.0 if err == 0 else min(5.0, max(0.2, 0.9 * err ** (-0.2)))))
         if keep:
             out.append(record(state))
     return boundaries[snapshot], out, IntegratorReport(accepted, rejected, 0, float(min_step), None)

@@ -220,14 +220,14 @@ def evolve_closed(
     """Integrate the Schroedinger equation across the anneal.
 
     Uses the matrix-free split-operator integrator in the computational
-    basis (see :func:`qacsim._integrator.split_operator_run`): every factor of a step is an
-    exact exponential, so the integrator is unitary by construction and
-    renormalizes nothing; the norm is checked to 1e-8 or a NumericalError
-    is raised.  Every level is tracked: ``levels`` must lie in [1, 2^n] but
-    is otherwise ignored.  The trajectory's ``report`` gives the accepted
-    and rejected steps and the smallest accepted step in ns; the integrator
-    builds no eigenbasis, so ``node_builds`` is 0 and the truncation margin
-    None.
+    basis (see :func:`qacsim._integrator.split_operator_run`): every factor
+    of a step is an exact exponential, so the integrator is unitary by
+    construction and renormalizes nothing; the norm is checked to 1e-8 or a
+    NumericalError is raised.  Every level is tracked: ``levels`` must lie
+    in [1, 2^n] but is otherwise ignored.  The trajectory's ``report`` gives
+    the accepted and rejected steps and the smallest step the error control
+    chose, in ns; the integrator builds no eigenbasis, so ``node_builds`` is
+    0 and the truncation margin None.
     """
     n = problem.num_physical
     if n > DEFAULT_QUBIT_CAP:

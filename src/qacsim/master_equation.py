@@ -98,9 +98,10 @@ def evolve_open(
 
     The returned trajectory's ``report`` (an ``IntegratorReport``) gives the
     accepted and rejected steps, the node builds (one eigensolve each, two a
-    step with a bath, none at kappa = 0), the smallest accepted step in ns
-    and, under truncation, the truncation margin: the smallest gap between
-    the last kept and the first dropped level for 0 < s < 1.  A margin near
+    step with a bath, none at kappa = 0), the smallest step the error
+    control chose, in ns, and, under truncation, the truncation margin: the
+    smallest gap between the last kept and the first dropped level for
+    0 < s < 1.  A margin near
     zero means ``levels`` cuts a degenerate cluster, where the step size
     collapses and the answer moves.
     """

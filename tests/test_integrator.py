@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from qacsim._integrator import adaptive_run, step_boundaries
+from qacsim.dynamics import evolve_closed
 from qacsim.errors import NumericalError
-from qacsim.problem import AnnealSchedule, schedule_linear
+from qacsim.problem import AnnealSchedule, encode_problem, make_af_chain, schedule_linear
 
 # one interior knot at s = 0.3, between the snapshots at 0.25 and 0.5
 KNOTTED = AnnealSchedule(0.01, np.array([0.0, 0.3, 1.0]), np.array([2.0, 0.6, 0.0]), np.array([0.0, 1.1, 2.0]))
@@ -70,3 +71,21 @@ def test_steps_never_exceed_two_percent_of_the_anneal():
     assert h.max() == pytest.approx(0.02 * t_f, rel=1e-12)
     assert np.all(h <= 0.02 * t_f * (1 + 1e-12))
     assert report.rejected == 0 and report.accepted == len(h) < 60
+
+
+def test_min_step_ignores_landings():
+    # C-encoded two-spin chain: 9 snapshots cut steps short to land on them,
+    # 2 snapshots only at the end; the smallest chosen step is the same
+    problem = encode_problem(make_af_chain(2), "C", 0.3)
+    schedule = schedule_linear(2.0 * np.pi, 0.01)
+    nine, two = (evolve_closed(problem, schedule, rtol=1e-6, snapshots=k).report for k in (9, 2))
+    assert nine.min_step_ns == pytest.approx(two.min_step_ns, rel=0.05)
+    assert 0.01 < nine.min_step_ns <= schedule.t_f_ns
+
+
+def test_min_step_when_every_step_lands():
+    # 1000 segments, each shorter than the first proposal of t_f / 400
+    schedule = schedule_linear(1.0, 0.01)
+    _, _, report = adaptive_run(recording_step(lambda h: 0.0), (), schedule, 1001, 5, unchanged)
+    assert report.accepted == 1000 and report.rejected == 0
+    assert report.min_step_ns == schedule.t_f_ns / 400
