@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -239,13 +240,7 @@ def single_logical_excited_manifold(params: PerturbParams, s=None) -> np.ndarray
     eig = single_qubit_eigs(params.omega, s)
     pen = single_qubit_eigs(params.omega0, s)
     vm, vp, pm = eig.vec_minus, eig.vec_plus, pen.vec_minus
-    cols = []
-    for flipped in range(3):
-        factors = [vp if q == flipped else vm for q in range(3)] + [pm]
-        vec = np.array([1.0])
-        for f in factors:
-            vec = np.kron(vec, f)
-        cols.append(vec)
+    cols = [reduce(np.kron, [vp if q == flipped else vm for q in range(3)] + [pm]) for flipped in range(3)]
     return np.stack(cols, axis=1)
 
 
@@ -257,12 +252,7 @@ def coupled_pairs_excited_manifold(params: PerturbParams, s=None) -> np.ndarray:
     ground = np.array([1.0 - s, -(s + lam) / 2.0, -(s + lam) / 2.0, 1.0 - s]) / c_minus
     eps2_vec = np.array([-1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
     pm = single_qubit_eigs(params.omega0, s).vec_minus
-    cols = []
-    for which in range(3):
-        vec = np.array([1.0])
-        for pair in range(3):
-            vec = np.kron(vec, eps2_vec if pair == which else ground)
-        cols.append(np.kron(vec, pm))
+    cols = [reduce(np.kron, [eps2_vec if pair == which else ground for pair in range(3)] + [pm]) for which in range(3)]
     return np.stack(cols, axis=1)
 
 
