@@ -1,10 +1,7 @@
 """The anneal integrators, their shared step controller, and the operators behind H(s).
 
-Every anneal runs under one adaptive driver, :func:`adaptive_run`: it ends
-steps on the snapshots and on the schedule's knots, caps a step at 2% of the
-anneal time, shrinks a rejected step by err^(-1/order), grows an accepted
-one by at most fivefold, gives up with NumericalError after 60 rejections
-in a row, and counts what it did into an :class:`IntegratorReport`.  An
+Every anneal runs under one adaptive step controller, :func:`adaptive_run`,
+which also counts what it did into an :class:`IntegratorReport`.  An
 integrator supplies one step attempt, ``step(state, t, h) -> (state, err)``.
 There are two:
 

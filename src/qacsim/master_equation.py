@@ -101,9 +101,8 @@ def evolve_open(
     step with a bath, none at kappa = 0), the smallest step the error
     control chose, in ns, and, under truncation, the truncation margin: the
     smallest gap between the last kept and the first dropped level for
-    0 < s < 1.  A margin near
-    zero means ``levels`` cuts a degenerate cluster, where the step size
-    collapses and the answer moves.
+    0 < s < 1.  A margin near zero means ``levels`` cuts a degenerate
+    cluster, where the step size collapses and the answer moves.
     """
     n = problem.num_physical
     if n > DEFAULT_OPEN_QUBIT_CAP:

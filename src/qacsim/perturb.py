@@ -43,6 +43,7 @@ __all__ = [
     "coupled_pairs_excited_manifold",
 ]
 
+
 @dataclass(frozen=True)
 class PerturbParams:
     """Model parameters: overall scale A0, problem splitting omega, penalty
