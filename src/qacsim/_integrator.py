@@ -8,7 +8,7 @@ There are two:
 * :func:`split_operator_run`, the unitary anneal (closed, or open at kappa =
   0): a matrix-free fourth-order splitting in the computational basis that
   evolves a state vector or a factor W of rho0 = W W^dagger;
-* :class:`FrameEvolver`, the adiabatic master equation for
+* :func:`frame_run`, the adiabatic master equation for
   :mod:`qacsim.master_equation` when a bath is coupled (kappa > 0).  The
   density matrix is tracked in the frame of the instantaneous eigenvectors.
   Within each step the coherent part of the frame equation (dynamical phases
@@ -103,7 +103,7 @@ class IntegratorReport:
     snapshot or a schedule knot counts at the length it was cut from, so
     ``min_step_ns`` lies in (0, t_f].  ``node_builds`` counts eigensolves: 0
     for the matrix-free :func:`split_operator_run`, two a step for
-    :class:`FrameEvolver`.  ``truncation_margin`` is the smallest gap
+    :func:`frame_run`.  ``truncation_margin`` is the smallest gap
     between the last kept and the first dropped level over the nodes with
     0 < s < 1, or None when every level is kept: near zero, the truncation
     cuts a (near-)degenerate cluster.
@@ -222,44 +222,49 @@ class _DissipatorProgram:
     M: np.ndarray
 
 
-class FrameEvolver:
-    """Drives one anneal for a fixed problem, schedule and bath (kappa > 0)."""
+def frame_run(problem, schedule, bath, rho0, levels, snapshots, rtol, atol):
+    """Adiabatic master equation (kappa > 0) in the frame of the instantaneous
+    eigenvectors, tracking the lowest ``levels`` of them (all when None).
 
-    def __init__(
-        self,
-        problem,
-        schedule,
-        bath,
-        levels: int | None = None,
-        rtol: float = 1e-8,
-        atol: float = 1e-10,
-    ):
-        self.problem = problem
-        self.schedule = schedule
-        self.bath = bath
-        self.rtol = rtol
-        self.atol = atol
-        n = problem.num_physical
-        self.num_qubits = n
-        self.dim = 1 << n
-        self.m = tracked_levels(levels, n)
-        self.X = pauli_x_sum(n)
-        self.Ez = ising_diagonal(problem)
-        self.t_f = schedule.t_f_ns
-        self.flip_idx = flip_indices(n)
-        self.zdiags = np.ascontiguousarray(config_from_index(np.arange(self.dim)[:, None], n).T, dtype=float)
+    A step attempt builds the frame nodes at its midpoint and end: eigensolve,
+    alignment with the previous node and the dissipator program.  It applies
+    the phased-Magnus coherent propagator with a Richardson estimate, plus
+    classical RK4 for the dissipator on the same three nodes (c = 0, 1/2, 1),
+    with Kutta's third-order rule on those nodes as its embedded error
+    estimate.  Runs under :func:`adaptive_run` at order 4; returns (s values,
+    density matrices in the computational basis at the snapshots,
+    IntegratorReport).
+    """
+    n = problem.num_physical
+    dim = 1 << n
+    m = tracked_levels(levels, n)
+    X = pauli_x_sum(n)
+    Ez = ising_diagonal(problem)
+    t_f = schedule.t_f_ns
+    flips = flip_indices(n)
+    zdiags = np.ascontiguousarray(config_from_index(np.arange(dim)[:, None], n).T, dtype=float)
+    node_builds = 0
+    margin = None if m == dim else np.inf
 
-    # -- node construction ----------------------------------------------------
+    def m_dot(s: float, V: np.ndarray) -> np.ndarray:
+        dA, dB = schedule.derivatives_of(s)
+        Y = np.zeros_like(V)
+        for fi in flips:
+            Y += V[fi, :]
+        Y *= float(dA)
+        Y += float(dB) * (Ez[:, None] * V)
+        return (V.T @ Y) / t_f
 
-    def _build_node(self, t: float, prev: _Node | None) -> _Node:
-        s = t / self.t_f
-        H = annealing_hamiltonian(self.X, self.Ez, self.schedule, s)
-        self.node_builds += 1
+    def build_node(t: float, prev: _Node | None) -> _Node:
+        nonlocal node_builds, margin
+        s = t / t_f
+        H = annealing_hamiltonian(X, Ez, schedule, s)
+        node_builds += 1
         eps, V = np.linalg.eigh(H)
-        if self.m < self.dim and 0.0 < s < 1.0:
-            self.margin = min(self.margin, float(eps[self.m] - eps[self.m - 1]))
-        eps, V = eps[: self.m], V[:, : self.m]
-        M_dot = self._m_dot(s, V)
+        if m < dim and 0.0 < s < 1.0:
+            margin = min(margin, float(eps[m] - eps[m - 1]))
+        eps, V = eps[:m], V[:, :m]
+        M_dot = m_dot(s, V)
 
         # Within each (near-)degenerate cluster the eigensolver basis is
         # arbitrary; rotate to the basis diagonalizing dH/dt (degenerate
@@ -274,7 +279,7 @@ class FrameEvolver:
                 M_dot[cluster, :] = rot.T @ M_dot[cluster, :]
                 M_dot[:, cluster] = M_dot[:, cluster] @ rot
 
-        eps, V, M_dot = self._align(prev, eps, V, M_dot)
+        eps, V, M_dot = _align(prev, eps, V, M_dot)
         eps_dot = np.diag(M_dot).copy()
         denom = eps[None, :] - eps[:, None]
         guard = 1e-9 * scale
@@ -282,206 +287,38 @@ class FrameEvolver:
         K = M_dot / safe
         np.fill_diagonal(K, 0.0)
 
-        return _Node(t, eps, V, eps_dot, K, self._build_dissipator(eps, V))
+        return _Node(t, eps, V, eps_dot, K, _build_dissipator(eps, V, zdiags, bath))
 
-    def _m_dot(self, s: float, V: np.ndarray) -> np.ndarray:
-        dA, dB = self.schedule.derivatives_of(s)
-        Y = np.zeros_like(V)
-        for fi in self.flip_idx:
-            Y += V[fi, :]
-        Y *= float(dA)
-        Y += float(dB) * (self.Ez[:, None] * V)
-        return (V.T @ Y) / self.t_f
-
-    def _align(self, prev: _Node | None, eps: np.ndarray, V: np.ndarray, M_dot: np.ndarray):
-        m = len(eps)
-        if prev is None:
-            lead = np.argmax(np.abs(V), axis=0)
-            signs = np.sign(V[lead, np.arange(m)])
-            signs[signs == 0] = 1.0
-            V = V * signs
-            M_dot = signs[:, None] * M_dot * signs[None, :]
-            return eps, V, M_dot
-        overlap = prev.V.T @ V
-        perm = _greedy_match(np.abs(overlap))
-        eps = eps[perm]
-        V = V[:, perm]
-        M_dot = M_dot[np.ix_(perm, perm)]
-        overlap = overlap[:, perm]
-        # per-level sign gauge; polar alignment only where both the energy
-        # and its slope coincide (the dH/dt basis is then still arbitrary)
-        scale = max(1.0, float(np.abs(eps).max()))
-        eps_dot = np.diag(M_dot)
-        dot_tol = 1e-9 * max(1.0, float(np.abs(eps_dot).max()))
-        for cluster in _degenerate_clusters(eps, 1e-6 * scale):
-            subs = _degenerate_clusters(eps_dot[cluster], dot_tol) if len(cluster) > 1 else [[0]]
-            for sub in subs:
-                idx = [cluster[i] for i in sub]
-                if len(idx) == 1:
-                    i = idx[0]
-                    if overlap[i, i] < 0:
-                        V[:, i] = -V[:, i]
-                        M_dot[i, :] = -M_dot[i, :]
-                        M_dot[:, i] = -M_dot[:, i]
-                else:
-                    block = V[:, idx].T @ prev.V[:, idx]
-                    u, _, vt = np.linalg.svd(block)
-                    rot = u @ vt
-                    V[:, idx] = V[:, idx] @ rot
-                    M_dot[idx, :] = rot.T @ M_dot[idx, :]
-                    M_dot[:, idx] = M_dot[:, idx] @ rot
-        return eps, V, M_dot
-
-    # -- dissipator program -----------------------------------------------------
-
-    def _build_dissipator(self, eps: np.ndarray, V: np.ndarray) -> _DissipatorProgram:
-        m = len(eps)
-        gaps = (eps[None, :] - eps[:, None]).ravel()
-        key = np.rint(gaps / _BIN_TOL).astype(np.int64)
-        order = np.argsort(key, kind="stable")
-        sorted_key = key[order]
-        starts = np.flatnonzero(np.r_[True, sorted_key[1:] != sorted_key[:-1]])
-        lengths = np.diff(np.r_[starts, len(sorted_key)])
-        rates = self.bath.rate(gaps[order[starts]])
-
-        # all W_q = V^T (z_q * V) via one batched product
-        nq = self.num_qubits
-        Vz = (self.zdiags[:, :, None] * V[None, :, :]).transpose(1, 0, 2).reshape(self.dim, nq * m)
-        w_flat = np.ascontiguousarray(
-            (V.T @ Vz).reshape(m, nq, m).transpose(1, 0, 2)
-        ).reshape(nq, m * m)  # (n_qubits, m*m)
-
-        classes = []
-        M = np.zeros(m * m)
-        for c in np.unique(lengths):
-            bins_c = np.flatnonzero(lengths == c)
-            members = order[starts[bins_c][:, None] + np.arange(c)[None, :]]  # (nb, c)
-            a_idx = members // m
-            b_idx = members % m
-            outer = np.einsum("qki,qkj->kij", w_flat[:, members], w_flat[:, members])
-            pref = rates[bins_c][:, None, None] * outer
-            gather = (b_idx[:, :, None] * m + b_idx[:, None, :]).ravel()
-            scatter = (a_idx[:, :, None] * m + a_idx[:, None, :]).ravel()
-            classes.append((pref.ravel(), gather, scatter))
-            same_a = a_idx[:, :, None] == a_idx[:, None, :]
-            M += np.bincount(gather, weights=(pref * same_a).ravel(), minlength=m * m)
-        return _DissipatorProgram(classes, M.reshape(m, m))
-
-    def _dissipator_rhs(self, node: _Node, rho: np.ndarray) -> np.ndarray:
-        program = node.dissipator
-        m = rho.shape[0]
-        out = np.zeros_like(rho)
-        acc = np.zeros(m * m, dtype=complex)
-        flat = rho.ravel()
-        for pref, gather, scatter in program.classes:
-            vals = pref * flat[gather]
-            acc += np.bincount(scatter, weights=vals.real, minlength=m * m)
-            acc += 1j * np.bincount(scatter, weights=vals.imag, minlength=m * m)
-        out += acc.reshape(m, m)
-        out -= 0.5 * (program.M @ rho + rho @ program.M)
-        return out
-
-    # -- coherent propagator ------------------------------------------------------
-
-    @staticmethod
-    def _phases(n0: _Node, n1: _Node, h: float, theta: float) -> np.ndarray:
-        """integral of eps(t) over [n0.t, n0.t + theta*h], cubic Hermite model."""
-        i00 = theta**4 / 2 - theta**3 + theta
-        i10 = theta**4 / 4 - 2 * theta**3 / 3 + theta**2 / 2
-        i01 = -(theta**4) / 2 + theta**3
-        i11 = theta**4 / 4 - theta**3 / 3
-        return h * (n0.eps * i00 + h * n0.eps_dot * i10 + n1.eps * i01 + h * n1.eps_dot * i11)
-
-    def _coherent_unitary(self, n0: _Node, n1: _Node, h: float, theta: float):
-        """Magnus term of the non-adiabatic coupling over [0, theta*h].
-
-        The coupling element (a, b) oscillates at the accumulated phase
-        difference; its integral is taken with a piecewise-linear phase and a
-        linearly interpolated K envelope over _PIECES sub-intervals.
-        """
-        m = len(n0.eps)
-        if m == 1:
-            return np.ones((1, 1), dtype=complex)
-        omega = np.zeros((m, m), dtype=complex)
-        knots = np.linspace(0.0, theta, _PIECES + 1)
-        phis = [self._phases(n0, n1, h, c) for c in knots]
-        for j in range(_PIECES):
-            dphi0 = phis[j][:, None] - phis[j][None, :]
-            dphi1 = phis[j + 1][:, None] - phis[j + 1][None, :]
-            x = dphi1 - dphi0
-            shape = np.where(np.abs(x) < 1e-8, 1.0 + 0.5j * x, (np.exp(1j * x) - 1.0) / np.where(np.abs(x) < 1e-8, 1.0, 1j * x))
-            c_mid = 0.5 * (knots[j] + knots[j + 1])
-            K_mid = n0.K + (n1.K - n0.K) * c_mid
-            dtau = (knots[j + 1] - knots[j]) * h
-            omega -= K_mid * np.exp(1j * dphi0) * shape * dtau
-        # omega is anti-Hermitian, so exponentiate through the Hermitian 1j*omega
-        evals, U = np.linalg.eigh(1j * omega)
-        return (U * np.exp(-1j * evals)) @ U.conj().T
-
-    def _dress(self, y: np.ndarray, phi: np.ndarray, W: np.ndarray) -> np.ndarray:
-        """Lawson variable -> frame components at the stage time."""
-        p = np.exp(-1j * phi)
-        return (p[:, None] * p.conj()[None, :]) * (W @ y @ W.conj().T)
-
-    def _undress(self, k: np.ndarray, phi: np.ndarray, W: np.ndarray) -> np.ndarray:
-        p = np.exp(1j * phi)
-        return W.conj().T @ ((p[:, None] * p.conj()[None, :]) * k) @ W
-
-    def _dressed_dissipator_rhs(self, node: _Node, u: np.ndarray, phi: np.ndarray, W: np.ndarray) -> np.ndarray:
-        """Dissipator at ``node`` acting on the Lawson variable ``u``."""
-        return self._undress(self._dissipator_rhs(node, self._dress(u, phi, W)), phi, W)
-
-    # -- one step -----------------------------------------------------------------
-
-    def run(self, rho0: np.ndarray, snapshots: int = 9):
-        """Integrate a density matrix from s=0 to s=1 under :func:`adaptive_run`
-        at order 4; returns (s values, density matrices in the computational
-        basis at the snapshots, IntegratorReport)."""
-        self.node_builds = 0
-        self.margin = None if self.m == self.dim else np.inf
-        # no local holds the start state: its node, at the most degenerate
-        # point, has the largest dissipator program and is freed after one step
-        s_points, rhos, report = adaptive_run(self._step, self._start(rho0), self.schedule, snapshots, 4,
-                                              lambda state: state[0].V @ state[1] @ state[0].V.T)
-        return s_points, rhos, replace(report, node_builds=self.node_builds, truncation_margin=self.margin)
-
-    def _start(self, rho0: np.ndarray):
+    def start():
         """The state at s = 0: its node, and rho0 in that node's frame."""
-        node = self._build_node(0.0, None)
+        node = build_node(0.0, None)
         y = node.V.T @ rho0.astype(complex) @ node.V
         captured = float(np.real(np.trace(y)))
         if captured < 1.0 - 1e-9:
-            raise ValidationError(
-                f"initial state has weight {1 - captured:.2e} outside the {self.m} tracked levels"
-            )
+            raise ValidationError(f"initial state has weight {1 - captured:.2e} outside the {m} tracked levels")
         return node, y
 
-    def _step(self, state, t: float, h: float):
-        """One step attempt from ``state`` = (node, frame density matrix):
-        phased-Magnus coherent propagator with a Richardson estimate, plus
-        classical RK4 for the dissipator on the same three nodes (c = 0, 1/2,
-        1), with Kutta's third-order rule on those nodes as its embedded error
-        estimate.  Returns ((end node, state there), err)."""
+    def step(state, t: float, h: float):
         node0, y = state
-        node_mid = self._build_node(t + 0.5 * h, node0)
-        node1 = self._build_node(t + h, node_mid)
+        node_mid = build_node(t + 0.5 * h, node0)
+        node1 = build_node(t + h, node_mid)
 
         # coherent model error: full step vs two half steps
-        phi_full = self._phases(node0, node1, h, 1.0)
-        W_full = self._coherent_unitary(node0, node1, h, 1.0)
-        phi_h1 = self._phases(node0, node_mid, 0.5 * h, 1.0)
-        W_h1 = self._coherent_unitary(node0, node_mid, 0.5 * h, 1.0)
-        phi_h2 = self._phases(node_mid, node1, 0.5 * h, 1.0)
-        W_h2 = self._coherent_unitary(node_mid, node1, 0.5 * h, 1.0)
-        y_full = self._dress(y, phi_full, W_full)
-        y_halves = self._dress(self._dress(y, phi_h1, W_h1), phi_h2, W_h2)
-        scale = self.atol + self.rtol * float(np.linalg.norm(y))
+        phi_full = _phases(node0, node1, h, 1.0)
+        W_full = _coherent_unitary(node0, node1, h, 1.0)
+        phi_h1 = _phases(node0, node_mid, 0.5 * h, 1.0)
+        W_h1 = _coherent_unitary(node0, node_mid, 0.5 * h, 1.0)
+        phi_h2 = _phases(node_mid, node1, 0.5 * h, 1.0)
+        W_h2 = _coherent_unitary(node_mid, node1, 0.5 * h, 1.0)
+        y_full = _dress(y, phi_full, W_full)
+        y_halves = _dress(_dress(y, phi_h1, W_h1), phi_h2, W_h2)
+        scale = atol + rtol * float(np.linalg.norm(y))
         err = float(np.linalg.norm(y_full - y_halves)) / (3.0 * scale)
 
-        phi_mid = self._phases(node0, node1, h, 0.5)
-        W_mid = self._coherent_unitary(node0, node1, h, 0.5)
-        rhs = self._dressed_dissipator_rhs
-        k1 = self._dissipator_rhs(node0, y)
+        phi_mid = _phases(node0, node1, h, 0.5)
+        W_mid = _coherent_unitary(node0, node1, h, 0.5)
+        rhs = _dressed_dissipator_rhs
+        k1 = _dissipator_rhs(node0.dissipator, y)
         k2 = rhs(node_mid, y + 0.5 * h * k1, phi_mid, W_mid)
         k3 = rhs(node_mid, y + 0.5 * h * k2, phi_mid, W_mid)
         k4 = rhs(node1, y + h * k3, phi_full, W_full)
@@ -489,8 +326,161 @@ class FrameEvolver:
         u4 = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         u3 = y + (h / 6.0) * (k1 + 4.0 * k2 + k3_kutta)
         err = max(err, float(np.linalg.norm(u4 - u3)) / scale)
-        y_new = self._dress(u4, phi_full, W_full)
+        y_new = _dress(u4, phi_full, W_full)
         return (node1, 0.5 * (y_new + y_new.conj().T)), err
+
+    # no local holds the start state: its node, at the most degenerate
+    # point, has the largest dissipator program and is freed after one step
+    s_points, rhos, report = adaptive_run(step, start(), schedule, snapshots, 4,
+                                          lambda state: state[0].V @ state[1] @ state[0].V.T)
+    return s_points, rhos, replace(report, node_builds=node_builds, truncation_margin=margin)
+
+
+def _align(prev: _Node | None, eps: np.ndarray, V: np.ndarray, M_dot: np.ndarray):
+    """Follow the previous node's levels: permute columns by overlap, fix
+    each level's sign, and rotate clusters where both the energy and its
+    slope coincide onto the previous gauge.  At the first node, make each
+    column's largest component positive."""
+    m = len(eps)
+    if prev is None:
+        lead = np.argmax(np.abs(V), axis=0)
+        signs = np.sign(V[lead, np.arange(m)])
+        signs[signs == 0] = 1.0
+        V = V * signs
+        M_dot = signs[:, None] * M_dot * signs[None, :]
+        return eps, V, M_dot
+    overlap = prev.V.T @ V
+    perm = _greedy_match(np.abs(overlap))
+    eps = eps[perm]
+    V = V[:, perm]
+    M_dot = M_dot[np.ix_(perm, perm)]
+    overlap = overlap[:, perm]
+    # per-level sign gauge; polar alignment only where both the energy
+    # and its slope coincide (the dH/dt basis is then still arbitrary)
+    scale = max(1.0, float(np.abs(eps).max()))
+    eps_dot = np.diag(M_dot)
+    dot_tol = 1e-9 * max(1.0, float(np.abs(eps_dot).max()))
+    for cluster in _degenerate_clusters(eps, 1e-6 * scale):
+        subs = _degenerate_clusters(eps_dot[cluster], dot_tol) if len(cluster) > 1 else [[0]]
+        for sub in subs:
+            idx = [cluster[i] for i in sub]
+            if len(idx) == 1:
+                i = idx[0]
+                if overlap[i, i] < 0:
+                    V[:, i] = -V[:, i]
+                    M_dot[i, :] = -M_dot[i, :]
+                    M_dot[:, i] = -M_dot[:, i]
+            else:
+                block = V[:, idx].T @ prev.V[:, idx]
+                u, _, vt = np.linalg.svd(block)
+                rot = u @ vt
+                V[:, idx] = V[:, idx] @ rot
+                M_dot[idx, :] = rot.T @ M_dot[idx, :]
+                M_dot[:, idx] = M_dot[:, idx] @ rot
+    return eps, V, M_dot
+
+
+def _build_dissipator(eps: np.ndarray, V: np.ndarray, zdiags: np.ndarray, bath) -> _DissipatorProgram:
+    """The dissipator in the frame of the columns of V (energies eps), for
+    sigma^z couplings with the (qubits, 2^n) diagonals ``zdiags``."""
+    m = len(eps)
+    gaps = (eps[None, :] - eps[:, None]).ravel()
+    key = np.rint(gaps / _BIN_TOL).astype(np.int64)
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    starts = np.flatnonzero(np.r_[True, sorted_key[1:] != sorted_key[:-1]])
+    lengths = np.diff(np.r_[starts, len(sorted_key)])
+    rates = bath.rate(gaps[order[starts]])
+
+    # all W_q = V^T (z_q * V) via one batched product
+    nq, dim = zdiags.shape
+    Vz = (zdiags[:, :, None] * V[None, :, :]).transpose(1, 0, 2).reshape(dim, nq * m)
+    w_flat = np.ascontiguousarray(
+        (V.T @ Vz).reshape(m, nq, m).transpose(1, 0, 2)
+    ).reshape(nq, m * m)  # (n_qubits, m*m)
+
+    classes = []
+    M = np.zeros(m * m)
+    for c in np.unique(lengths):
+        bins_c = np.flatnonzero(lengths == c)
+        members = order[starts[bins_c][:, None] + np.arange(c)[None, :]]  # (nb, c)
+        a_idx = members // m
+        b_idx = members % m
+        outer = np.einsum("qki,qkj->kij", w_flat[:, members], w_flat[:, members])
+        pref = rates[bins_c][:, None, None] * outer
+        gather = (b_idx[:, :, None] * m + b_idx[:, None, :]).ravel()
+        scatter = (a_idx[:, :, None] * m + a_idx[:, None, :]).ravel()
+        classes.append((pref.ravel(), gather, scatter))
+        same_a = a_idx[:, :, None] == a_idx[:, None, :]
+        M += np.bincount(gather, weights=(pref * same_a).ravel(), minlength=m * m)
+    return _DissipatorProgram(classes, M.reshape(m, m))
+
+
+def _dissipator_rhs(program: _DissipatorProgram, rho: np.ndarray) -> np.ndarray:
+    """The dissipator acting on a frame density matrix."""
+    m = rho.shape[0]
+    out = np.zeros_like(rho)
+    acc = np.zeros(m * m, dtype=complex)
+    flat = rho.ravel()
+    for pref, gather, scatter in program.classes:
+        vals = pref * flat[gather]
+        acc += np.bincount(scatter, weights=vals.real, minlength=m * m)
+        acc += 1j * np.bincount(scatter, weights=vals.imag, minlength=m * m)
+    out += acc.reshape(m, m)
+    out -= 0.5 * (program.M @ rho + rho @ program.M)
+    return out
+
+
+def _phases(n0: _Node, n1: _Node, h: float, theta: float) -> np.ndarray:
+    """integral of eps(t) over [n0.t, n0.t + theta*h], cubic Hermite model."""
+    i00 = theta**4 / 2 - theta**3 + theta
+    i10 = theta**4 / 4 - 2 * theta**3 / 3 + theta**2 / 2
+    i01 = -(theta**4) / 2 + theta**3
+    i11 = theta**4 / 4 - theta**3 / 3
+    return h * (n0.eps * i00 + h * n0.eps_dot * i10 + n1.eps * i01 + h * n1.eps_dot * i11)
+
+
+def _coherent_unitary(n0: _Node, n1: _Node, h: float, theta: float):
+    """Magnus term of the non-adiabatic coupling over [0, theta*h].
+
+    The coupling element (a, b) oscillates at the accumulated phase
+    difference; its integral is taken with a piecewise-linear phase and a
+    linearly interpolated K envelope over _PIECES sub-intervals.
+    """
+    m = len(n0.eps)
+    if m == 1:
+        return np.ones((1, 1), dtype=complex)
+    omega = np.zeros((m, m), dtype=complex)
+    knots = np.linspace(0.0, theta, _PIECES + 1)
+    phis = [_phases(n0, n1, h, c) for c in knots]
+    for j in range(_PIECES):
+        dphi0 = phis[j][:, None] - phis[j][None, :]
+        dphi1 = phis[j + 1][:, None] - phis[j + 1][None, :]
+        x = dphi1 - dphi0
+        shape = np.where(np.abs(x) < 1e-8, 1.0 + 0.5j * x, (np.exp(1j * x) - 1.0) / np.where(np.abs(x) < 1e-8, 1.0, 1j * x))
+        c_mid = 0.5 * (knots[j] + knots[j + 1])
+        K_mid = n0.K + (n1.K - n0.K) * c_mid
+        dtau = (knots[j + 1] - knots[j]) * h
+        omega -= K_mid * np.exp(1j * dphi0) * shape * dtau
+    # omega is anti-Hermitian, so exponentiate through the Hermitian 1j*omega
+    evals, U = np.linalg.eigh(1j * omega)
+    return (U * np.exp(-1j * evals)) @ U.conj().T
+
+
+def _dress(y: np.ndarray, phi: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Lawson variable -> frame components at the stage time."""
+    p = np.exp(-1j * phi)
+    return (p[:, None] * p.conj()[None, :]) * (W @ y @ W.conj().T)
+
+
+def _undress(k: np.ndarray, phi: np.ndarray, W: np.ndarray) -> np.ndarray:
+    p = np.exp(1j * phi)
+    return W.conj().T @ ((p[:, None] * p.conj()[None, :]) * k) @ W
+
+
+def _dressed_dissipator_rhs(node: _Node, u: np.ndarray, phi: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Dissipator at ``node`` acting on the Lawson variable ``u``."""
+    return _undress(_dissipator_rhs(node.dissipator, _dress(u, phi, W)), phi, W)
 
 
 def _greedy_match(weights: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ principal-value (Lamb-shift) part of the bath correlation is not modelled.
 Both integrators live in :mod:`qacsim._integrator` and share its step
 controller: at kappa = 0 the anneal is unitary and runs on the matrix-free
 split-operator integrator behind :func:`qacsim.dynamics.evolve_closed`; with
-a bath it runs on the eigenbasis integrator ``FrameEvolver``.
+a bath it runs on the eigenbasis integrator ``frame_run``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._integrator import FrameEvolver, split_operator_run, tracked_levels
+from ._integrator import frame_run, split_operator_run, tracked_levels
 from .dynamics import QuantumState, Trajectory
 from .errors import NumericalError, ResourceLimitError, ValidationError
 from .problem import AnnealSchedule, EncodedProblem
@@ -125,8 +125,7 @@ def evolve_open(
         s_points, factors, report = split_operator_run(problem, schedule, W0, snapshots, rtol, atol)
         raw = [W @ W.conj().T for W in (F.reshape(1 << n, -1) for F in factors)]
     else:
-        evolver = FrameEvolver(problem, schedule, bath, levels=levels, rtol=rtol, atol=atol)
-        s_points, raw, report = evolver.run(rho0, snapshots=snapshots)
+        s_points, raw, report = frame_run(problem, schedule, bath, rho0, levels, snapshots, rtol, atol)
     states = []
     for rho in raw:
         rho = 0.5 * (rho + rho.conj().T)
