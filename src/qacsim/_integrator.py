@@ -11,23 +11,20 @@ There are two:
 * :func:`frame_run`, the adiabatic master equation for
   :mod:`qacsim.master_equation` when a bath is coupled (kappa > 0).  The
   density matrix is tracked in the frame of the instantaneous eigenvectors.
-  Within each step the coherent part of the frame equation (dynamical phases
-  plus the non-adiabatic coupling K) is applied as a unitary built from a
-  phased Magnus term: the phases come from a cubic Hermite model of the
-  eigenvalue curves and the oscillatory integrals of K are evaluated
+  Over a sub-step the coherent part of the frame equation (dynamical phases
+  plus the non-adiabatic coupling K) is one propagator P = diag(e^{-i phi}) W:
+  phi comes from a cubic Hermite model of the eigenvalue curves, and W is a
+  Magnus exponential whose oscillatory integrals of K are taken
   analytically, so steps are never limited by the fastest Bohr frequency.
-  The remaining generator - the Lindblad dissipator expressed in the
-  instantaneous eigenbasis, which is non-oscillatory in this frame because
-  its terms pair equal Bohr frequencies - is integrated with classical RK4
-  on the three nodes the coherent step already builds (its start, midpoint
-  and end), with Kutta's third-order rule on the same nodes as the embedded
-  estimate, so a step builds two nodes.  Its error combines that estimate
-  with a Richardson (step-doubling) estimate of the coherent model.
-
-  Eigenbasis continuity between nodes is enforced by overlap matching:
-  columns are permuted to follow state identity through crossings, and
-  near-degenerate clusters are aligned with the previous node's gauge by a
-  polar rotation.
+  The dissipator, non-oscillatory in this frame because its terms pair equal
+  Bohr frequencies, runs as classical RK4 in the interaction picture of P on
+  the step's start, midpoint and end nodes, with Kutta's third-order rule as
+  the embedded estimate, so a step builds two nodes.  The step keeps its two
+  half-step propagators; the one-step propagator only gives a Richardson
+  estimate of the coherent error.  Overlap matching keeps the eigenbasis
+  continuous from node to node: columns are permuted to follow each level
+  through crossings, and near-degenerate clusters are rotated onto the
+  previous node's gauge.
 
 The operators behind H(s) = A(s) * sum_i sigma^x_i + B(s) * H_z, the anneal
 fractions where steps must end and the level-count check are defined here,
@@ -39,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from .errors import NumericalError, ValidationError
 from .problem import EncodedProblem, _bit_position, all_config_energies, config_from_index
@@ -223,18 +221,12 @@ class _DissipatorProgram:
 
 
 def frame_run(problem, schedule, bath, rho0, levels, snapshots, rtol, atol):
-    """Adiabatic master equation (kappa > 0) in the frame of the instantaneous
-    eigenvectors, tracking the lowest ``levels`` of them (all when None).
-
-    A step attempt builds the frame nodes at its midpoint and end: eigensolve,
-    alignment with the previous node and the dissipator program.  It applies
-    the phased-Magnus coherent propagator with a Richardson estimate, plus
-    classical RK4 for the dissipator on the same three nodes (c = 0, 1/2, 1),
-    with Kutta's third-order rule on those nodes as its embedded error
-    estimate.  Runs under :func:`adaptive_run` at order 4; returns (s values,
-    density matrices in the computational basis at the snapshots,
-    IntegratorReport).
-    """
+    """Adiabatic master equation (kappa > 0) from the density matrix rho0,
+    tracking the lowest ``levels`` instantaneous levels (all when None).  A
+    step attempt builds the frame nodes (eigensolve, alignment, dissipator
+    program) at its midpoint and end.  Runs under :func:`adaptive_run` at
+    order 4; returns (s values, density matrices in the computational basis
+    at the snapshots, IntegratorReport)."""
     n = problem.num_physical
     dim = 1 << n
     m = tracked_levels(levels, n)
@@ -302,31 +294,27 @@ def frame_run(problem, schedule, bath, rho0, levels, snapshots, rtol, atol):
         node0, y = state
         node_mid = build_node(t + 0.5 * h, node0)
         node1 = build_node(t + h, node_mid)
-
-        # coherent model error: full step vs two half steps
-        phi_full = _phases(node0, node1, h, 1.0)
-        W_full = _coherent_unitary(node0, node1, h, 1.0)
-        phi_h1 = _phases(node0, node_mid, 0.5 * h, 1.0)
-        W_h1 = _coherent_unitary(node0, node_mid, 0.5 * h, 1.0)
-        phi_h2 = _phases(node_mid, node1, 0.5 * h, 1.0)
-        W_h2 = _coherent_unitary(node_mid, node1, 0.5 * h, 1.0)
-        y_full = _dress(y, phi_full, W_full)
-        y_halves = _dress(_dress(y, phi_h1, W_h1), phi_h2, W_h2)
+        # P1 and P = P2 P1 propagate the frame over [t, t+h/2] and [t, t+h];
+        # the one-step P_full only measures the coherent model's error
+        P1 = _propagator(node0, node_mid, 0.5 * h)
+        P = _propagator(node_mid, node1, 0.5 * h) @ P1
+        P_full = _propagator(node0, node1, h)
         scale = atol + rtol * float(np.linalg.norm(y))
-        err = float(np.linalg.norm(y_full - y_halves)) / (3.0 * scale)
+        err = float(np.linalg.norm(P_full @ y @ P_full.conj().T - P @ y @ P.conj().T)) / (3.0 * scale)
 
-        phi_mid = _phases(node0, node1, h, 0.5)
-        W_mid = _coherent_unitary(node0, node1, h, 0.5)
-        rhs = _dressed_dissipator_rhs
+        def rhs(node, prop, u):
+            """The dissipator at ``node`` acting on the interaction-picture ``u``."""
+            return prop.conj().T @ _dissipator_rhs(node.dissipator, prop @ u @ prop.conj().T) @ prop
+
         k1 = _dissipator_rhs(node0.dissipator, y)
-        k2 = rhs(node_mid, y + 0.5 * h * k1, phi_mid, W_mid)
-        k3 = rhs(node_mid, y + 0.5 * h * k2, phi_mid, W_mid)
-        k4 = rhs(node1, y + h * k3, phi_full, W_full)
-        k3_kutta = rhs(node1, y + h * (2.0 * k2 - k1), phi_full, W_full)
+        k2 = rhs(node_mid, P1, y + 0.5 * h * k1)
+        k3 = rhs(node_mid, P1, y + 0.5 * h * k2)
+        k4 = rhs(node1, P, y + h * k3)
+        k3_kutta = rhs(node1, P, y + h * (2.0 * k2 - k1))
         u4 = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         u3 = y + (h / 6.0) * (k1 + 4.0 * k2 + k3_kutta)
         err = max(err, float(np.linalg.norm(u4 - u3)) / scale)
-        y_new = _dress(u4, phi_full, W_full)
+        y_new = P @ u4 @ P.conj().T
         return (node1, 0.5 * (y_new + y_new.conj().T)), err
 
     # no local holds the start state: its node, at the most degenerate
@@ -350,7 +338,7 @@ def _align(prev: _Node | None, eps: np.ndarray, V: np.ndarray, M_dot: np.ndarray
         M_dot = signs[:, None] * M_dot * signs[None, :]
         return eps, V, M_dot
     overlap = prev.V.T @ V
-    perm = _greedy_match(np.abs(overlap))
+    perm = linear_sum_assignment(np.abs(overlap), maximize=True)[1]
     eps = eps[perm]
     V = V[:, perm]
     M_dot = M_dot[np.ix_(perm, perm)]
@@ -440,19 +428,18 @@ def _phases(n0: _Node, n1: _Node, h: float, theta: float) -> np.ndarray:
     return h * (n0.eps * i00 + h * n0.eps_dot * i10 + n1.eps * i01 + h * n1.eps_dot * i11)
 
 
-def _coherent_unitary(n0: _Node, n1: _Node, h: float, theta: float):
-    """Magnus term of the non-adiabatic coupling over [0, theta*h].
+def _propagator(n0: _Node, n1: _Node, h: float) -> np.ndarray:
+    """The frame's coherent propagator P = diag(exp(-i phi)) W from n0.t to
+    n0.t + h, with phi the accumulated phases and W the Magnus exponential of
+    the non-adiabatic coupling K.
 
     The coupling element (a, b) oscillates at the accumulated phase
     difference; its integral is taken with a piecewise-linear phase and a
     linearly interpolated K envelope over _PIECES sub-intervals.
     """
-    m = len(n0.eps)
-    if m == 1:
-        return np.ones((1, 1), dtype=complex)
-    omega = np.zeros((m, m), dtype=complex)
-    knots = np.linspace(0.0, theta, _PIECES + 1)
+    knots = np.linspace(0.0, 1.0, _PIECES + 1)
     phis = [_phases(n0, n1, h, c) for c in knots]
+    omega = np.zeros((len(n0.eps),) * 2, dtype=complex)
     for j in range(_PIECES):
         dphi0 = phis[j][:, None] - phis[j][None, :]
         dphi1 = phis[j + 1][:, None] - phis[j + 1][None, :]
@@ -464,41 +451,7 @@ def _coherent_unitary(n0: _Node, n1: _Node, h: float, theta: float):
         omega -= K_mid * np.exp(1j * dphi0) * shape * dtau
     # omega is anti-Hermitian, so exponentiate through the Hermitian 1j*omega
     evals, U = np.linalg.eigh(1j * omega)
-    return (U * np.exp(-1j * evals)) @ U.conj().T
-
-
-def _dress(y: np.ndarray, phi: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Lawson variable -> frame components at the stage time."""
-    p = np.exp(-1j * phi)
-    return (p[:, None] * p.conj()[None, :]) * (W @ y @ W.conj().T)
-
-
-def _undress(k: np.ndarray, phi: np.ndarray, W: np.ndarray) -> np.ndarray:
-    p = np.exp(1j * phi)
-    return W.conj().T @ ((p[:, None] * p.conj()[None, :]) * k) @ W
-
-
-def _dressed_dissipator_rhs(node: _Node, u: np.ndarray, phi: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Dissipator at ``node`` acting on the Lawson variable ``u``."""
-    return _undress(_dissipator_rhs(node.dissipator, _dress(u, phi, W)), phi, W)
-
-
-def _greedy_match(weights: np.ndarray) -> np.ndarray:
-    """Permutation perm with perm[i] = new column continuing previous label i."""
-    m = weights.shape[0]
-    perm = np.full(m, -1)
-    taken = np.zeros(m, dtype=bool)
-    order = np.argsort(weights.ravel())[::-1]
-    assigned = 0
-    for flat in order:
-        i, j = divmod(int(flat), m)
-        if perm[i] < 0 and not taken[j]:
-            perm[i] = j
-            taken[j] = True
-            assigned += 1
-            if assigned == m:
-                break
-    return perm
+    return np.exp(-1j * phis[-1])[:, None] * ((U * np.exp(-1j * evals)) @ U.conj().T)
 
 
 def _degenerate_clusters(eps: np.ndarray, tol: float) -> list[list[int]]:
