@@ -47,19 +47,16 @@ __all__ = [
 @dataclass(frozen=True)
 class PerturbParams:
     """Model parameters: overall scale A0, problem splitting omega, penalty
-    splitting omega0, penalty strength beta, and anneal fraction s."""
+    splitting omega0 and penalty strength beta."""
 
     A0: float = 1.0
     omega: float = 1.0
     omega0: float = 0.01
     beta: float = 0.1
-    s: float = 0.5
 
     def __post_init__(self) -> None:
         if self.A0 <= 0:
             raise ValidationError("A0 must be positive")
-        if not 0.0 <= self.s <= 1.0:
-            raise ValidationError("s must lie in [0, 1]")
         if self.omega0 > 0.5 * self.omega:
             warnings.warn("omega0 is not small against omega; perturbative formulas assume omega0 << omega", stacklevel=2)
 
@@ -111,7 +108,7 @@ def single_qubit_eigs(omega: float, s, A0: float = 1.0) -> SingleQubitEigs:
     )
 
 
-def logical_qubit_perturbed_gap(params: PerturbParams, s=None) -> np.ndarray:
+def logical_qubit_perturbed_gap(params: PerturbParams, s) -> np.ndarray:
     """First-order gap of the single-logical-qubit model.
 
     The ferromagnetic penalty -A0 s beta sum_i sigma^z_i sigma^z_4 shifts the
@@ -125,7 +122,7 @@ def logical_qubit_perturbed_gap(params: PerturbParams, s=None) -> np.ndarray:
     penalty qubit (its c_- at splitting omega0).  The beta contribution is
     nonnegative on s in (0, 1) for positive omega0.
     """
-    s = np.asarray(params.s if s is None else s, dtype=float)
+    s = np.asarray(s, dtype=float)
     eig = single_qubit_eigs(params.omega, s)
     pen = single_qubit_eigs(params.omega0, s)
     f_plus = (eig.c_plus**2 - 2.0 * (1.0 - s) ** 2) / eig.c_plus**2
@@ -144,20 +141,20 @@ def _two_site_data(s):
 
     The extremal eigenvectors are (1-s, -+(s+lam)/2, -+(s+lam)/2, 1-s)/c_-+
     up to the sign pattern, giving the three nonzero sigma^z_1 elements used
-    by the second-order sums.  Both normalizations carry the same (1-s)
-    outer components; each reproduces dense-diagonalization elements to
-    machine precision.  Returns (lam, c_minus, m02, m32, m01).
+    by the second-order sums; each reproduces dense-diagonalization elements
+    to machine precision.  m32 = -sqrt(2)(1-s)/c_+ is written with
+    (lam - s)(lam + s) = 4(1-s)^2, so it stays finite (-1) at s = 1.
+    Returns (lam, c_minus, m02, m32, m01).
     """
     lam = np.sqrt(4.0 * (1.0 - s) ** 2 + s**2)
     c_minus = np.sqrt(2.0 * (1.0 - s) ** 2 + 0.5 * (s + lam) ** 2)
-    c_plus = np.sqrt(2.0 * (1.0 - s) ** 2 + 0.5 * (lam - s) ** 2)
     m02 = -np.sqrt(2.0) * (1.0 - s) / c_minus
-    m32 = -np.sqrt(2.0) * (1.0 - s) / c_plus
+    m32 = -np.sqrt(2.0) / np.sqrt(2.0 + 8.0 * (1.0 - s) ** 2 / (lam + s) ** 2)
     m01 = (s + lam) / (np.sqrt(2.0) * c_minus)
     return lam, c_minus, m02, m32, m01
 
 
-def coupled_pairs_perturbed_gap(params: PerturbParams, s=None) -> np.ndarray:
+def coupled_pairs_perturbed_gap(params: PerturbParams, s) -> np.ndarray:
     """Second-order gap of the three-AF-pairs model.
 
     The penalty acts on the first qubit of each pair, so its first-order
@@ -166,7 +163,7 @@ def coupled_pairs_perturbed_gap(params: PerturbParams, s=None) -> np.ndarray:
     staying or flipping.  Denominators below 1e-9 * A0 raise NumericalError
     (accidental degeneracy) rather than being regularized silently.
     """
-    s = np.asarray(params.s if s is None else s, dtype=float)
+    s = np.asarray(s, dtype=float)
     A0 = params.A0
     lam, _, m02, m32, m01 = _two_site_data(s)
     eps0, eps1, eps2, eps3 = -lam, -s, s, lam
@@ -215,29 +212,29 @@ def _dense_model(A0: float, s: float, num_qubits: int, parts) -> np.ndarray:
     return H
 
 
-def single_logical_model(params: PerturbParams, s=None) -> np.ndarray:
+def single_logical_model(params: PerturbParams, s: float) -> np.ndarray:
     """Dense 16x16 Hamiltonian: three omega-split qubits, one omega0 penalty
     qubit, ferromagnetic penalty coupling of strength A0 s beta."""
-    return _dense_model(params.A0, float(params.s if s is None else s), 4, [
+    return _dense_model(params.A0, float(s), 4, [
         (0.5 * params.omega, {0: 1.0, 1: 1.0, 2: 1.0}, {}),
         (0.5 * params.omega0, {3: 1.0}, {}),
         (-params.beta, {}, {(0, 3): 1.0, (1, 3): 1.0, (2, 3): 1.0}),
     ])
 
 
-def coupled_pairs_model(params: PerturbParams, s=None) -> np.ndarray:
+def coupled_pairs_model(params: PerturbParams, s: float) -> np.ndarray:
     """Dense 128-dim Hamiltonian: three AF pairs (coupling 1) plus an omega0
     penalty qubit attached to the first qubit of each pair."""
-    return _dense_model(params.A0, float(params.s if s is None else s), 7, [
+    return _dense_model(params.A0, float(s), 7, [
         (1.0, {}, {(0, 1): 1.0, (2, 3): 1.0, (4, 5): 1.0}),
         (0.5 * params.omega0, {6: 1.0}, {}),
         (-params.beta, {}, {(0, 6): 1.0, (2, 6): 1.0, (4, 6): 1.0}),
     ])
 
 
-def single_logical_excited_manifold(params: PerturbParams, s=None) -> np.ndarray:
+def single_logical_excited_manifold(params: PerturbParams, s: float) -> np.ndarray:
     """Unperturbed single-flip triplet of the single-logical-qubit model."""
-    s = float(params.s if s is None else s)
+    s = float(s)
     eig = single_qubit_eigs(params.omega, s)
     pen = single_qubit_eigs(params.omega0, s)
     vm, vp, pm = eig.vec_minus, eig.vec_plus, pen.vec_minus
@@ -245,10 +242,10 @@ def single_logical_excited_manifold(params: PerturbParams, s=None) -> np.ndarray
     return np.stack(cols, axis=1)
 
 
-def coupled_pairs_excited_manifold(params: PerturbParams, s=None) -> np.ndarray:
+def coupled_pairs_excited_manifold(params: PerturbParams, s: float) -> np.ndarray:
     """Unperturbed triple with one pair in its eps_2 state (the lowest level
     whose decoded value is wrong)."""
-    s = float(params.s if s is None else s)
+    s = float(s)
     lam, c_minus, *_ = _two_site_data(s)
     ground = np.array([1.0 - s, -(s + lam) / 2.0, -(s + lam) / 2.0, 1.0 - s]) / c_minus
     eps2_vec = np.array([-1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)

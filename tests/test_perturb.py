@@ -79,3 +79,11 @@ def test_perturbative_error_scaling_in_beta(gap, model, manifold, lo, hi):
         exact = np.array([perturb.exact_relevant_gap(model(p, s), manifold(p, s)) for s in grid])
         errors.append(np.abs(gap(p, grid) - exact).max())
     assert lo <= errors[0] / errors[1] <= hi
+
+
+@pytest.mark.parametrize("manifold", [perturb.single_logical_excited_manifold, perturb.coupled_pairs_excited_manifold])
+def test_excited_manifolds_orthonormal_at_the_end_of_the_anneal(manifold):
+    # at s = 1 the pairs' (1-s) components vanish; no 0/0 may appear
+    cols = manifold(PARAMS, 1.0)
+    assert np.all(np.isfinite(cols))
+    assert np.abs(cols.T @ cols - np.eye(cols.shape[1])).max() < 1e-12
