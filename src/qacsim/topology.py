@@ -36,7 +36,6 @@ __all__ = [
     "embed_chain",
     "contains_k33_subdivision",
     "validate_k33_certificate",
-    "compute_conflict_groups",
     "write_chimera_file",
     "read_chimera_file",
     "write_generic_graph_file",
@@ -217,15 +216,16 @@ class EncodedGraph:
     """Logical-qubit graph derived from a hardware graph.
 
     ``logical_edges`` maps an ordered pair of logical ids to the tuple of
-    physical couplers realizing that edge.  ``conflict_groups`` lists sets of
-    logical edges sharing a physical coupler (cannot all be active at once);
-    for the canonical block placement no coupler is shared, so the list is
-    empty on defect-free and defective Chimera graphs alike.
+    physical couplers realizing that edge.  No coupler may realize two
+    logical edges (the canonical block placement never shares one), so any
+    set of logical edges can be active at once; construction validates this.
     """
 
     encoding: LogicalEncoding
     logical_edges: dict[tuple[int, int], tuple[tuple[int, int], ...]] = field(default_factory=dict)
-    conflict_groups: tuple[frozenset[tuple[int, int]], ...] = ()
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     @property
     def blocks(self) -> tuple[LogicalBlock, ...]:
@@ -242,34 +242,16 @@ class EncodedGraph:
 
     def validate(self) -> None:
         n = self.encoding.n
+        owner: dict[tuple[int, int], tuple[int, int]] = {}
         for (i, j), couplers in self.logical_edges.items():
             if len(couplers) != n:
                 raise ValidationError(f"logical edge ({i},{j}) realized by {len(couplers)} couplers, expected {n}")
-            if self.encoding.host is not None:
-                for e in couplers:
-                    key = tuple(sorted(e))
-                    if key not in self.encoding.host.edges:
-                        raise ValidationError(f"coupler {e} of logical edge ({i},{j}) missing from host graph")
-        usage = _coupler_usage(self.logical_edges)
-        for group in self.conflict_groups:
-            if not any(group <= frozenset(edges) for edges in usage.values() if len(edges) > 1):
-                raise ValidationError(f"conflict group {sorted(group)} shares no physical coupler")
-
-
-def _coupler_usage(logical_edges: dict[tuple[int, int], tuple[tuple[int, int], ...]]) -> dict[tuple[int, int], set[tuple[int, int]]]:
-    usage: dict[tuple[int, int], set[tuple[int, int]]] = {}
-    for edge, couplers in logical_edges.items():
-        for c in couplers:
-            usage.setdefault(tuple(sorted(c)), set()).add(edge)
-    return usage
-
-
-def compute_conflict_groups(
-    logical_edges: dict[tuple[int, int], tuple[tuple[int, int], ...]],
-) -> tuple[frozenset[tuple[int, int]], ...]:
-    """Group logical edges that compete for a shared physical coupler."""
-    groups = {frozenset(edges) for edges in _coupler_usage(logical_edges).values() if len(edges) > 1}
-    return tuple(sorted(groups, key=sorted))
+            for e in couplers:
+                key = tuple(sorted(e))
+                if self.encoding.host is not None and key not in self.encoding.host.edges:
+                    raise ValidationError(f"coupler {e} of logical edge ({i},{j}) missing from host graph")
+                if owner.setdefault(key, (i, j)) != (i, j):
+                    raise ValidationError(f"coupler {key} realizes logical edges {owner[key]} and ({i},{j})")
 
 
 def build_encoding(hw: HardwareGraph) -> tuple[LogicalEncoding, EncodedGraph]:
@@ -314,9 +296,7 @@ def build_encoding(hw: HardwareGraph) -> tuple[LogicalEncoding, EncodedGraph]:
                 try_edge(cell + 1, right + 1, [(hw.qubit_id(r, c, 1, i), hw.qubit_id(r, c + 1, 1, i)) for i in range(3)])
 
     encoding = LogicalEncoding(n=3, blocks=tuple(blocks), host=hw)
-    graph = EncodedGraph(encoding, edges, compute_conflict_groups(edges))
-    graph.validate()
-    return encoding, graph
+    return encoding, EncodedGraph(encoding, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +314,9 @@ def embed_chain(
 ) -> list[tuple[int, ...]]:
     """Find ``count`` distinct simple paths of ``length`` logical qubits.
 
-    Paths use only complete blocks and never activate two logical edges from
-    the same conflict group.  The search is a seeded self-avoiding walk with
-    backtracking and restarts; paths equal up to reversal count once.
+    Paths use only complete blocks.  The search is a seeded self-avoiding
+    walk with backtracking and restarts; paths equal up to reversal count
+    once.
 
     Returns fewer than ``count`` paths only when exhaustive enumeration
     proves no more exist (always the case for graphs with at most
@@ -348,10 +328,6 @@ def embed_chain(
     if count < 1:
         raise ValidationError("embedding count must be >= 1")
     adj = eg.adjacency(complete_only=True)
-    conflict_of: dict[tuple[int, int], list[frozenset[tuple[int, int]]]] = {}
-    for group in eg.conflict_groups:
-        for edge in group:
-            conflict_of.setdefault(edge, []).append(group)
     if length > len(adj):
         return []
 
@@ -367,7 +343,6 @@ def embed_chain(
         start = nodes[rng.integers(len(nodes))]
         path = [start]
         on_path = {start}
-        path_edges: set[tuple[int, int]] = set()
         choice_stack: list[list[int]] = []
         steps = 0
         while steps < budget:
@@ -379,23 +354,15 @@ def embed_chain(
                 rng.shuffle(cands)
                 choice_stack.append(cands)
             cands = choice_stack[-1]
-            advanced = False
-            while cands:
+            if cands:
                 nxt = cands.pop()
-                edge = (min(path[-1], nxt), max(path[-1], nxt))
-                if _edge_ok(conflict_of, path_edges, edge):
-                    path.append(nxt)
-                    on_path.add(nxt)
-                    path_edges.add(edge)
-                    advanced = True
-                    break
-            if not advanced:
+                path.append(nxt)
+                on_path.add(nxt)
+            else:
                 choice_stack.pop()
                 if len(path) == 1:
                     return None
-                last = path.pop()
-                on_path.discard(last)
-                path_edges.discard((min(path[-1], last), max(path[-1], last)))
+                on_path.discard(path.pop())
         return None
 
     for _ in range(_EMBED_RESTARTS):
@@ -410,7 +377,7 @@ def embed_chain(
 
     if len(adj) <= _EMBED_EXHAUSTIVE_NODES:
         found.clear()
-        for path in _all_simple_paths(adj, length, conflict_of):
+        for path in _all_simple_paths(adj, length):
             found.setdefault(canonical(path), path)
             if len(found) >= count:
                 break
@@ -420,36 +387,22 @@ def embed_chain(
     )
 
 
-def _edge_ok(conflict_of, path_edges: set[tuple[int, int]], edge: tuple[int, int]) -> bool:
-    """Adding ``edge`` leaves at least one edge of each of its conflict
-    groups off the path."""
-    for group in conflict_of.get(edge, ()):
-        if len(group & path_edges) >= len(group) - 1:
-            return False
-    return True
-
-
-def _all_simple_paths(adj, length, conflict_of):
-    def extend(path, on_path, path_edges):
+def _all_simple_paths(adj, length):
+    def extend(path, on_path):
         if len(path) == length:
             yield tuple(path)
             return
         for nxt in sorted(adj[path[-1]]):
             if nxt in on_path:
                 continue
-            edge = (min(path[-1], nxt), max(path[-1], nxt))
-            if not _edge_ok(conflict_of, path_edges, edge):
-                continue
             path.append(nxt)
             on_path.add(nxt)
-            path_edges.add(edge)
-            yield from extend(path, on_path, path_edges)
+            yield from extend(path, on_path)
             path.pop()
             on_path.discard(nxt)
-            path_edges.discard(edge)
 
     for start in sorted(adj):
-        yield from extend([start], {start}, set())
+        yield from extend([start], {start})
 
 
 # ---------------------------------------------------------------------------

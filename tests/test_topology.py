@@ -8,7 +8,6 @@ from qacsim.topology import (
     K33Certificate,
     build_chimera,
     build_encoding,
-    compute_conflict_groups,
     contains_k33_subdivision,
     embed_chain,
     export_encoded_graph_csv,
@@ -76,7 +75,6 @@ class TestBuildEncoding:
         assert len(eg.blocks) == 2 * 64
         assert all(b.complete for b in eg.blocks)
         assert all(len(c) == 3 for c in eg.logical_edges.values())
-        assert eg.conflict_groups == ()
 
     def test_penalty_defect_marks_incomplete(self):
         hw = build_chimera(1, 1, 4)
@@ -124,20 +122,16 @@ class TestBuildEncoding:
             LogicalEncoding(3, (same_shore,), host=hw)
         assert LogicalEncoding(3, (LogicalBlock(0, problem, hw.qubit_id(0, 0, 1, 3)),), host=hw).blocks
 
+    def test_shared_coupler_rejected(self):
+        # synthetic triangle whose two edges at vertex 0 share one coupler
+        from qacsim.topology import EncodedGraph, LogicalBlock, LogicalEncoding
 
-class TestConflictGroups:
-    def test_shared_coupler_detected(self):
-        edges = {
-            (0, 1): ((10, 11), (12, 13), (14, 15)),
-            (0, 2): ((10, 11), (16, 17), (18, 19)),
-            (2, 3): ((20, 21), (22, 23), (24, 25)),
-        }
-        groups = compute_conflict_groups(edges)
-        assert groups == (frozenset({(0, 1), (0, 2)}),)
-
-    def test_disjoint_couplers_no_groups(self):
-        edges = {(0, 1): ((1, 2), (3, 4), (5, 6)), (1, 2): ((7, 8), (9, 10), (11, 12))}
-        assert compute_conflict_groups(edges) == ()
+        blocks = tuple(LogicalBlock(i, (10 * i, 10 * i + 1, 10 * i + 2), 10 * i + 3) for i in range(3))
+        enc = LogicalEncoding(3, blocks)
+        disjoint = {(0, 1): ((100, 101), (102, 103), (104, 105)), (1, 2): ((200, 201), (202, 203), (204, 205))}
+        assert EncodedGraph(enc, disjoint).logical_edges == disjoint
+        with pytest.raises(ValidationError, match="realizes logical edges"):
+            EncodedGraph(enc, {**disjoint, (0, 2): ((105, 104), (106, 107), (108, 109))})
 
 
 class TestEmbedChain:
@@ -169,21 +163,6 @@ class TestEmbedChain:
     def test_deterministic_under_seed(self):
         _, eg = build_encoding(build_chimera(4, 4, 4))
         assert embed_chain(eg, 12, 5, rng_seed=3) == embed_chain(eg, 12, 5, rng_seed=3)
-
-    def test_conflicting_edges_never_coactivated(self):
-        # synthetic triangle whose two edges at vertex 0 fight over a coupler
-        from qacsim.topology import EncodedGraph, LogicalBlock, LogicalEncoding
-
-        blocks = tuple(LogicalBlock(i, (10 * i, 10 * i + 1, 10 * i + 2), 10 * i + 3) for i in range(3))
-        enc = LogicalEncoding(3, blocks)
-        shared = ((100, 101), (102, 103), (104, 105))
-        edges = {(0, 1): shared, (0, 2): shared, (1, 2): ((200, 201), (202, 203), (204, 205))}
-        eg = EncodedGraph(enc, edges, compute_conflict_groups(edges))
-        paths = embed_chain(eg, 3, 10, rng_seed=0)
-        # 0-1-2 and 0-2-1 orderings need only one contested edge; 1-0-2 needs both
-        assert paths
-        for p in paths:
-            assert p[1] != 0
 
     def test_bad_arguments(self):
         _, eg = build_encoding(build_chimera(1, 1, 4))
