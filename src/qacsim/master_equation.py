@@ -15,10 +15,12 @@ the bath temperature (all in rad/ns).  gamma(0) is the analytic limit
 makes the gamma(-omega)/gamma(omega) ratio exactly thermal.  The
 principal-value (Lamb-shift) part of the bath correlation is not modelled.
 
-Both integrators live in :mod:`qacsim._integrator` and share its step
-controller: at kappa = 0 the anneal is unitary and runs on the matrix-free
-split-operator integrator behind :func:`qacsim.dynamics.evolve_closed`; with
-a bath it runs on the eigenbasis integrator ``frame_run``.
+Both integrators live in :mod:`qacsim._integrator`, and each hands one step
+function to its step controller: at kappa = 0 the anneal is unitary and runs
+on the matrix-free split-operator integrator behind
+:func:`qacsim.dynamics.evolve_closed`; with a bath it runs on the eigenbasis
+integrator ``frame_run``, whose sub-steps are one coherent propagator matrix
+each.
 """
 
 from __future__ import annotations

@@ -13,7 +13,9 @@ For ``cell_size == 4`` each cell hosts two logical qubits: block A takes
 shore-0 indices {0,1,2} as problem qubits with the shore-1 index 3 qubit as
 its penalty; block B mirrors this (shore-1 problem qubits {0,1,2}, shore-0
 penalty at index 3).  Logical edges are realized by the three same-index
-physical couplers between the blocks' problem qubits.
+physical couplers between the blocks' problem qubits; no coupler realizes
+two logical edges, and an :class:`EncodedGraph` that would share one is
+rejected.
 """
 
 from __future__ import annotations
