@@ -291,6 +291,8 @@ def frame_run(problem, schedule, bath, rho0, levels, snapshots, rtol, atol):
         return node, y
 
     def step(state, t: float, h: float):
+        """One attempt from ``state`` = (node, frame density matrix); returns
+        ((end node, frame density matrix there), err)."""
         node0, y = state
         node_mid = build_node(t + 0.5 * h, node0)
         node1 = build_node(t + h, node_mid)
