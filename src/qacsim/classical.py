@@ -24,6 +24,8 @@ __all__ = [
     "flip_probability",
     "no_kink_probability",
     "FitResult",
+    "LorentzianFit",
+    "ExponentialFit",
     "lorentzian_fit",
     "exponential_fit",
 ]

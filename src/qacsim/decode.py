@@ -37,7 +37,6 @@ __all__ = [
     "majority_decode",
     "ground_reference",
     "align_and_distance",
-    "physical_hamming",
     "decode_record",
     "decodable_mask",
     "ground_indices",
@@ -160,15 +159,6 @@ def align_and_distance(decoded, ground_set) -> tuple[tuple[int, ...], int]:
     return best[1], best[0]
 
 
-def physical_hamming(sample, encoding: LogicalEncoding | None, matched_ground) -> int:
-    """Physical disagreements with the code state embedding the matched
-    ground; penalty qubits count, with target value equal to the block's
-    logical ground value."""
-    sample = np.asarray(sample)
-    weights, flags = _disagreements(sample, _layout(encoding, len(sample)), np.asarray(matched_ground))
-    return int(weights.sum() + flags.sum())
-
-
 @dataclass(frozen=True)
 class DecodedRecord:
     """Fully decoded readout: logical values, ground-relative error weights,
@@ -182,18 +172,14 @@ class DecodedRecord:
     decodable: bool
     energy: float
     matched_ground: tuple[int, ...]
-    count: int = 1
-    embedding_id: int = 0
 
 
-def decode_record(
-    sample,
-    problem: EncodedProblem,
-    ground_set=None,
-    count: int = 1,
-    embedding_id: int = 0,
-) -> DecodedRecord:
-    """Run the full decoding pipeline on one physical readout."""
+def decode_record(sample, problem: EncodedProblem, ground_set=None) -> DecodedRecord:
+    """Run the full decoding pipeline on one physical readout.
+
+    ``d_physical`` counts the physical disagreements with the code state of
+    the matched ground; a penalty qubit counts when it differs from its
+    block's ground value."""
     sample = np.asarray(sample)
     if len(sample) != problem.num_physical:
         raise ValidationError("sample length does not match the problem")
@@ -212,8 +198,6 @@ def decode_record(
         decodable=d_logical == 0,
         energy=ising_energy(sample, problem.physical),
         matched_ground=matched,
-        count=count,
-        embedding_id=embedding_id,
     )
 
 
@@ -233,12 +217,11 @@ def ground_indices(problem: EncodedProblem) -> np.ndarray:
     return _ground_indices(problem.physical)
 
 
-def decodable_mask(problem: EncodedProblem, encoding: LogicalEncoding | None = None) -> np.ndarray:
+def decodable_mask(problem: EncodedProblem) -> np.ndarray:
     """Boolean mask over all basis states: True where the configuration
     majority-decodes to a logical ground configuration."""
-    encoding = encoding if encoding is not None else problem.encoding
     n = problem.num_physical
-    logical, _, _ = majority_decode(config_from_index(np.arange(1 << n)[:, None], n), encoding)
+    logical, _, _ = majority_decode(config_from_index(np.arange(1 << n)[:, None], n), problem.encoding)
     grounds = np.array(ground_reference(problem.logical))
     return (logical[:, None, :] == grounds).all(axis=-1).any(axis=-1)
 
@@ -304,7 +287,7 @@ def histogram_suite(
     dec_map: dict[tuple[int, float], list[int]] = {}
 
     for rec in samples.records:
-        record = decode_record(rec.bits, problem, ground_set, rec.count, rec.embedding_id)
+        record = decode_record(rec.bits, problem, ground_set)
         ham_phys[record.d_physical] = ham_phys.get(record.d_physical, 0) + rec.count
         ham_log[record.d_logical] = ham_log.get(record.d_logical, 0) + rec.count
         weights = np.array(record.per_block_error_weight)

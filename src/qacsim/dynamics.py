@@ -254,11 +254,7 @@ def evolve_closed(
 # readout
 
 
-def success_probabilities(
-    final: QuantumState,
-    problem: EncodedProblem,
-    encoding=None,
-) -> tuple[float, float]:
+def success_probabilities(final: QuantumState, problem: EncodedProblem) -> tuple[float, float]:
     """(P_GS, P_S): population on exact physical ground configurations, and
     population on configurations that majority-decode to a logical ground."""
     pops = final.populations()
@@ -266,12 +262,12 @@ def success_probabilities(
         raise ValidationError("state dimension does not match the problem")
     gidx = ground_indices(problem)
     p_gs = float(pops[gidx].sum())
-    mask = decodable_mask(problem, encoding)
+    mask = decodable_mask(problem)
     p_s = float(pops[mask].sum())
     return p_gs, p_s
 
 
-def sample_readout(final: QuantumState, shots: int, rng_seed: int = 0, embedding_id: int = 0):
+def sample_readout(final: QuantumState, shots: int, rng_seed: int = 0):
     """Draw seeded i.i.d. computational-basis samples from the final state."""
     if shots < 1:
         raise ValidationError("shots must be >= 1")
@@ -282,5 +278,5 @@ def sample_readout(final: QuantumState, shots: int, rng_seed: int = 0, embedding
     hits = np.flatnonzero(counts)
     configs = config_from_index(hits[:, None], final.num_qubits).tolist()
     return SampleSet(tuple(
-        SampleRecord(tuple(bits), int(c), embedding_id) for bits, c in zip(configs, counts[hits])
+        SampleRecord(tuple(bits), int(c)) for bits, c in zip(configs, counts[hits])
     ))

@@ -6,17 +6,15 @@ tell bad input (:class:`ValidationError`) from exceeded size caps
 (:class:`NumericalError`).
 """
 
+__all__ = ["QacsimError", "ValidationError", "ResourceLimitError", "NumericalError"]
+
 
 class QacsimError(Exception):
     """Base class for all toolkit errors."""
 
 
 class ValidationError(QacsimError):
-    """Bad user input: out-of-range argument, malformed file, schema violation."""
-
-
-class FormatError(ValidationError):
-    """Malformed input file (graph, schedule, sample or config file)."""
+    """Bad user input: an out-of-range or inconsistent argument."""
 
 
 class ResourceLimitError(QacsimError):

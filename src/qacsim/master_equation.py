@@ -10,10 +10,10 @@ point).  Rates are
 
 with kappa the effective system-bath coupling, omega_c the UV cutoff and T
 the bath temperature (all in rad/ns).  gamma(0) is the analytic limit
-2 pi kappa T.  The exponential cutoff is applied to signed omega by default
-("printed" mode); "absolute" mode uses exp(-|omega|/omega_c) instead, which
-makes the gamma(-omega)/gamma(omega) ratio exactly thermal.  The
-principal-value (Lamb-shift) part of the bath correlation is not modelled.
+2 pi kappa T.  The exponential cutoff acts on signed omega, so the ratio
+gamma(-omega)/gamma(omega) = exp(-omega/T) exp(2 omega/omega_c) is not
+exactly thermal.  The principal-value (Lamb-shift) part of the bath
+correlation is not modelled.
 
 Both integrators live in :mod:`qacsim._integrator`, and each hands one step
 function to its step controller: at kappa = 0 the anneal is unitary and runs
@@ -46,17 +46,15 @@ class BathSpec:
     kappa: float
     omega_c: float = 8.0 * np.pi
     temperature: float = 2.2
-    cutoff_mode: str = "printed"
 
     def __post_init__(self) -> None:
         if self.kappa < 0:
             raise ValidationError("kappa must be >= 0")
         if self.omega_c <= 0 or self.temperature <= 0:
             raise ValidationError("omega_c and temperature must be positive")
-        if self.cutoff_mode not in ("printed", "absolute"):
-            raise ValidationError("cutoff_mode must be 'printed' or 'absolute'")
 
     def rate(self, omega):
+        """:func:`bath_rate` for this bath; ``_integrator`` cannot import this module."""
         return bath_rate(omega, self)
 
 
@@ -65,14 +63,13 @@ def bath_rate(omega, bath: BathSpec):
     w = np.asarray(omega, dtype=float)
     T = bath.temperature
     x = w / T
-    cut_arg = np.abs(w) if bath.cutoff_mode == "absolute" else w
     # omega / (1 - exp(-omega/T)) evaluated stably on both signs
     small = np.abs(x) < 1e-8
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         pos = w / (1.0 - np.exp(-np.clip(x, 0.0, None)))
         neg = -w * np.exp(np.clip(x, None, 0.0)) / (1.0 - np.exp(np.clip(x, None, 0.0)))
     body = np.where(small, T + 0.5 * w, np.where(x > 0, pos, neg))
-    out = 2.0 * np.pi * bath.kappa * body * np.exp(-cut_arg / bath.omega_c)
+    out = 2.0 * np.pi * bath.kappa * body * np.exp(-w / bath.omega_c)
     return float(out) if np.isscalar(omega) else out
 
 

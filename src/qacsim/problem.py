@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FormatError, ResourceLimitError, ValidationError
+from .errors import ResourceLimitError, ValidationError
 from .topology import LogicalBlock, LogicalEncoding
 
 __all__ = [
@@ -37,10 +37,6 @@ __all__ = [
     "all_config_energies",
     "classical_excitation_gaps",
     "schedule_linear",
-    "schedule_from_table",
-    "write_schedule_csv",
-    "read_problem_csv",
-    "write_problem_csv",
     "config_from_index",
     "index_from_config",
 ]
@@ -359,7 +355,12 @@ def classical_excitation_gaps(problem: EncodedProblem) -> list[GapLevel]:
 
 @dataclass(frozen=True)
 class AnnealSchedule:
-    """Sampled A(s), B(s) curves in rad/ns with piecewise-linear interpolation."""
+    """Sampled A(s), B(s) curves in rad/ns with piecewise-linear interpolation.
+
+    The samples are stored as float arrays.  They must be finite, A and B
+    non-negative, A(0) > 0 (the anneal starts in the ground state of
+    A(0) * sum sigma^x), A(1) ~ 0 and B(0) ~ 0.
+    """
 
     t_f_us: float
     s: np.ndarray
@@ -367,19 +368,27 @@ class AnnealSchedule:
     B: np.ndarray
 
     def __post_init__(self) -> None:
-        s, A, B = map(np.asarray, (self.s, self.A, self.B))
-        if len(s) < 2 or not (len(s) == len(A) == len(B)):
-            raise FormatError("schedule needs matching s, A, B samples with at least two rows")
+        s, A, B = (np.asarray(v, dtype=float) for v in (self.s, self.A, self.B))
+        for name, value in zip("sAB", (s, A, B)):
+            object.__setattr__(self, name, value)
+        if s.ndim != 1 or len(s) < 2 or not s.shape == A.shape == B.shape:
+            raise ValidationError("schedule needs matching 1-d s, A, B samples with at least two rows")
+        if not np.isfinite([s, A, B]).all():
+            raise ValidationError("schedule samples must be finite")
         if not (np.all(np.diff(s) > 0) and s[0] == 0.0 and s[-1] == 1.0):
-            raise FormatError("schedule s values must increase strictly from 0 to 1")
+            raise ValidationError("schedule s values must increase strictly from 0 to 1")
         tol_a = 1e-6 * max(A.max(), 1e-300)
         tol_b = 1e-6 * max(B.max(), 1e-300)
+        if A.min() < -tol_a or B.min() < -tol_b:
+            raise ValidationError("schedule A and B must be non-negative")
+        if A[0] <= 0:
+            raise ValidationError(f"schedule must satisfy A(0) > 0, got {A[0]}")
         if abs(A[-1]) > tol_a:
-            raise FormatError(f"schedule must satisfy A(1) ~ 0, got {A[-1]}")
+            raise ValidationError(f"schedule must satisfy A(1) ~ 0, got {A[-1]}")
         if abs(B[0]) > tol_b:
-            raise FormatError(f"schedule must satisfy B(0) ~ 0, got {B[0]}")
-        if self.t_f_us <= 0:
-            raise ValidationError("t_f must be positive")
+            raise ValidationError(f"schedule must satisfy B(0) ~ 0, got {B[0]}")
+        if not 0 < self.t_f_us < np.inf:
+            raise ValidationError("t_f must be positive and finite")
 
     @property
     def t_f_ns(self) -> float:
@@ -408,72 +417,3 @@ def schedule_linear(A0: float, t_f_us: float = 20.0) -> AnnealSchedule:
         np.array([2.0 * A0, 0.0]),
         np.array([0.0, 2.0 * A0]),
     )
-
-
-def schedule_from_table(path, t_f_us: float = 20.0) -> AnnealSchedule:
-    """Load a schedule from CSV rows ``s,A_GHz,B_GHz`` (header optional)."""
-    rows = []
-    with open(path) as fh:
-        for ln in fh:
-            ln = ln.strip()
-            if not ln or ln.startswith("#"):
-                continue
-            parts = ln.split(",")
-            if parts[0] in ("s", "S"):
-                continue
-            try:
-                rows.append(tuple(float(x) for x in parts[:3]))
-            except ValueError as exc:
-                raise FormatError(f"{path}: bad schedule row {ln!r}") from exc
-    if not rows:
-        raise FormatError(f"{path}: empty schedule table")
-    arr = np.array(rows)
-    return AnnealSchedule(t_f_us, arr[:, 0], arr[:, 1], arr[:, 2])
-
-
-def write_schedule_csv(path, schedule: AnnealSchedule) -> None:
-    with open(path, "w") as fh:
-        fh.write("s,A_GHz,B_GHz\n")
-        for s, a, b in zip(schedule.s, schedule.A, schedule.B):
-            fh.write(f"{float(s)!r},{float(a)!r},{float(b)!r}\n")
-
-
-# ---------------------------------------------------------------------------
-# problem files
-
-
-def read_problem_csv(path) -> IsingProblem:
-    """Read ``h,<i>,<value>`` and ``J,<i>,<j>,<value>`` rows."""
-    fields: dict[int, float] = {}
-    couplings: dict[tuple[int, int], float] = {}
-    top = -1
-    with open(path) as fh:
-        for ln in fh:
-            ln = ln.strip()
-            if not ln or ln.startswith("#"):
-                continue
-            parts = ln.split(",")
-            try:
-                if parts[0] == "h":
-                    i, val = int(parts[1]), float(parts[2])
-                    fields[i] = val
-                    top = max(top, i)
-                elif parts[0] == "J":
-                    i, j, val = int(parts[1]), int(parts[2]), float(parts[3])
-                    couplings[(min(i, j), max(i, j))] = val
-                    top = max(top, i, j)
-                else:
-                    raise ValueError(parts[0])
-            except (ValueError, IndexError) as exc:
-                raise FormatError(f"{path}: bad problem row {ln!r}") from exc
-    if top < 0:
-        raise FormatError(f"{path}: empty problem file")
-    return IsingProblem(top + 1, fields, couplings)
-
-
-def write_problem_csv(path, problem: IsingProblem) -> None:
-    with open(path, "w") as fh:
-        for i in sorted(problem.local_fields):
-            fh.write(f"h,{i},{problem.local_fields[i]!r}\n")
-        for (i, j) in sorted(problem.couplings):
-            fh.write(f"J,{i},{j},{problem.couplings[(i, j)]!r}\n")

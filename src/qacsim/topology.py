@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FormatError, ResourceLimitError, ValidationError
+from .errors import ResourceLimitError, ValidationError
 
 __all__ = [
     "HardwareGraph",
@@ -38,11 +38,6 @@ __all__ = [
     "embed_chain",
     "contains_k33_subdivision",
     "validate_k33_certificate",
-    "write_chimera_file",
-    "read_chimera_file",
-    "write_generic_graph_file",
-    "read_generic_graph_file",
-    "export_encoded_graph_csv",
 ]
 
 
@@ -605,73 +600,3 @@ def contains_k33_subdivision(
             if cert is not None:
                 return cert
     return None
-
-
-# ---------------------------------------------------------------------------
-# file formats
-
-
-def write_chimera_file(path, hw: HardwareGraph) -> None:
-    defects = sorted(set(range(hw.num_ids)) - hw.active_qubits)
-    with open(path, "w") as fh:
-        fh.write(f"chimera {hw.rows} {hw.cols} {hw.cell_size}\n")
-        for d in defects:
-            fh.write(f"defect {d}\n")
-
-
-def read_chimera_file(path) -> HardwareGraph:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    if not lines or not lines[0].startswith("chimera"):
-        raise FormatError(f"{path}: expected 'chimera <rows> <cols> <cell_size>' header")
-    try:
-        _, rows, cols, cell = lines[0].split()
-        defects = set()
-        for ln in lines[1:]:
-            tag, val = ln.split()
-            if tag != "defect":
-                raise ValueError(tag)
-            defects.add(int(val))
-        return build_chimera(int(rows), int(cols), int(cell), defects)
-    except (ValueError, TypeError) as exc:
-        raise FormatError(f"{path}: malformed chimera graph file ({exc})") from exc
-
-
-def write_generic_graph_file(path, adj: dict[int, set[int]]) -> None:
-    n = max(adj) + 1 if adj else 0
-    with open(path, "w") as fh:
-        fh.write(f"v {n}\n")
-        for a in sorted(adj):
-            for b in sorted(adj[a]):
-                if a < b:
-                    fh.write(f"e {a} {b}\n")
-
-
-def read_generic_graph_file(path) -> dict[int, set[int]]:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    if not lines or not lines[0].startswith("v "):
-        raise FormatError(f"{path}: expected 'v <n>' header")
-    try:
-        n = int(lines[0].split()[1])
-        adj: dict[int, set[int]] = {v: set() for v in range(n)}
-        for ln in lines[1:]:
-            tag, a, b = ln.split()
-            if tag != "e":
-                raise ValueError(tag)
-            a, b = int(a), int(b)
-            if not (0 <= a < n and 0 <= b < n) or a == b:
-                raise ValueError(f"bad edge {a} {b}")
-            adj[a].add(b)
-            adj[b].add(a)
-        return adj
-    except (ValueError, IndexError) as exc:
-        raise FormatError(f"{path}: malformed graph file ({exc})") from exc
-
-
-def export_encoded_graph_csv(path, eg: EncodedGraph) -> None:
-    with open(path, "w") as fh:
-        fh.write("logical_id,problem_ids,penalty_id,complete\n")
-        for blk in eg.blocks:
-            pen = blk.penalty_id if blk.penalty_id is not None else -1
-            fh.write(f"{blk.logical_id},{';'.join(map(str, blk.problem_ids))},{pen},{int(blk.complete)}\n")

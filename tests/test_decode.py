@@ -4,14 +4,18 @@ import numpy as np
 import pytest
 
 from qacsim.decode import (
+    SampleRecord,
+    SampleSet,
     align_and_distance,
     decodable_mask,
     decode_record,
+    empirical_success,
     ground_reference,
+    histogram_suite,
     majority_decode,
-    physical_hamming,
 )
 from qacsim.dynamics import QuantumState, success_probabilities
+from qacsim.errors import ValidationError
 from qacsim.problem import (
     STRATEGIES,
     IsingProblem,
@@ -56,6 +60,14 @@ def naive_energy(config, problem):
     for (i, j), v in problem.couplings.items():
         e += v * config[i] * config[j]
     return e
+
+
+def naive_code_state(logical, encoding, width):
+    bits = [0] * width
+    for k, (problem_ids, penalty) in enumerate(naive_blocks(encoding, width)):
+        for q in list(problem_ids) + ([] if penalty is None else [penalty]):
+            bits[q] = logical[k]
+    return tuple(bits)
 
 
 def basis_configs(num_spins):
@@ -120,7 +132,7 @@ class TestFrustratedTriangle:
         grounds = ground_reference(TRIANGLE)
         rng = np.random.default_rng(3)
         for bits in rng.choice([-1, 1], size=(60, problem.num_physical)):
-            rec = decode_record(bits, problem, grounds, count=2, embedding_id=4)
+            rec = decode_record(bits, problem, grounds)
             logical, _, _ = naive_vote(bits, problem.encoding)
             matched, d_logical = naive_align(tuple(logical), grounds)
             target = problem.code_config(matched)
@@ -134,9 +146,7 @@ class TestFrustratedTriangle:
             assert rec.per_block_error_weight == tuple(w for w, _ in per_block)
             assert rec.penalty_flipped == tuple(f for _, f in per_block)
             assert rec.d_physical == d_physical
-            assert physical_hamming(bits, problem.encoding, matched) == d_physical
             assert rec.energy == pytest.approx(naive_energy(bits, problem.physical), abs=1e-12)
-            assert (rec.count, rec.embedding_id) == (2, 4)
 
 
 DECODABLE_CASES = [(make_af_chain(L), S) for L in (2, 3) for S in STRATEGIES] + [(TRIANGLE, "C"), (make_af_chain(12), "U")]
@@ -166,3 +176,91 @@ def test_success_probabilities_against_enumeration(strategy):
     p_s = sum(p for p, c in zip(pops, configs) if tuple(naive_vote(c, problem.encoding)[0]) in grounds)
     got = success_probabilities(state, problem)
     assert got == pytest.approx((p_gs, p_s), rel=1e-12, abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# sample-set statistics against a plain loop over records
+
+
+def noisy_samples(problem, seed):
+    """Code ground states with independent physical flips, merged into
+    records with random counts."""
+    rng = np.random.default_rng(seed)
+    grounds = ground_reference(problem.logical)
+    counts = {}
+    for _ in range(200):
+        code = naive_code_state(grounds[rng.integers(len(grounds))], problem.encoding, problem.num_physical)
+        bits = tuple(-b if rng.random() < 0.15 else b for b in code)
+        counts[bits] = counts.get(bits, 0) + int(rng.integers(1, 4))
+    return SampleSet(tuple(SampleRecord(bits, c) for bits, c in counts.items()), problem)
+
+
+def naive_histograms(samples, problem, symmetrize):
+    grounds = ground_reference(problem.logical)
+    blocks = naive_blocks(problem.encoding, problem.num_physical)
+    e_ground = naive_energy(naive_code_state(grounds[0], problem.encoding, problem.num_physical), problem.physical)
+    total = sum(rec.count for rec in samples.records)
+    ham_phys, ham_log, decodability = {}, {}, {}
+    pos, pen = np.zeros((len(blocks), 3)), np.zeros(len(blocks))
+    for rec in samples.records:
+        logical, _, _ = naive_vote(rec.bits, problem.encoding)
+        matched, d_logical = naive_align(tuple(logical), grounds)
+        d_physical = 0
+        for k, (problem_ids, penalty) in enumerate(blocks):
+            weight = sum(1 for q in problem_ids if rec.bits[q] != matched[k])
+            flipped = penalty is not None and rec.bits[penalty] != matched[k]
+            d_physical += weight + flipped
+            if weight:
+                pos[k, weight - 1] += rec.count
+            pen[k] += rec.count * flipped
+        ham_phys[d_physical] = ham_phys.get(d_physical, 0) + rec.count
+        ham_log[d_logical] = ham_log.get(d_logical, 0) + rec.count
+        key = (d_physical, round((naive_energy(rec.bits, problem.physical) - e_ground) / problem.alpha, 9))
+        seen, good = decodability.get(key, (0, 0))
+        decodability[key] = (seen + rec.count, good + rec.count * (d_logical == 0))
+    if symmetrize:
+        pos, pen = 0.5 * (pos + pos[::-1]), 0.5 * (pen + pen[::-1])
+    return (
+        sorted((d, c / total) for d, c in ham_phys.items()),
+        sorted((d, c / total) for d, c in ham_log.items()),
+        pos / total,
+        pen / total,
+        sorted(decodability.items()),
+        total,
+    )
+
+
+@pytest.mark.parametrize("symmetrize", [False, True])
+@pytest.mark.parametrize("strategy,encoding", CASES)
+def test_histogram_suite_against_loop(strategy, encoding, symmetrize):
+    problem = encoded(make_af_chain(3), strategy, encoding)
+    samples = noisy_samples(problem, 6)
+    suite = histogram_suite(samples, problem, symmetrize=symmetrize)
+    ham_phys, ham_log, pos, pen, decodability, total = naive_histograms(samples, problem, symmetrize)
+    assert list(suite.hamming_physical.items()) == ham_phys
+    assert list(suite.hamming_logical.items()) == ham_log
+    assert np.array_equal(suite.position_weights, pos)
+    assert np.array_equal(suite.penalty_flips, pen)
+    assert list(suite.decodability.items()) == decodability
+    assert suite.total_count == total
+    # the sample set reaches decodable and undecodable records alike
+    assert 0 < sum(good for _, good in suite.decodability.values()) < total
+
+
+def test_histogram_suite_symmetrizes_only_chains():
+    problem = encoded(TRIANGLE, "EP")
+    with pytest.raises(ValidationError):
+        histogram_suite(noisy_samples(problem, 7), problem, symmetrize=True)
+
+
+@pytest.mark.parametrize("strategy,encoding", CASES)
+def test_empirical_success_against_loop(strategy, encoding):
+    problem = encoded(make_af_chain(3), strategy, encoding)
+    samples = noisy_samples(problem, 8)
+    grounds = ground_reference(problem.logical)
+    code_grounds = {naive_code_state(g, problem.encoding, problem.num_physical) for g in grounds}
+    total = sum(rec.count for rec in samples.records)
+    n_gs = sum(rec.count for rec in samples.records if rec.bits in code_grounds)
+    n_s = sum(rec.count for rec in samples.records if tuple(naive_vote(rec.bits, problem.encoding)[0]) in grounds)
+    assert 0 < n_gs <= n_s < total
+    assert empirical_success(samples, problem) == (n_gs / total, n_s / total)

@@ -136,11 +136,10 @@ def test_sample_readout_records(num_qubits):
     rng = np.random.default_rng(num_qubits)
     amps = rng.normal(size=1 << num_qubits)
     state = QuantumState.pure(amps / np.linalg.norm(amps))
-    samples = sample_readout(state, 300, rng_seed=9, embedding_id=5)
+    samples = sample_readout(state, 300, rng_seed=9)
     counts = np.random.default_rng(9).multinomial(300, np.abs(state.data) ** 2 / np.sum(np.abs(state.data) ** 2))
     expected = [(tuple(int(b) for b in config_from_index(x, num_qubits)), int(c)) for x, c in enumerate(counts) if c]
     assert [(rec.bits, rec.count) for rec in samples.records] == expected
-    assert all(rec.embedding_id == 5 for rec in samples.records)
     assert samples.total_count == 300
 
 

@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from qacsim.errors import FormatError, ResourceLimitError, ValidationError
+from qacsim.errors import ResourceLimitError, ValidationError
 from qacsim.problem import (
+    AnnealSchedule,
     IsingProblem,
     all_config_energies,
     classical_excitation_gaps,
@@ -14,11 +15,7 @@ from qacsim.problem import (
     index_from_config,
     ising_energy,
     make_af_chain,
-    read_problem_csv,
-    schedule_from_table,
     schedule_linear,
-    write_problem_csv,
-    write_schedule_csv,
 )
 
 
@@ -221,45 +218,37 @@ class TestSchedules:
         assert sched.B_of(0.5) == pytest.approx(1.5)
         assert sched.t_f_ns == 10000.0
 
-    def test_table_roundtrip(self, tmp_path):
-        path = tmp_path / "dw2.csv"
-        path.write_text("s,A_GHz,B_GHz\n0,33.8,0\n1,0,20.5\n")
-        sched = schedule_from_table(path, t_f_us=20.0)
-        assert sched.A_of(0.0) == 33.8
-        assert sched.B_of(1.0) == 20.5
-        out = tmp_path / "copy.csv"
-        write_schedule_csv(out, sched)
-        again = schedule_from_table(out, t_f_us=20.0)
-        assert np.array_equal(again.A, sched.A)
+    def test_lists_are_stored_as_float_arrays(self):
+        sched = AnnealSchedule(20.0, [0, 0.5, 1], [3, 1, 0], [0, 1, 2])
+        for values in (sched.s, sched.A, sched.B):
+            assert isinstance(values, np.ndarray) and values.dtype == float
+        assert sched.derivatives_of(np.array([0.25, 0.75])) == (pytest.approx([-4.0, -2.0]), pytest.approx([2.0, 2.0]))
 
-    def test_empty_table(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("")
-        with pytest.raises(FormatError):
-            schedule_from_table(path)
+    def test_endpoint_violation(self):
+        with pytest.raises(ValidationError, match="A\\(1\\)"):
+            AnnealSchedule(20.0, [0.0, 1.0], [33.8, 5.0], [0.0, 20.5])
 
-    def test_endpoint_violation(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("0,33.8,0\n1,5.0,20.5\n")
-        with pytest.raises(FormatError):
-            schedule_from_table(path)
+    def test_non_monotone(self):
+        with pytest.raises(ValidationError, match="increase"):
+            AnnealSchedule(20.0, [0.0, 0.6, 0.4, 1.0], [3.0, 2.0, 1.0, 0.0], [0.0, 1.0, 2.0, 3.0])
 
-    def test_non_monotone(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("0,3,0\n0.6,2,1\n0.4,1,2\n1,0,3\n")
-        with pytest.raises(FormatError):
-            schedule_from_table(path)
-
-
-class TestProblemFiles:
-    def test_roundtrip(self, tmp_path):
-        problem = IsingProblem(4, {0: 0.25, 2: -1.0}, {(0, 1): 1.0, (2, 3): -0.5})
-        path = tmp_path / "p.csv"
-        write_problem_csv(path, problem)
-        assert read_problem_csv(path) == problem
-
-    def test_bad_row(self, tmp_path):
-        path = tmp_path / "p.csv"
-        path.write_text("q,0,1\n")
-        with pytest.raises(FormatError):
-            read_problem_csv(path)
+    @pytest.mark.parametrize(
+        "t_f_us,s,A,B",
+        [
+            pytest.param(20.0, [0.0], [1.0], [0.0], id="one-sample"),
+            pytest.param(20.0, [0.0, 1.0], [1.0, 0.5, 0.0], [0.0, 1.0], id="mismatched-lengths"),
+            pytest.param(20.0, [0.0, 1.0], [1.0, 0.0], [0.5, 1.0], id="B0-nonzero"),
+            pytest.param(0.0, [0.0, 1.0], [1.0, 0.0], [0.0, 1.0], id="t_f-zero"),
+            pytest.param(-1.0, [0.0, 1.0], [1.0, 0.0], [0.0, 1.0], id="t_f-negative"),
+            pytest.param(np.nan, [0.0, 1.0], [1.0, 0.0], [0.0, 1.0], id="t_f-nan"),
+            pytest.param(np.inf, [0.0, 1.0], [1.0, 0.0], [0.0, 1.0], id="t_f-inf"),
+            pytest.param(20.0, [0.0, 0.5, 1.0], [1.0, np.nan, 0.0], [0.0, 0.5, 1.0], id="A-nan"),
+            pytest.param(20.0, [0.0, 0.5, 1.0], [1.0, 0.5, 0.0], [0.0, np.inf, 1.0], id="B-inf"),
+            pytest.param(20.0, [0.0, 0.5, 1.0], [3.0, -3.0, 0.0], [0.0, 1.0, 2.0], id="A-negative"),
+            pytest.param(20.0, [0.0, 0.5, 1.0], [3.0, 1.0, 0.0], [0.0, -1.0, 2.0], id="B-negative"),
+            pytest.param(20.0, [0.0, 0.5, 1.0], [0.0, 1.0, 0.0], [0.0, 1.0, 2.0], id="A0-zero"),
+        ],
+    )
+    def test_rejects_bad_schedules(self, t_f_us, s, A, B):
+        with pytest.raises(ValidationError):
+            AnnealSchedule(t_f_us, s, A, B)

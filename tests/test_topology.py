@@ -3,19 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
-from qacsim.errors import FormatError, ResourceLimitError, ValidationError
+from qacsim.errors import ResourceLimitError, ValidationError
 from qacsim.topology import (
     K33Certificate,
     build_chimera,
     build_encoding,
     contains_k33_subdivision,
     embed_chain,
-    export_encoded_graph_csv,
-    read_chimera_file,
-    read_generic_graph_file,
     validate_k33_certificate,
-    write_chimera_file,
-    write_generic_graph_file,
 )
 
 
@@ -236,36 +231,3 @@ class TestK33Search:
         missing = dict(good.paths)
         del missing[(0, 3)]
         assert not validate_k33_certificate(adj, K33Certificate(good.left, good.right, missing))
-
-
-class TestGraphFiles:
-    def test_chimera_roundtrip(self, tmp_path):
-        hw = build_chimera(2, 3, 4, {5, 17})
-        path = tmp_path / "g.txt"
-        write_chimera_file(path, hw)
-        back = read_chimera_file(path)
-        assert back == hw
-
-    def test_generic_roundtrip(self, tmp_path):
-        adj = complete_bipartite(3, 3)
-        path = tmp_path / "g.txt"
-        write_generic_graph_file(path, adj)
-        assert read_generic_graph_file(path) == adj
-
-    def test_malformed_files(self, tmp_path):
-        bad = tmp_path / "bad.txt"
-        bad.write_text("chimera 2 2\n")
-        with pytest.raises(FormatError):
-            read_chimera_file(bad)
-        bad.write_text("v 3\ne 0 9\n")
-        with pytest.raises(FormatError):
-            read_generic_graph_file(bad)
-
-    def test_encoded_csv(self, tmp_path):
-        hw = build_chimera(1, 1, 4, {7})  # shore-1 index 3: block A penalty
-        _, eg = build_encoding(hw)
-        out = tmp_path / "enc.csv"
-        export_encoded_graph_csv(out, eg)
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "logical_id,problem_ids,penalty_id,complete"
-        assert "0,0;1;2,-1,0" in lines
