@@ -44,6 +44,7 @@ from .problem import EncodedProblem, _bit_position, all_config_energies, config_
 _PIECES = 4  # sub-intervals for the piecewise-linear phase model inside K integrals
 _BIN_TOL = 1e-6  # Bohr frequencies closer than this share a Lindblad operator
 _MAX_STEP_FRACTION = 0.02  # largest step as a fraction of the anneal time
+_ATOL = 1e-10  # absolute floor of every step's error tolerance
 
 
 def flip_indices(num_qubits: int) -> np.ndarray:
@@ -166,7 +167,7 @@ _TRIPLE_JUMP = np.array([_W, 1.0 - 2.0 * _W, _W])
 _TRIPLE_JUMP_MIDPOINTS = np.cumsum(_TRIPLE_JUMP) - 0.5 * _TRIPLE_JUMP
 
 
-def split_operator_run(problem, schedule, W0, snapshots, rtol, atol):
+def split_operator_run(problem, schedule, W0, snapshots, rtol):
     """Unitary fourth-order splitting of H(s) = A(s) * sum_q sigma^x_q + B(s) * diag(E_z).
 
     Evolves a state vector W0, or the columns of a (2^n, r) factor W0 of a
@@ -175,7 +176,7 @@ def split_operator_run(problem, schedule, W0, snapshots, rtol, atol):
     then exp(-i h A sigma^x_q) for every qubit q, then exp(-i h/2 B E_z)
     again; three Strang steps make a triple-jump step.  Step doubling
     estimates the error as |full - halves| / 15 (Frobenius norm), which must
-    stay within atol + rtol; the two half steps are kept.  Runs under
+    stay within _ATOL + rtol; the two half steps are kept.  Runs under
     :func:`adaptive_run` at order 5; returns (s values, factors,
     IntegratorReport).
     """
@@ -198,7 +199,7 @@ def split_operator_run(problem, schedule, W0, snapshots, rtol, atol):
     def step(W, t, h):
         full = fourth_order(W, t, h)
         halves = fourth_order(fourth_order(W, t, 0.5 * h), t + 0.5 * h, 0.5 * h)
-        return halves, float(np.linalg.norm(full - halves)) / (15.0 * (atol + rtol))
+        return halves, float(np.linalg.norm(full - halves)) / (15.0 * (_ATOL + rtol))
 
     return adaptive_run(step, W0.astype(complex), schedule, snapshots, 5, lambda W: W)
 
@@ -220,7 +221,7 @@ class _DissipatorProgram:
     M: np.ndarray
 
 
-def frame_run(problem, schedule, bath, rho0, levels, snapshots, rtol, atol):
+def frame_run(problem, schedule, bath, rho0, levels, snapshots, rtol):
     """Adiabatic master equation (kappa > 0) from the density matrix rho0,
     tracking the lowest ``levels`` instantaneous levels (all when None).  A
     step attempt builds the frame nodes (eigensolve, alignment, dissipator
@@ -301,7 +302,7 @@ def frame_run(problem, schedule, bath, rho0, levels, snapshots, rtol, atol):
         P1 = _propagator(node0, node_mid, 0.5 * h)
         P = _propagator(node_mid, node1, 0.5 * h) @ P1
         P_full = _propagator(node0, node1, h)
-        scale = atol + rtol * float(np.linalg.norm(y))
+        scale = _ATOL + rtol * float(np.linalg.norm(y))
         err = float(np.linalg.norm(P_full @ y @ P_full.conj().T - P @ y @ P.conj().T)) / (3.0 * scale)
 
         def rhs(node, prop, u):

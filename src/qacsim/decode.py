@@ -1,7 +1,9 @@
 """Majority-vote decoding, ground matching, and error-distribution analyses.
 
-Penalty qubits never vote: each block's logical value is the sign of the sum
-over its problem qubits (the code length n is odd, so there are no ties).
+Every strategy is decoded alike.  Penalty qubits never vote: each block's
+logical value is the sign of the sum over its problem qubits (the code
+length n is odd, so there are no ties); under U, the length-1 code, the vote
+returns the qubit itself.
 Because chain problems have two degenerate logical ground states, a decoded
 configuration is matched to the ground with which the majority of its
 logical qubits agree; ties break toward the smaller Hamming distance and
@@ -89,11 +91,8 @@ class SampleSet:
 # decoding primitives
 
 
-def _layout(encoding: LogicalEncoding | None, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """(problem qubits per block, penalty qubit per block or -1); with no
-    encoding every qubit is its own length-1 block."""
-    if encoding is None:
-        return np.arange(width)[:, None], np.full(width, -1)
+def _layout(encoding: LogicalEncoding) -> tuple[np.ndarray, np.ndarray]:
+    """(problem qubits per block, penalty qubit per block or -1)."""
     problem_ids = np.array([blk.problem_ids for blk in encoding.blocks], dtype=np.intp).reshape(-1, encoding.n)
     penalty_ids = np.array([-1 if blk.penalty_id is None else blk.penalty_id for blk in encoding.blocks], dtype=np.intp)
     return problem_ids, penalty_ids
@@ -112,16 +111,16 @@ def _disagreements(samples: np.ndarray, layout, target: np.ndarray) -> tuple[np.
     return weights, flags
 
 
-def majority_decode(sample, encoding: LogicalEncoding | None):
+def majority_decode(sample, encoding: LogicalEncoding):
     """Vote each block's problem qubits; penalty qubits are excluded.
 
     Returns (logical config, per-block disagreement weight with the majority,
-    per-block flag for a penalty qubit disagreeing with the majority).  With
-    no encoding every qubit is its own length-1 block.  A ``(rows, qubits)``
-    array of readouts gives one row of each per readout.
+    per-block flag for a penalty qubit disagreeing with the majority).  Under
+    U's length-1 code the logical config is the readout itself.  A
+    ``(rows, qubits)`` array of readouts gives one row of each per readout.
     """
     sample = np.asarray(sample)
-    layout = _layout(encoding, sample.shape[-1])
+    layout = _layout(encoding)
     logical = _vote(sample, layout)
     return (logical, *_disagreements(sample, layout, logical))
 
@@ -185,7 +184,7 @@ def decode_record(sample, problem: EncodedProblem, ground_set=None) -> DecodedRe
         raise ValidationError("sample length does not match the problem")
     if ground_set is None:
         ground_set = ground_reference(problem.logical)
-    layout = _layout(problem.encoding, len(sample))
+    layout = _layout(problem.encoding)
     logical = _vote(sample, layout)
     matched, d_logical = align_and_distance(logical, ground_set)
     weights, flags = _disagreements(sample, layout, np.asarray(matched))

@@ -211,42 +211,32 @@ class Trajectory:
 def evolve_closed(
     problem: EncodedProblem,
     schedule: AnnealSchedule,
-    initial: QuantumState | None = None,
     rtol: float = 1e-8,
-    atol: float = 1e-10,
     snapshots: int = 9,
     levels: int | None = None,
 ) -> Trajectory:
-    """Integrate the Schroedinger equation across the anneal.
+    """Integrate the Schroedinger equation from the transverse-field ground state.
 
     Uses the matrix-free split-operator integrator in the computational
     basis (see :func:`qacsim._integrator.split_operator_run`): every factor
     of a step is an exact exponential, so the integrator is unitary by
-    construction and renormalizes nothing; the norm is checked to 1e-8 or a
-    NumericalError is raised.  Every level is tracked: ``levels`` must lie
-    in [1, 2^n] but is otherwise ignored.  The trajectory's ``report`` gives
-    the accepted and rejected steps and the smallest step the error control
-    chose, in ns; the integrator builds no eigenbasis, so ``node_builds`` is
-    0 and the truncation margin None.
+    construction and renormalizes nothing; a norm off 1 by more than
+    ``QuantumState.PURE_NORM_TOL`` raises NumericalError.  Every level is
+    tracked: ``levels`` must lie in [1, 2^n] but is otherwise ignored.  The
+    trajectory's ``report`` gives the accepted and rejected steps and the
+    smallest step the error control chose, in ns; the integrator builds no
+    eigenbasis, so ``node_builds`` is 0 and the truncation margin None.
     """
     n = problem.num_physical
     if n > DEFAULT_QUBIT_CAP:
         raise ResourceLimitError(f"{n} qubits exceeds the state-vector cap of {DEFAULT_QUBIT_CAP}")
     tracked_levels(levels, n)
-    if initial is None:
-        initial = QuantumState.transverse_ground(n)
-    if initial.kind != "pure":
-        raise ValidationError("closed evolution requires a pure initial state")
-    if initial.data.shape[0] != (1 << n):
-        raise ValidationError("initial state dimension does not match the problem")
-
-    s_points, raw, report = split_operator_run(problem, schedule, initial.data, snapshots, rtol, atol)
-    states = []
+    s_points, raw, report = split_operator_run(problem, schedule, QuantumState.transverse_ground(n).data, snapshots, rtol)
     for vec in raw:
         norm = np.linalg.norm(vec)
-        if abs(norm - 1.0) > 1e-8:
+        if abs(norm - 1.0) > QuantumState.PURE_NORM_TOL:
             raise NumericalError(f"norm drifted to {norm}; tighten rtol")
-        states.append(QuantumState.pure(vec / norm if abs(norm - 1) > QuantumState.PURE_NORM_TOL else vec))
+    states = [QuantumState.pure(vec) for vec in raw]
     return Trajectory(np.asarray(s_points), tuple(states), report)
 
 

@@ -48,10 +48,10 @@ class BathSpec:
     temperature: float = 2.2
 
     def __post_init__(self) -> None:
-        if self.kappa < 0:
-            raise ValidationError("kappa must be >= 0")
-        if self.omega_c <= 0 or self.temperature <= 0:
-            raise ValidationError("omega_c and temperature must be positive")
+        if not 0 <= self.kappa < np.inf:
+            raise ValidationError("kappa must be finite and >= 0")
+        if not (0 < self.omega_c < np.inf and 0 < self.temperature < np.inf):
+            raise ValidationError("omega_c and temperature must be finite and positive")
 
     def rate(self, omega):
         """:func:`bath_rate` for this bath; ``_integrator`` cannot import this module."""
@@ -80,7 +80,6 @@ def evolve_open(
     initial: QuantumState | None = None,
     levels: int | None = None,
     rtol: float = 1e-8,
-    atol: float = 1e-10,
     snapshots: int = 9,
 ) -> Trajectory:
     """Integrate the adiabatic master equation across the anneal.
@@ -92,8 +91,8 @@ def evolve_open(
     when pure, sqrt(p)-scaled eigenvectors when mixed) runs on the
     matrix-free integrator behind :func:`qacsim.dynamics.evolve_closed`, every
     level is tracked and ``levels`` is range-checked but otherwise ignored.
-    Trace preservation is checked to 1e-8 at every snapshot and Hermiticity
-    is enforced by symmetrization.
+    A trace off 1 by more than ``QuantumState.TRACE_TOL`` at any snapshot
+    raises NumericalError; Hermiticity is enforced by symmetrization.
 
     The returned trajectory's ``report`` (an ``IntegratorReport``) gives the
     accepted and rejected steps, the node builds (one eigensolve each, two a
@@ -121,15 +120,15 @@ def evolve_open(
         else:
             p, V = np.linalg.eigh(rho0)
             W0 = V[:, p > 0] * np.sqrt(p[p > 0])
-        s_points, factors, report = split_operator_run(problem, schedule, W0, snapshots, rtol, atol)
+        s_points, factors, report = split_operator_run(problem, schedule, W0, snapshots, rtol)
         raw = [W @ W.conj().T for W in (F.reshape(1 << n, -1) for F in factors)]
     else:
-        s_points, raw, report = frame_run(problem, schedule, bath, rho0, levels, snapshots, rtol, atol)
+        s_points, raw, report = frame_run(problem, schedule, bath, rho0, levels, snapshots, rtol)
     states = []
     for rho in raw:
         rho = 0.5 * (rho + rho.conj().T)
         trace = float(np.real(np.trace(rho)))
-        if abs(trace - 1.0) > 1e-8:
+        if abs(trace - 1.0) > QuantumState.TRACE_TOL:
             raise NumericalError(f"trace drifted to {trace}; tighten rtol or raise levels")
         states.append(QuantumState.density(rho))
     return Trajectory(np.asarray(s_points), tuple(states), report)

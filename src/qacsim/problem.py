@@ -1,5 +1,8 @@
 """Ising problems, repetition-code encodings (U/C/EP/QAC) and anneal schedules.
 
+U is the length-1 repetition code, C three unpenalized copies, EP and QAC
+three copies plus a penalty qubit per block; one path encodes all four.
+
 Spin and basis-index conventions used throughout the package:
 
 * a configuration is a length-``num_spins`` array of +-1 values;
@@ -68,25 +71,15 @@ class IsingProblem:
         for i, h in self.local_fields.items():
             if not 0 <= i < self.num_spins:
                 raise ValidationError(f"field index {i} out of range")
-            if abs(h) > 1 + 1e-12:
-                raise ValidationError(f"|h_{i}| = {abs(h)} exceeds 1")
+            if not abs(h) <= 1 + 1e-12:
+                raise ValidationError(f"|h_{i}| = {abs(h)} must be at most 1")
         for (i, j), val in self.couplings.items():
             if i == j or not (0 <= i < self.num_spins and 0 <= j < self.num_spins):
                 raise ValidationError(f"bad coupling pair ({i},{j})")
             if i > j:
                 raise ValidationError(f"coupling key ({i},{j}) must be ordered i < j")
-            if abs(val) > 1 + 1e-12:
-                raise ValidationError(f"|J_{i}{j}| = {abs(val)} exceeds 1")
-
-    def energy(self, config) -> float:
-        return ising_energy(config, self)
-
-    def scaled(self, factor: float) -> "IsingProblem":
-        return IsingProblem(
-            self.num_spins,
-            {i: factor * h for i, h in self.local_fields.items()},
-            {k: factor * v for k, v in self.couplings.items()},
-        )
+            if not abs(val) <= 1 + 1e-12:
+                raise ValidationError(f"|J_{i}{j}| = {abs(val)} must be at most 1")
 
     def is_chain(self) -> bool:
         """A field-free open chain with exactly the couplings (i, i+1)."""
@@ -185,39 +178,37 @@ def dense_encoding(
     return LogicalEncoding(n, tuple(blocks))
 
 
-def _compact(encoding: LogicalEncoding, drop_penalties: bool) -> tuple[LogicalEncoding, list[int]]:
-    """Re-index onto compact physical ids 0..K-1 and positional logical ids,
-    remembering the original physical ids."""
-    blocks = []
+def _compact(blocks: tuple[LogicalBlock, ...], drop_penalties: bool) -> tuple[LogicalEncoding, list[int]]:
+    """Re-index blocks onto compact physical ids 0..K-1 and positional
+    logical ids, remembering the original physical ids."""
+    compact = dense_encoding(
+        len(blocks), len(blocks[0].problem_ids), not drop_penalties,
+        {pos for pos, blk in enumerate(blocks) if blk.penalty_id is None},
+    )
     hardware_ids: list[int] = []
-    nxt = 0
-    for pos, blk in enumerate(encoding.blocks):
-        problem = tuple(range(nxt, nxt + len(blk.problem_ids)))
+    for blk, new in zip(blocks, compact.blocks):
         hardware_ids.extend(blk.problem_ids)
-        nxt += len(blk.problem_ids)
-        penalty = None
-        if blk.penalty_id is not None and not drop_penalties:
-            penalty = nxt
+        if new.penalty_id is not None:
             hardware_ids.append(blk.penalty_id)
-            nxt += 1
-        blocks.append(LogicalBlock(pos, problem, penalty))
-    return LogicalEncoding(encoding.n, tuple(blocks)), hardware_ids
+    return compact, hardware_ids
 
 
 @dataclass(frozen=True)
 class EncodedProblem:
     """A logical problem mapped to physical qubits under one strategy.
 
-    ``physical`` holds the scaled couplings alpha*J and -beta penalties over
-    the compact index space; ``problem_part``/``penalty_part`` keep the
-    unscaled structure so spectra can be resolved into exact multiples of
-    alpha and beta.  ``hardware_ids[k]`` is the hardware qubit behind compact
-    index k (identity for abstract encodings).
+    ``encoding`` is the compact repetition code of the strategy; U is its
+    length-1 case, one unpenalized qubit per logical spin.  ``physical``
+    holds the scaled couplings alpha*J and -beta penalties over the compact
+    index space; ``problem_part``/``penalty_part`` keep the unscaled
+    structure so spectra can be resolved into exact multiples of alpha and
+    beta.  ``hardware_ids[k]`` is the hardware qubit behind compact index k
+    (identity for abstract encodings).
     """
 
     strategy: str
     logical: IsingProblem
-    encoding: LogicalEncoding | None
+    encoding: LogicalEncoding
     alpha: float
     beta: float
     physical: IsingProblem
@@ -233,9 +224,6 @@ class EncodedProblem:
         """Embed a logical +-1 configuration as the matching code state."""
         logical_config = np.asarray(logical_config)
         out = np.empty(self.num_physical, dtype=int)
-        if self.encoding is None:
-            out[:] = logical_config
-            return out
         for blk in self.encoding.blocks:
             val = logical_config[blk.logical_id]
             for q in blk.problem_ids:
@@ -254,11 +242,13 @@ def encode_problem(
 ) -> EncodedProblem:
     """Apply one of the U/C/EP/QAC strategies to a logical problem.
 
-    U leaves the problem unencoded at scale alpha.  C replicates it over n
+    Every strategy is a repetition code at problem scale alpha.  U is the
+    length-1 code: one unpenalized qubit per logical spin, always compactly
+    indexed (a given encoding is ignored).  C replicates the problem over n
     unpenalized copies.  EP and QAC add the -beta penalty couplings between
-    each complete block's problem qubits and its penalty qubit (they share
-    the same physical Hamiltonian and differ only in decoding).  When no
-    encoding is given a compact defect-free one is generated.
+    each complete block's problem qubits and its penalty qubit; they share
+    the same physical Hamiltonian and are decoded alike, by majority vote.
+    When no encoding is given a compact defect-free one is generated.
     """
     if strategy not in STRATEGIES:
         raise ValidationError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
@@ -269,20 +259,13 @@ def encode_problem(
     if strategy in ("U", "C") and beta != 0.0:
         raise ValidationError(f"beta must be 0 under the {strategy} strategy")
 
-    if strategy == "U":
-        empty = IsingProblem(logical.num_spins)
-        return EncodedProblem(
-            strategy, logical, None, alpha, 0.0,
-            logical.scaled(alpha), logical, empty,
-            tuple(range(logical.num_spins)),
-        )
-
-    if encoding is None:
-        encoding = dense_encoding(logical.num_spins, with_penalty=strategy != "C")
-    if len(encoding.blocks) < logical.num_spins:
+    if strategy == "U" or encoding is None:
+        compact = dense_encoding(logical.num_spins, 1 if strategy == "U" else 3, strategy in ("EP", "QAC"))
+        hw_ids = range(compact.num_physical)
+    elif len(encoding.blocks) < logical.num_spins:
         raise ValidationError(f"encoding provides {len(encoding.blocks)} blocks for {logical.num_spins} logical spins")
-    trimmed = LogicalEncoding(encoding.n, encoding.blocks[: logical.num_spins], encoding.host)
-    compact, hw_ids = _compact(trimmed, drop_penalties=strategy == "C")
+    else:
+        compact, hw_ids = _compact(encoding.blocks[: logical.num_spins], drop_penalties=strategy == "C")
     blocks = compact.blocks
 
     prob_fields: dict[int, float] = {}
@@ -300,7 +283,7 @@ def encode_problem(
                 for q in blk.problem_ids:
                     pen_couplings[(min(q, blk.penalty_id), max(q, blk.penalty_id))] = -1.0
 
-    num_phys = sum(len(b.problem_ids) + (b.penalty_id is not None) for b in blocks)
+    num_phys = compact.num_physical
     problem_part = IsingProblem(num_phys, prob_fields, prob_couplings)
     penalty_part = IsingProblem(num_phys, {}, pen_couplings)
     physical = IsingProblem(

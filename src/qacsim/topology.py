@@ -442,20 +442,14 @@ def validate_k33_certificate(adj: dict[int, set[int]], cert: K33Certificate) -> 
 
 
 def _normalize_adjacency(graph) -> dict[int, set[int]]:
+    """Symmetric, loop-free copy of a dict adjacency {vertex: neighbours}."""
+    if not isinstance(graph, dict):
+        raise ValidationError(f"graph must be a dict adjacency, got {type(graph).__name__}")
     adj: dict[int, set[int]] = {}
-    if isinstance(graph, dict):
-        items = graph.items()
-    else:  # iterable of edges
-        items = None
-    if items is not None:
-        for v, nbrs in items:
-            adj.setdefault(v, set()).update(nbrs)
-            for u in nbrs:
-                adj.setdefault(u, set()).add(v)
-    else:
-        for a, b in graph:
-            adj.setdefault(a, set()).add(b)
-            adj.setdefault(b, set()).add(a)
+    for v, nbrs in graph.items():
+        adj.setdefault(v, set()).update(nbrs)
+        for u in nbrs:
+            adj.setdefault(u, set()).add(v)
     for v in adj:
         adj[v].discard(v)
     return adj
@@ -493,8 +487,7 @@ def _route_disjoint(adj, pairs, branch, rng, exhaustive: bool):
             nxt_frontier = []
             for v in frontier:
                 nbrs = list(adj[v])
-                if rng is not None:
-                    rng.shuffle(nbrs)
+                rng.shuffle(nbrs)
                 for u in nbrs:
                     if u in prev or u in blocked:
                         continue
@@ -555,7 +548,8 @@ def contains_k33_subdivision(
     graph,
     rng_seed: int = 0,
 ) -> K33Certificate | None:
-    """Search for a K3,3 subdivision; certificates are always validated.
+    """Search a dict adjacency {vertex: neighbours} for a K3,3 subdivision;
+    certificates are always validated.
 
     Graphs whose 2-core has at most 11 vertices are searched
     exhaustively (a None answer is then a proof of absence).  Larger graphs

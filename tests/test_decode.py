@@ -23,19 +23,18 @@ from qacsim.problem import (
     encode_problem,
     make_af_chain,
 )
+from qacsim.topology import build_chimera, build_encoding
 
 # independent oracles: plain loops over blocks and basis states
 
 
-def naive_blocks(encoding, width):
-    if encoding is None:
-        return [((q,), None) for q in range(width)]
+def naive_blocks(encoding):
     return [(blk.problem_ids, blk.penalty_id) for blk in encoding.blocks]
 
 
 def naive_vote(bits, encoding):
     logical, weights, flags = [], [], []
-    for problem_ids, penalty in naive_blocks(encoding, len(bits)):
+    for problem_ids, penalty in naive_blocks(encoding):
         ups = sum(1 for q in problem_ids if bits[q] == 1)
         value = 1 if 2 * ups > len(problem_ids) else -1
         logical.append(value)
@@ -64,7 +63,7 @@ def naive_energy(config, problem):
 
 def naive_code_state(logical, encoding, width):
     bits = [0] * width
-    for k, (problem_ids, penalty) in enumerate(naive_blocks(encoding, width)):
+    for k, (problem_ids, penalty) in enumerate(naive_blocks(encoding)):
         for q in list(problem_ids) + ([] if penalty is None else [penalty]):
             bits[q] = logical[k]
     return tuple(bits)
@@ -84,6 +83,17 @@ TRIANGLE = IsingProblem(3, {}, {(0, 1): 1.0, (1, 2): 1.0, (0, 2): 1.0})
 
 CASES = [(S, None) for S in STRATEGIES] + [("EP", dense_encoding(3, incomplete={1})),
                                           ("QAC", dense_encoding(3, incomplete={1}))]
+
+
+def test_u_is_the_length_one_code():
+    chain = make_af_chain(3)
+    u = encoded(chain, "U")
+    assert u.encoding == dense_encoding(3, n=1, with_penalty=False)
+    for bits in basis_configs(3):
+        assert majority_decode(bits, u.encoding)[0].tolist() == list(bits)
+    # U ignores a hardware encoding: same compact qubits, same hardware ids
+    chimera, _ = build_encoding(build_chimera(2, 2, 4))
+    assert encoded(chain, "U", chimera) == u
 
 
 @pytest.mark.parametrize("strategy,encoding", CASES)
@@ -137,7 +147,7 @@ class TestFrustratedTriangle:
             matched, d_logical = naive_align(tuple(logical), grounds)
             target = problem.code_config(matched)
             per_block = [(sum(1 for q in ids if bits[q] != target[q]), pen is not None and bits[pen] != target[pen])
-                         for ids, pen in naive_blocks(problem.encoding, len(bits))]
+                         for ids, pen in naive_blocks(problem.encoding)]
             d_physical = sum(1 for a, b in zip(bits, target) if a != b)
             assert rec.logical_config == tuple(logical)
             assert rec.matched_ground == matched
@@ -197,7 +207,7 @@ def noisy_samples(problem, seed):
 
 def naive_histograms(samples, problem, symmetrize):
     grounds = ground_reference(problem.logical)
-    blocks = naive_blocks(problem.encoding, problem.num_physical)
+    blocks = naive_blocks(problem.encoding)
     e_ground = naive_energy(naive_code_state(grounds[0], problem.encoding, problem.num_physical), problem.physical)
     total = sum(rec.count for rec in samples.records)
     ham_phys, ham_log, decodability = {}, {}, {}

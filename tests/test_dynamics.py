@@ -14,7 +14,7 @@ from qacsim.dynamics import (
     pauli_x_sum,
     sample_readout,
 )
-from qacsim.errors import ValidationError
+from qacsim.errors import NumericalError, ValidationError
 from qacsim.problem import (
     STRATEGIES,
     AnnealSchedule,
@@ -159,6 +159,15 @@ def test_evolve_closed_schroedinger_reference(problem, schedule):
     for state, want in zip(traj.states, schroedinger_reference(problem, schedule, traj.s), strict=True):
         assert abs(np.linalg.norm(state.data) - 1.0) < 1e-12
         assert abs(np.vdot(want, state.data)) ** 2 >= 1.0 - 1e-6
+
+
+def test_evolve_closed_norm_drift_is_a_numerical_error(monkeypatch):
+    def drifted(problem, schedule, W0, *rest):
+        return [0.0, 1.0], [(1.0 + 5e-9) * W0] * 2, None
+
+    monkeypatch.setattr("qacsim.dynamics.split_operator_run", drifted)
+    with pytest.raises(NumericalError):
+        evolve_closed(encoded("U"), SCHEDULE)
 
 
 def test_evolve_closed_levels_checked_then_ignored():

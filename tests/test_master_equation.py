@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from qacsim.dynamics import QuantumState, evolve_closed
-from qacsim.errors import ValidationError
+from qacsim.errors import NumericalError, ValidationError
 from qacsim.master_equation import BathSpec, bath_rate, evolve_open
 from qacsim.problem import encode_problem, make_af_chain, schedule_linear
 
@@ -33,6 +33,23 @@ def test_bath_rate_signed_cutoff():
 def test_bath_rate_vanishes_without_coupling():
     bath = BathSpec(kappa=0.0)
     assert not np.any(bath_rate(np.concatenate([-OMEGAS, [0.0], OMEGAS]), bath))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["kappa", "omega_c", "temperature"])
+def test_bath_spec_rejects_non_finite_parameters(name, value):
+    with pytest.raises(ValidationError):
+        BathSpec(**{"kappa": 1e-3, name: value})
+
+
+def test_open_anneal_trace_drift_is_a_numerical_error(monkeypatch):
+    def drifted(problem, schedule, bath, rho0, *rest):
+        return [0.0, 1.0], [(1.0 + 5e-9) * rho0] * 2, None
+
+    monkeypatch.setattr("qacsim.master_equation.frame_run", drifted)
+    problem = encode_problem(make_af_chain(2), "U", 0.4)
+    with pytest.raises(NumericalError):
+        evolve_open(problem, schedule_linear(2.0 * np.pi, 0.01), BathSpec(kappa=1e-3))
 
 
 def test_open_anneal_without_coupling_matches_closed():

@@ -56,6 +56,17 @@ class TestAfChain:
             make_af_chain(1)
 
 
+@pytest.mark.parametrize(
+    "fields,couplings",
+    [({1: np.nan}, {}), ({}, {(0, 1): np.nan, (1, 2): 1.0})],
+    ids=["field", "coupling"],
+)
+def test_nan_terms_rejected(fields, couplings):
+    # NaN fails every comparison, so it must fail the bound, not slip past it
+    with pytest.raises(ValidationError):
+        IsingProblem(3, fields, couplings)
+
+
 class TestIsingEnergy:
     def test_af_pair(self):
         pair = make_af_chain(2)

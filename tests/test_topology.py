@@ -222,6 +222,11 @@ class TestK33Search:
                             adj[int(a)].add(int(b))
             assert contains_k33_subdivision(adj, rng_seed=trial) is None
 
+    def test_edge_list_rejected(self):
+        edges = [(l, r) for l in range(3) for r in range(3, 6)]
+        with pytest.raises(ValidationError):
+            contains_k33_subdivision(edges)
+
     def test_validator_rejects_bad_certificates(self):
         adj = complete_bipartite(3, 3)
         good = contains_k33_subdivision(adj)
