@@ -66,10 +66,11 @@ def ising_diagonal(problem: EncodedProblem) -> np.ndarray:
     return all_config_energies(problem.physical)
 
 
-def annealing_hamiltonian(X: np.ndarray, Ez: np.ndarray, schedule, s: float) -> np.ndarray:
-    """Dense real H(s) = A(s) * X + B(s) * diag(Ez)."""
-    H = float(schedule.A_of(s)) * X
-    H[np.diag_indices_from(H)] += float(schedule.B_of(s)) * Ez
+def annealing_hamiltonian(X: np.ndarray, Ez: np.ndarray, A: float, B: float) -> np.ndarray:
+    """Dense real H = A * X + B * diag(Ez); at anneal fraction s the
+    coefficients are the schedule's A(s) and B(s)."""
+    H = float(A) * X
+    H[np.diag_indices_from(H)] += float(B) * Ez
     return H
 
 
@@ -251,7 +252,7 @@ def frame_run(problem, schedule, bath, rho0, levels, snapshots, rtol):
     def build_node(t: float, prev: _Node | None) -> _Node:
         nonlocal node_builds, margin
         s = t / t_f
-        H = annealing_hamiltonian(X, Ez, schedule, s)
+        H = annealing_hamiltonian(X, Ez, schedule.A_of(s), schedule.B_of(s))
         node_builds += 1
         eps, V = np.linalg.eigh(H)
         if m < dim and 0.0 < s < 1.0:

@@ -37,8 +37,10 @@ class KinkModel:
     temperature: float
 
     def __post_init__(self) -> None:
-        if self.temperature <= 0:
-            raise ValidationError("temperature must be positive")
+        if not -np.inf < self.alpha < np.inf:
+            raise ValidationError("alpha must be finite")
+        if not 0 < self.temperature < np.inf:
+            raise ValidationError("temperature must be finite and positive")
 
 
 def flip_probability(model: KinkModel) -> float:

@@ -67,7 +67,7 @@ def hamiltonian_at(
         raise ResourceLimitError(f"{n} qubits exceeds the dense-operator cap of {DEFAULT_QUBIT_CAP}")
     if not 0.0 <= s <= 1.0:
         raise ValidationError("s must lie in [0, 1]")
-    return annealing_hamiltonian(pauli_x_sum(n), ising_diagonal(problem), schedule, s).astype(complex)
+    return annealing_hamiltonian(pauli_x_sum(n), ising_diagonal(problem), schedule.A_of(s), schedule.B_of(s)).astype(complex)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +183,7 @@ def gap_profile(
     grid = np.linspace(0.0, 1.0, grid_points)
     gaps = np.empty(grid_points)
     for i, s in enumerate(grid):
-        H = annealing_hamiltonian(X, Ez, schedule, s)
+        H = annealing_hamiltonian(X, Ez, schedule.A_of(s), schedule.B_of(s))
         vals = scipy.linalg.eigh(H, subset_by_index=(0, k), eigvals_only=True)
         gaps[i] = vals[k] - vals[0]
     imin = int(np.argmin(gaps))
@@ -230,6 +230,8 @@ def evolve_closed(
     n = problem.num_physical
     if n > DEFAULT_QUBIT_CAP:
         raise ResourceLimitError(f"{n} qubits exceeds the state-vector cap of {DEFAULT_QUBIT_CAP}")
+    if not 0.0 <= rtol < np.inf:
+        raise ValidationError(f"rtol must be finite and >= 0, got {rtol}")
     tracked_levels(levels, n)
     s_points, raw, report = split_operator_run(problem, schedule, QuantumState.transverse_ground(n).data, snapshots, rtol)
     for vec in raw:

@@ -105,6 +105,8 @@ def evolve_open(
     n = problem.num_physical
     if n > DEFAULT_OPEN_QUBIT_CAP:
         raise ResourceLimitError(f"{n} qubits exceeds the density-matrix cap of {DEFAULT_OPEN_QUBIT_CAP}")
+    if not 0.0 <= rtol < np.inf:
+        raise ValidationError(f"rtol must be finite and >= 0, got {rtol}")
     if initial is None:
         initial = QuantumState.transverse_ground(n)
     if initial.data.shape[0] != (1 << n):

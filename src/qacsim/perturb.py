@@ -11,9 +11,10 @@ Covers two tractable models under the linear schedule A0(1-s), A0*s:
 Each perturbative formula has an exact dense-model companion
 (:func:`single_logical_model`, :func:`coupled_pairs_model`) so truncation
 errors can be measured directly.  Both are built as
-A0 [(1-s) sum_q sigma^x_q + s diag(E_z)] from the package's one transverse
-operator (:func:`qacsim._integrator.pauli_x_sum`) and one Ising energy
-(:func:`qacsim.problem.all_config_energies`), with E_z summed from
+A0 [(1-s) sum_q sigma^x_q + s diag(E_z)] by the package's one dense H
+builder (:func:`qacsim._integrator.annealing_hamiltonian`) from its one
+transverse operator (:func:`qacsim._integrator.pauli_x_sum`) and one Ising
+energy (:func:`qacsim.problem.all_config_energies`), with E_z summed from
 unit-weight Ising problems, each scaled like the problem and penalty parts
 of an encoded problem.
 """
@@ -26,7 +27,7 @@ from functools import reduce
 
 import numpy as np
 
-from ._integrator import pauli_x_sum
+from ._integrator import annealing_hamiltonian, pauli_x_sum
 from .errors import NumericalError, ValidationError
 from .problem import IsingProblem, all_config_energies
 
@@ -55,8 +56,10 @@ class PerturbParams:
     beta: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.A0 <= 0:
-            raise ValidationError("A0 must be positive")
+        if not 0 < self.A0 < np.inf:
+            raise ValidationError("A0 must be finite and positive")
+        if not all(-np.inf < v < np.inf for v in (self.omega, self.omega0, self.beta)):
+            raise ValidationError("omega, omega0 and beta must be finite")
         if self.omega0 > 0.5 * self.omega:
             warnings.warn("omega0 is not small against omega; perturbative formulas assume omega0 << omega", stacklevel=2)
 
@@ -207,9 +210,7 @@ def _dense_model(A0: float, s: float, num_qubits: int, parts) -> np.ndarray:
     the (weight, fields, couplings) ``parts``: weights such as omega/2 never
     meet IsingProblem's |h|, |J| <= 1 bound."""
     Ez = sum(w * all_config_energies(IsingProblem(num_qubits, h, J)) for w, h, J in parts)
-    H = A0 * (1.0 - s) * pauli_x_sum(num_qubits)
-    H[np.diag_indices_from(H)] += A0 * s * Ez
-    return H
+    return annealing_hamiltonian(pauli_x_sum(num_qubits), Ez, A0 * (1.0 - s), A0 * s)
 
 
 def single_logical_model(params: PerturbParams, s: float) -> np.ndarray:

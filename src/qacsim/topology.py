@@ -7,7 +7,9 @@ Qubit id convention (fixed): a Chimera graph with R x C unit cells and
 
 with shore 0 coupling vertically (to the same index in the cells above and
 below) and shore 1 coupling horizontally.  Each unit cell is a complete
-bipartite graph between its two shores.
+bipartite graph between its two shores.  This coupler rule is defined once,
+in ``_chimera_couplers``, and every :class:`HardwareGraph` is checked against
+it when constructed.
 
 For ``cell_size == 4`` each cell hosts two logical qubits: block A takes
 shore-0 indices {0,1,2} as problem qubits with the shore-1 index 3 qubit as
@@ -45,17 +47,30 @@ __all__ = [
 # hardware graph
 
 
-def _chimera_num_ids(rows: int, cols: int, cell_size: int) -> int:
-    return 2 * cell_size * rows * cols
-
-
-def _chimera_qubit_id(cols: int, cell_size: int, row: int, col: int, shore: int, index: int) -> int:
-    return 2 * cell_size * (row * cols + col) + shore * cell_size + index
+def _chimera_couplers(rows: int, cols: int, cell_size: int) -> list[tuple[int, int]]:
+    """Every coupler (a, b), a < b, of the defect-free Chimera graph: the
+    complete bipartite graph inside each cell, shore 0 to the same index in
+    the cell below and shore 1 to the same index in the cell to the right."""
+    if rows < 1 or cols < 1 or cell_size < 1:
+        raise ValidationError("rows, cols and cell_size must all be >= 1")
+    ids = np.arange(2 * cell_size * rows * cols).reshape(rows, cols, 2, cell_size)
+    vertical, horizontal = ids[:, :, 0], ids[:, :, 1]
+    pairs = [
+        (np.repeat(vertical, cell_size, axis=-1), np.tile(horizontal, cell_size)),  # in-cell, every (i, j)
+        (vertical[:-1], vertical[1:]),  # shore 0 to the cell below
+        (horizontal[:, :-1], horizontal[:, 1:]),  # shore 1 to the cell on the right
+    ]
+    a = np.concatenate([lo.ravel() for lo, _ in pairs])
+    b = np.concatenate([hi.ravel() for _, hi in pairs])
+    return list(zip(a.tolist(), b.tolist()))
 
 
 @dataclass(frozen=True)
 class HardwareGraph:
-    """Chimera-structured physical qubit graph (immutable)."""
+    """Chimera-structured physical qubit graph (immutable).  Construction,
+    by hand or by :func:`build_chimera`, raises ValidationError unless every
+    active id is in range and every edge is a coupler ``(a, b)``, ``a < b``,
+    of ``_chimera_couplers`` with two active ends."""
 
     rows: int
     cols: int
@@ -63,42 +78,20 @@ class HardwareGraph:
     active_qubits: frozenset[int]
     edges: frozenset[tuple[int, int]]
 
-    @property
-    def num_ids(self) -> int:
-        """Size of the qubit id range, including defective ids."""
-        return _chimera_num_ids(self.rows, self.cols, self.cell_size)
-
-    def qubit_id(self, row: int, col: int, shore: int, index: int) -> int:
-        return _chimera_qubit_id(self.cols, self.cell_size, row, col, shore, index)
-
-    def locate(self, qid: int) -> tuple[int, int, int, int]:
-        """Inverse of :meth:`qubit_id`: returns (row, col, shore, index)."""
-        cell, within = divmod(qid, 2 * self.cell_size)
-        shore, index = divmod(within, self.cell_size)
-        return cell // self.cols, cell % self.cols, shore, index
-
-    def neighbors(self, qid: int) -> set[int]:
-        return {b if a == qid else a for a, b in self.edges if qid in (a, b)}
-
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        couplers = set(_chimera_couplers(self.rows, self.cols, self.cell_size))
+        num_ids = 2 * self.cell_size * self.rows * self.cols
+        for q in self.active_qubits:
+            if not 0 <= q < num_ids:
+                raise ValidationError(f"active qubit {q} outside [0, {num_ids})")
         for a, b in self.edges:
-            if a == b:
-                raise ValidationError(f"self-loop on qubit {a}")
+            if (a, b) not in couplers:
+                raise ValidationError(f"edge ({a},{b}) is not a Chimera coupler (a, b) with a < b")
             if a not in self.active_qubits or b not in self.active_qubits:
                 raise ValidationError(f"edge ({a},{b}) touches an inactive qubit")
-            if not self._chimera_legal(a, b):
-                raise ValidationError(f"edge ({a},{b}) is not Chimera-legal")
 
-    def _chimera_legal(self, a: int, b: int) -> bool:
-        ra, ca, sa, ia = self.locate(a)
-        rb, cb, sb, ib = self.locate(b)
-        if (ra, ca) == (rb, cb):
-            return sa != sb
-        if sa != sb or ia != ib:
-            return False
-        if sa == 0:  # vertical shore
-            return ca == cb and abs(ra - rb) == 1
-        return ra == rb and abs(ca - cb) == 1
+    def qubit_id(self, row: int, col: int, shore: int, index: int) -> int:
+        return 2 * self.cell_size * (row * self.cols + col) + shore * self.cell_size + index
 
 
 def build_chimera(
@@ -108,37 +101,15 @@ def build_chimera(
     defects: frozenset[int] | set[int] = frozenset(),
 ) -> HardwareGraph:
     """Build the Chimera graph minus defective qubits and their edges."""
-    if rows < 1 or cols < 1 or cell_size < 1:
-        raise ValidationError("rows, cols and cell_size must all be >= 1")
-    num_ids = _chimera_num_ids(rows, cols, cell_size)
+    couplers = _chimera_couplers(rows, cols, cell_size)
+    num_ids = 2 * cell_size * rows * cols
     defects = frozenset(defects)
     for d in defects:
         if not 0 <= d < num_ids:
             raise ValidationError(f"defect id {d} outside [0, {num_ids})")
-
-    def qid(r: int, c: int, shore: int, idx: int) -> int:
-        return _chimera_qubit_id(cols, cell_size, r, c, shore, idx)
-
     active = frozenset(range(num_ids)) - defects
-    edges: set[tuple[int, int]] = set()
-
-    def add(a: int, b: int) -> None:
-        if a in active and b in active:
-            edges.add((a, b) if a < b else (b, a))
-
-    for r in range(rows):
-        for c in range(cols):
-            for i in range(cell_size):
-                for j in range(cell_size):
-                    add(qid(r, c, 0, i), qid(r, c, 1, j))
-                for shore, dr, dc in ((0, 1, 0), (1, 0, 1)):
-                    rr, cc = r + dr, c + dc
-                    if rr < rows and cc < cols:
-                        add(qid(r, c, shore, i), qid(rr, cc, shore, i))
-
-    graph = HardwareGraph(rows, cols, cell_size, active, frozenset(edges))
-    graph.validate()
-    return graph
+    edges = frozenset((a, b) for a, b in couplers if a not in defects and b not in defects)
+    return HardwareGraph(rows, cols, cell_size, active, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +230,6 @@ def build_encoding(hw: HardwareGraph) -> tuple[LogicalEncoding, EncodedGraph]:
     """
     if hw.cell_size != 4:
         raise ValidationError("encoding layout requires cell_size == 4")
-    blocks: list[LogicalBlock] = []
     present: dict[int, LogicalBlock] = {}
     for r in range(hw.rows):
         for c in range(hw.cols):
@@ -269,17 +239,15 @@ def build_encoding(hw: HardwareGraph) -> tuple[LogicalEncoding, EncodedGraph]:
                 penalty = hw.qubit_id(r, c, qshore, 3)
                 if not all(q in hw.active_qubits for q in problem):
                     continue
-                blk = LogicalBlock(lid, problem, penalty if penalty in hw.active_qubits else None)
-                blocks.append(blk)
-                present[lid] = blk
+                present[lid] = LogicalBlock(lid, problem, penalty if penalty in hw.active_qubits else None)
 
     edges: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
 
+    # every call below passes la < lb and couplers (a, b) with a < b
     def try_edge(la: int, lb: int, couplers: list[tuple[int, int]]) -> None:
         if la in present and lb in present:
-            normalized = tuple(tuple(sorted(c)) for c in couplers)
-            if all(c in hw.edges for c in normalized):
-                edges[(min(la, lb), max(la, lb))] = normalized
+            if all(c in hw.edges for c in couplers):
+                edges[(la, lb)] = tuple(couplers)
 
     for r in range(hw.rows):
         for c in range(hw.cols):
@@ -292,7 +260,7 @@ def build_encoding(hw: HardwareGraph) -> tuple[LogicalEncoding, EncodedGraph]:
                 right = 2 * (r * hw.cols + c + 1)
                 try_edge(cell + 1, right + 1, [(hw.qubit_id(r, c, 1, i), hw.qubit_id(r, c + 1, 1, i)) for i in range(3)])
 
-    encoding = LogicalEncoding(n=3, blocks=tuple(blocks), host=hw)
+    encoding = LogicalEncoding(n=3, blocks=tuple(present.values()), host=hw)
     return encoding, EncodedGraph(encoding, edges)
 
 
@@ -374,32 +342,33 @@ def embed_chain(
 
     if len(adj) <= _EMBED_EXHAUSTIVE_NODES:
         found.clear()
-        for path in _all_simple_paths(adj, length):
-            found.setdefault(canonical(path), path)
-            if len(found) >= count:
-                break
-        return list(found.values())[:count]
+        for start in sorted(adj):
+            for path in _simple_paths(adj, [start], lambda p: len(p) == length, {start}):
+                found.setdefault(canonical(path), path)
+                if len(found) >= count:
+                    return list(found.values())
+        return list(found.values())
     raise ResourceLimitError(
         f"found {len(found)} of {count} embeddings; graph too large ({len(adj)} nodes) for an exhaustive scarcity proof"
     )
 
 
-def _all_simple_paths(adj, length):
-    def extend(path, on_path):
-        if len(path) == length:
-            yield tuple(path)
-            return
-        for nxt in sorted(adj[path[-1]]):
-            if nxt in on_path:
-                continue
-            path.append(nxt)
-            on_path.add(nxt)
-            yield from extend(path, on_path)
-            path.pop()
-            on_path.discard(nxt)
-
-    for start in sorted(adj):
-        yield from extend([start], {start})
+def _simple_paths(adj, path, done, blocked):
+    """Yield each simple path through ``adj`` that extends ``path`` and ends
+    where ``done(path)`` first holds, trying neighbours in sorted order.
+    ``blocked``, the vertices the path may not enter, includes the path's
+    own: it is the on-path set, grown and restored as the search goes."""
+    if done(path):
+        yield tuple(path)
+        return
+    for nxt in sorted(adj[path[-1]]):
+        if nxt in blocked:
+            continue
+        path.append(nxt)
+        blocked.add(nxt)
+        yield from _simple_paths(adj, path, done, blocked)
+        path.pop()
+        blocked.discard(nxt)
 
 
 # ---------------------------------------------------------------------------
@@ -501,45 +470,24 @@ def _route_disjoint(adj, pairs, branch, rng, exhaustive: bool):
             frontier = nxt_frontier
         return None
 
-    def all_paths(l, r):
-        blocked = (branch - {l, r}) | used
-
-        def extend(path, on_path):
-            v = path[-1]
-            if v == r:
-                yield tuple(path)
-                return
-            for u in sorted(adj[v]):
-                if u in on_path or u in blocked or (u in branch and u != r):
-                    continue
-                path.append(u)
-                on_path.add(u)
-                yield from extend(path, on_path)
-                path.pop()
-                on_path.discard(u)
-
-        yield from extend([l], {l})
-
     def solve(k: int) -> bool:
         if k == len(pairs):
             return True
         l, r = pairs[k]
         if exhaustive:
-            for path in all_paths(l, r):
-                interior = set(path[1:-1])
-                used.update(interior)
-                paths[(l, r)] = path
-                if solve(k + 1):
-                    return True
-                used.difference_update(interior)
-                del paths[(l, r)]
-            return False
-        path = bfs(l, r)
-        if path is None:
-            return False
-        used.update(path[1:-1])
-        paths[(l, r)] = path
-        return solve(k + 1)
+            routes = _simple_paths(adj, [l], lambda p: p[-1] == r, (branch - {r}) | used)
+        else:
+            route = bfs(l, r)
+            routes = [] if route is None else [route]
+        for path in routes:
+            interior = set(path[1:-1])
+            used.update(interior)
+            paths[(l, r)] = path
+            if solve(k + 1):
+                return True
+            used.difference_update(interior)
+            del paths[(l, r)]
+        return False
 
     return paths if solve(0) else None
 

@@ -39,6 +39,12 @@ def test_kink_model_rejects_non_positive_temperature(temperature):
         KinkModel(1.0, temperature)
 
 
+@pytest.mark.parametrize("alpha, temperature", [(np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan), (1.0, np.inf)])
+def test_kink_model_rejects_non_finite_fields(alpha, temperature):
+    with pytest.raises(ValidationError):
+        KinkModel(alpha, temperature)
+
+
 def test_no_kink_probability_rejects_empty_chain():
     with pytest.raises(ValidationError):
         no_kink_probability(KinkModel(1.0, 1.0), 0)

@@ -42,6 +42,19 @@ def test_bath_spec_rejects_non_finite_parameters(name, value):
         BathSpec(**{"kappa": 1e-3, name: value})
 
 
+@pytest.mark.parametrize("rtol", [-1.0, -1e-10, np.nan, np.inf])
+@pytest.mark.parametrize("kappa", [None, 0.0, 1e-3])
+def test_anneals_reject_bad_rtol(kappa, rtol):
+    # kappa None is the closed anneal; a bad rtol must not reach a step
+    problem = encode_problem(make_af_chain(2), "U", 0.4)
+    schedule = schedule_linear(2.0 * np.pi, 0.01)
+    with pytest.raises(ValidationError, match="rtol"):
+        if kappa is None:
+            evolve_closed(problem, schedule, rtol=rtol)
+        else:
+            evolve_open(problem, schedule, BathSpec(kappa), rtol=rtol)
+
+
 def test_open_anneal_trace_drift_is_a_numerical_error(monkeypatch):
     def drifted(problem, schedule, bath, rho0, *rest):
         return [0.0, 1.0], [(1.0 + 5e-9) * rho0] * 2, None

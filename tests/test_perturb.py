@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qacsim import perturb
+from qacsim.errors import ValidationError
 from qacsim.perturb import PerturbParams
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -35,6 +36,13 @@ def coupled_pairs_kron(p, s):
 
 
 PARAMS = PerturbParams(A0=1.3, omega=0.9, omega0=0.02, beta=0.07)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["A0", "omega", "omega0", "beta"])
+def test_params_reject_non_finite_fields(name, value):
+    with pytest.raises(ValidationError):
+        PerturbParams(**{name: value})
 
 
 @pytest.mark.parametrize("s", [0.0, 0.3, 0.77, 1.0])

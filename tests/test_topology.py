@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from qacsim.errors import ResourceLimitError, ValidationError
 from qacsim.topology import (
+    HardwareGraph,
     K33Certificate,
     build_chimera,
     build_encoding,
@@ -47,13 +49,39 @@ class TestBuildChimera:
             build_chimera(2, 2, 4, {64})
 
     def test_id_convention_roundtrip(self):
+        # a bijection onto the id range, by the module docstring's formula
         hw = build_chimera(3, 5, 4)
-        for qid in (0, 7, 39, 119):
-            r, c, s, i = hw.locate(qid)
-            assert hw.qubit_id(r, c, s, i) == qid
+        coords = list(itertools.product(range(3), range(5), range(2), range(4)))
+        ids = [hw.qubit_id(r, c, s, i) for r, c, s, i in coords]
+        assert ids == [2 * 4 * (r * 5 + c) + s * 4 + i for r, c, s, i in coords]
+        assert sorted(ids) == list(range(2 * 4 * 3 * 5))
 
     def test_validate_accepts_construction(self):
-        build_chimera(4, 4, 4, {10, 20}).validate()
+        # construction validates: build_chimera's graph passes when rebuilt,
+        # and a copy with a defective end on one edge fails
+        hw = build_chimera(4, 4, 4, {10, 20})
+        assert HardwareGraph(hw.rows, hw.cols, hw.cell_size, hw.active_qubits, hw.edges) == hw
+        with pytest.raises(ValidationError, match="inactive"):
+            dataclasses.replace(hw, edges=hw.edges | {(10, 12)})
+
+    @pytest.mark.parametrize("case", [
+        "reversed edge", "self-loop", "same-shore pair", "inactive end", "out-of-range id", "inactive penalty", "no rows",
+    ])
+    def test_hand_built_graphs_rejected(self, case):
+        full = build_chimera(1, 1, 4)
+        a, b = full.qubit_id(0, 0, 0, 0), full.qubit_id(0, 0, 1, 0)
+        penalty = full.qubit_id(0, 0, 1, 3)  # block A's penalty qubit
+        rows, active, edges = {
+            "reversed edge": (1, full.active_qubits, {(b, a)}),
+            "self-loop": (1, full.active_qubits, {(a, a)}),
+            "same-shore pair": (1, full.active_qubits, {(a, full.qubit_id(0, 0, 0, 1))}),
+            "inactive end": (1, full.active_qubits - {a}, {(a, b)}),
+            "out-of-range id": (1, full.active_qubits | {8}, set()),
+            "inactive penalty": (1, full.active_qubits - {penalty}, full.edges),
+            "no rows": (0, frozenset(), set()),
+        }[case]
+        with pytest.raises(ValidationError):
+            HardwareGraph(rows, 1, 4, frozenset(active), frozenset(edges))
 
 
 class TestBuildEncoding:
@@ -90,8 +118,8 @@ class TestBuildEncoding:
         hw = build_chimera(2, 3, 4)
         enc, _ = build_encoding(hw)
         for blk in enc.blocks:
-            nbrs = hw.neighbors(blk.penalty_id)
-            assert set(blk.problem_ids) <= nbrs
+            p = blk.penalty_id
+            assert all((min(q, p), max(q, p)) in hw.edges for q in blk.problem_ids)
 
     def test_inactive_problem_qubit_rejected(self):
         from qacsim.topology import LogicalBlock, LogicalEncoding
