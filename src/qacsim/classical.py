@@ -86,6 +86,8 @@ def _validate_curve(data):
     if len(data) < 3:
         raise ValidationError("need at least 3 points to fit")
     for n, prob in data:
+        if n < 1:
+            raise ValidationError(f"chain length N={n} below 1")
         if not 0.0 < prob <= 1.0:
             raise ValidationError(f"probability {prob} at N={n} outside (0, 1]")
     ns = np.array([n for n, _ in data], dtype=float)
@@ -96,10 +98,12 @@ def _validate_curve(data):
 def lorentzian_fit(data) -> LorentzianFit:
     """Least-squares fit of P(N) = 1/(1 + p N^2) with p >= 0.
 
-    Fitted in probability space with uniform weights; the 1-d minimization is
-    bracketed and refined to an absolute tolerance of 1e-10 (relative to the
-    curvature scale), so results are deterministic.  All-ones data yields the
-    degenerate p = 0 answer, flagged.
+    Fitted in probability space with uniform weights.  Each point alone is
+    fitted by p_i = (1/P_i - 1)/N_i^2, and every residual shrinks as p moves
+    towards [min p_i, max p_i], so the minimizer lies there; the bounded 1-d
+    minimization searches that interval to an absolute tolerance of 1e-14,
+    so results are deterministic.  All-ones data yields the degenerate p = 0
+    answer, flagged.
     """
     ns, probs = _validate_curve(data)
     if np.all(probs == 1.0):
@@ -108,13 +112,9 @@ def lorentzian_fit(data) -> LorentzianFit:
     def loss(p):
         return float(np.sum((probs - 1.0 / (1.0 + p * ns**2)) ** 2))
 
-    # moment-based starting scale: P = 1/(1+pN^2) -> p ~ (1/P - 1)/N^2
-    p0 = float(np.median((1.0 / probs - 1.0) / ns**2))
-    hi = max(p0 * 10.0, 1e-6)
-    while loss(hi) < loss(hi * 10.0) and hi < 1e8:
-        hi *= 10.0
-    res = minimize_scalar(loss, bounds=(0.0, hi * 10.0), method="bounded", options={"xatol": 1e-14})
-    p_hat = max(0.0, float(res.x))
+    per_point = (1.0 / probs - 1.0) / ns**2
+    lo, hi = float(per_point.min()), float(per_point.max())
+    p_hat = lo if lo == hi else float(minimize_scalar(loss, bounds=(lo, hi), method="bounded", options={"xatol": 1e-14}).x)
     return LorentzianFit(p_hat, loss(p_hat))
 
 

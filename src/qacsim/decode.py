@@ -226,7 +226,11 @@ def decodable_mask(problem: EncodedProblem) -> np.ndarray:
 
 
 def empirical_success(samples: SampleSet, problem: EncodedProblem) -> tuple[float, float]:
-    """(P_GS, P_S) estimated by counting over a sample set."""
+    """(P_GS, P_S) estimated by counting over a sample set.  P_GS counts
+    readouts equal to the code state of a logical ground configuration
+    (every copy alike), P_S readouts that majority-decode to one.  Under C
+    the L = 2 chain has 2 such code states, against 8 physical ground
+    configurations in :func:`qacsim.dynamics.success_probabilities`."""
     ground_set = ground_reference(problem.logical)
     code_grounds = {tuple(problem.code_config(g)) for g in ground_set}
     n_gs = n_s = 0

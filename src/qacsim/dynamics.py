@@ -247,8 +247,12 @@ def evolve_closed(
 
 
 def success_probabilities(final: QuantumState, problem: EncodedProblem) -> tuple[float, float]:
-    """(P_GS, P_S): population on exact physical ground configurations, and
-    population on configurations that majority-decode to a logical ground."""
+    """(P_GS, P_S): population on the exact ground configurations of the
+    physical Hamiltonian, and population on configurations that
+    majority-decode to a logical ground.  P_GS counts every physical ground
+    configuration, code state or not: under C, whose copies are uncoupled,
+    the L = 2 chain has 8 of them (each of 3 copies in either ground state),
+    against 2 code states (compare :func:`qacsim.decode.empirical_success`)."""
     pops = final.populations()
     if len(pops) != 1 << problem.num_physical:
         raise ValidationError("state dimension does not match the problem")

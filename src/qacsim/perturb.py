@@ -8,6 +8,13 @@ Covers two tractable models under the linear schedule A0(1-s), A0*s:
   physical qubits, where the first-order shift vanishes by symmetry and the
   gap is corrected at second order.
 
+Both formulas rest on one two-level eigensystem (:func:`single_qubit_eigs`),
+that of A0 (1-s) sigma^x + A0 s (omega/2) sigma^z: levels -+A0 lambda/2,
+lambda = sqrt(4(1-s)^2 + s^2 omega^2), eigenvectors at the half angle of
+theta = atan2(2(1-s), s omega), and sigma^z matrix elements -+s omega/lambda
+on the diagonal and -2(1-s)/lambda off it.  On (|00>+|11>)/sqrt2 and
+(|01>+|10>)/sqrt2 an AF pair is twice the omega = 1 qubit.
+
 Each perturbative formula has an exact dense-model companion
 (:func:`single_logical_model`, :func:`coupled_pairs_model`) so truncation
 errors can be measured directly.  Both are built as
@@ -60,12 +67,25 @@ class PerturbParams:
             raise ValidationError("A0 must be finite and positive")
         if not all(-np.inf < v < np.inf for v in (self.omega, self.omega0, self.beta)):
             raise ValidationError("omega, omega0 and beta must be finite")
-        if self.omega0 > 0.5 * self.omega:
-            warnings.warn("omega0 is not small against omega; perturbative formulas assume omega0 << omega", stacklevel=2)
+        if abs(self.omega0) > 0.5 * abs(self.omega):
+            warnings.warn("omega0 is not small against omega; perturbative formulas assume |omega0| << |omega|", stacklevel=2)
 
 
 # ---------------------------------------------------------------------------
 # single field-split qubit
+
+
+def _splitting(omega: float, s) -> tuple[np.ndarray, np.ndarray]:
+    """(s, lambda) with lambda = sqrt(4(1-s)^2 + s^2 omega^2), the level
+    splitting of the omega-split qubit in units of A0.  Raises
+    ValidationError unless s lies in [0, 1] and NumericalError at the
+    degenerate endpoint s = 1 with omega = 0."""
+    s = np.asarray(s, dtype=float)
+    if not np.all((s >= 0) & (s <= 1)):
+        raise ValidationError("s must lie in [0, 1]")
+    if np.any(s == 1.0) and omega == 0.0:
+        raise NumericalError("degenerate endpoint: s = 1 with omega = 0")
+    return s, np.sqrt(4.0 * (1.0 - s) ** 2 + s**2 * omega**2)
 
 
 @dataclass(frozen=True)
@@ -74,130 +94,74 @@ class SingleQubitEigs:
     eps_plus: np.ndarray
     vec_minus: np.ndarray  # (..., 2), normalized
     vec_plus: np.ndarray
-    c_minus: np.ndarray
-    c_plus: np.ndarray
 
 
 def single_qubit_eigs(omega: float, s, A0: float = 1.0) -> SingleQubitEigs:
     """Eigensystem of A0 (1-s) sigma^x + A0 s (omega/2) sigma^z.
 
-    Eigenvalues are +-(A0/2) lambda with lambda = sqrt(4(1-s)^2 + s^2 w^2);
-    eigenvector components follow the unnormalized forms
-    ((s w - lambda)/(2(1-s)), 1) and ((s w + lambda)/2, 1-s), with the
-    normalization constants c_-(s), c_+(s) exposed because the perturbative
-    gap formula is written in terms of them.
+    Eigenvalues are -+(A0/2) lambda with lambda = sqrt(4(1-s)^2 + s^2 w^2);
+    with theta = atan2(2(1-s), s w) the eigenvectors are
+    (-sin(theta/2), cos(theta/2)) and (cos(theta/2), sin(theta/2)), finite
+    for every s in [0, 1] and either sign of w.
     """
-    s = np.asarray(s, dtype=float)
-    if np.any((s < 0) | (s > 1)):
-        raise ValidationError("s must lie in [0, 1]")
-    if np.any(s == 1.0) and omega == 0.0:
-        raise NumericalError("degenerate endpoint: s = 1 with omega = 0")
-    lam = np.sqrt(4.0 * (1.0 - s) ** 2 + s**2 * omega**2)
-    one_minus = np.where(s == 1.0, 1.0, 1.0 - s)  # placeholder, fixed below
-    u_minus = (s * omega - lam) / (2.0 * one_minus)
-    u_minus = np.where(s == 1.0, 0.0, u_minus)  # limit: ground is spin-down at s=1
-    c_minus = np.sqrt(u_minus**2 + 1.0)
-    u_plus = (s * omega + lam) / 2.0
-    c_plus = np.sqrt(u_plus**2 + (1.0 - s) ** 2)
-    vec_minus = np.stack([u_minus / c_minus, np.ones_like(lam) / c_minus], axis=-1)
-    vec_plus = np.stack([u_plus / c_plus, (1.0 - s) / c_plus], axis=-1)
-    return SingleQubitEigs(
-        eps_minus=-0.5 * A0 * lam,
-        eps_plus=+0.5 * A0 * lam,
-        vec_minus=vec_minus,
-        vec_plus=vec_plus,
-        c_minus=c_minus,
-        c_plus=c_plus,
-    )
+    s, lam = _splitting(omega, s)
+    half = 0.5 * np.arctan2(2.0 * (1.0 - s), s * omega)
+    cos, sin = np.cos(half), np.sin(half)
+    return SingleQubitEigs(-0.5 * A0 * lam, 0.5 * A0 * lam, np.stack([-sin, cos], axis=-1), np.stack([cos, sin], axis=-1))
 
 
 def logical_qubit_perturbed_gap(params: PerturbParams, s) -> np.ndarray:
-    """First-order gap of the single-logical-qubit model.
+    """First-order gap of the single-logical-qubit model,
+
+        A0 [ lambda + 2 beta s (s omega/lambda) (s omega0/lambda0) ].
 
     The ferromagnetic penalty -A0 s beta sum_i sigma^z_i sigma^z_4 shifts the
-    ground state and the (still degenerate) single-flip triplet through the
-    diagonal sigma^z expectation values; the gap becomes
-
-        A0 [ lambda + beta s (F_plus + F_minus) G_tilde ]
-
-    with F_plus = (c_+^2 - 2(1-s)^2)/c_+^2, F_minus = (2 - c_-^2)/c_-^2 from
-    the problem qubits and G_tilde = (2 - ctilde_-^2)/ctilde_-^2 from the
-    penalty qubit (its c_- at splitting omega0).  The beta contribution is
-    nonnegative on s in (0, 1) for positive omega0.
+    ground state and the (still degenerate) single-flip triplet by the
+    diagonal sigma^z elements -+s omega/lambda of the problem qubits times
+    -s omega0/lambda0 of the penalty qubit; flipping one problem qubit
+    changes their sum by 2 s omega/lambda.  The beta term is nonnegative
+    when beta >= 0 and omega, omega0 share their sign.
     """
-    s = np.asarray(s, dtype=float)
-    eig = single_qubit_eigs(params.omega, s)
-    pen = single_qubit_eigs(params.omega0, s)
-    f_plus = (eig.c_plus**2 - 2.0 * (1.0 - s) ** 2) / eig.c_plus**2
-    f_minus = (2.0 - eig.c_minus**2) / eig.c_minus**2
-    g_tilde = (2.0 - pen.c_minus**2) / pen.c_minus**2
-    lam = 2.0 * eig.eps_plus  # eps_plus = lambda / 2 at A0 = 1
-    return params.A0 * (lam + params.beta * s * (f_plus + f_minus) * g_tilde)
+    s, lam = _splitting(params.omega, s)
+    _, lam0 = _splitting(params.omega0, s)
+    return params.A0 * (lam + 2.0 * params.beta * s * (s * params.omega / lam) * (s * params.omega0 / lam0))
 
 
 # ---------------------------------------------------------------------------
 # three AF pairs sharing a penalty qubit
 
 
-def _two_site_data(s):
-    """Eigen-data of A0(1-s)(sx1+sx2) + A0 s sz1 sz2 (A0 = 1 units).
-
-    The extremal eigenvectors are (1-s, -+(s+lam)/2, -+(s+lam)/2, 1-s)/c_-+
-    up to the sign pattern, giving the three nonzero sigma^z_1 elements used
-    by the second-order sums; each reproduces dense-diagonalization elements
-    to machine precision.  m32 = -sqrt(2)(1-s)/c_+ is written with
-    (lam - s)(lam + s) = 4(1-s)^2, so it stays finite (-1) at s = 1.
-    Returns (lam, c_minus, m02, m32, m01).
-    """
-    lam = np.sqrt(4.0 * (1.0 - s) ** 2 + s**2)
-    c_minus = np.sqrt(2.0 * (1.0 - s) ** 2 + 0.5 * (s + lam) ** 2)
-    m02 = -np.sqrt(2.0) * (1.0 - s) / c_minus
-    m32 = -np.sqrt(2.0) / np.sqrt(2.0 + 8.0 * (1.0 - s) ** 2 / (lam + s) ** 2)
-    m01 = (s + lam) / (np.sqrt(2.0) * c_minus)
-    return lam, c_minus, m02, m32, m01
-
-
 def coupled_pairs_perturbed_gap(params: PerturbParams, s) -> np.ndarray:
-    """Second-order gap of the three-AF-pairs model.
+    """Second-order gap of the three-AF-pairs model, from the ground level
+    -lambda of each pair to the triplet with one pair at its level +s.
 
-    The penalty acts on the first qubit of each pair, so its first-order
-    expectation vanishes by the pairs' spin-flip symmetry; the second-order
-    sums run over single-pair excitations combined with the penalty qubit
-    staying or flipping.  Denominators below 1e-9 * A0 raise NumericalError
+    The penalty acts through sigma^z of the first qubit of each pair, whose
+    squared elements are (1 - s/lambda)/2 from the ground level to +s and
+    (1 + s/lambda)/2 from the ground level to -s and from +s to +lambda; its
+    first-order expectation vanishes by the pairs' spin-flip symmetry.  The
+    penalty qubit stays, with squared element (s omega0/lambda0)^2, or flips,
+    with (2(1-s)/lambda0)^2 and lambda0 more in the denominator.  The two
+    unexcited pairs shift the triplet and the ground level alike, so the
+    gap correction is one pair's shift from +s minus its shift from the
+    ground level.  Denominators below 1e-9 * A0 raise NumericalError
     (accidental degeneracy) rather than being regularized silently.
     """
-    s = np.asarray(s, dtype=float)
-    A0 = params.A0
-    lam, _, m02, m32, m01 = _two_site_data(s)
-    eps0, eps1, eps2, eps3 = -lam, -s, s, lam
-    pen = single_qubit_eigs(params.omega0, s)
-    lam_t = 2.0 * pen.eps_plus
-    d_mm = (pen.c_minus**2 - 2.0) / pen.c_minus**2
-    d_mp = -2.0 * (1.0 - s) / (pen.c_minus * pen.c_plus)
+    s, lam = _splitting(1.0, s)
+    _, lam0 = _splitting(params.omega0, s)
+    stay = (s * params.omega0 / lam0) ** 2
+    flip = (2.0 * (1.0 - s) / lam0) ** 2
+    to_plus_s, to_other = 0.5 * (1.0 - s / lam), 0.5 * (1.0 + s / lam)
 
-    def inv(name, den):
-        if np.any(np.abs(den) < 1e-9):
-            raise NumericalError(f"vanishing denominator in term {name}")
-        return 1.0 / den
+    def shift(den):
+        # one pair excitation of energy -den (units of A0), penalty staying or flipping
+        if np.any(np.abs(den) < 1e-9) or np.any(np.abs(den - lam0) < 1e-9):
+            raise NumericalError("vanishing second-order denominator")
+        return stay / den + flip / (den - lam0)
 
-    dE0 = (
-        3.0 * m02**2 * d_mm**2 * inv("0:02,stay", eps0 - eps2)
-        + 3.0 * m02**2 * d_mp**2 * inv("0:02,flip", eps0 - eps2 - lam_t)
-        + 3.0 * m01**2 * d_mm**2 * inv("0:01,stay", eps0 - eps1)
-        + 3.0 * m01**2 * d_mp**2 * inv("0:01,flip", eps0 - eps1 - lam_t)
-    )
-    dE2 = (
-        m02**2 * d_mm**2 * inv("2:20,stay", eps2 - eps0)
-        + m02**2 * d_mp**2 * inv("2:20,flip", eps2 - eps0 - lam_t)
-        + 2.0 * m02**2 * d_mm**2 * inv("2:02,stay", eps0 - eps2)
-        + 2.0 * m02**2 * d_mp**2 * inv("2:02,flip", eps0 - eps2 - lam_t)
-        + m32**2 * d_mm**2 * inv("2:23,stay", eps2 - eps3)
-        + m32**2 * d_mp**2 * inv("2:23,flip", eps2 - eps3 - lam_t)
-        + 2.0 * m01**2 * d_mm**2 * inv("2:01,stay", eps0 - eps1)
-        + 2.0 * m01**2 * d_mp**2 * inv("2:01,flip", eps0 - eps1 - lam_t)
-    )
+    from_ground = to_plus_s * shift(-s - lam) + to_other * shift(s - lam)
+    from_plus_s = to_plus_s * shift(s + lam) + to_other * shift(s - lam)
     # second-order shifts carry (A0 s beta)^2 over A0-scaled denominators
-    return A0 * (eps2 - eps0) + A0 * (params.beta * s) ** 2 * (dE2 - dE0)
+    return params.A0 * ((s + lam) + (params.beta * s) ** 2 * (from_plus_s - from_ground))
 
 
 # ---------------------------------------------------------------------------
@@ -244,14 +208,14 @@ def single_logical_excited_manifold(params: PerturbParams, s: float) -> np.ndarr
 
 
 def coupled_pairs_excited_manifold(params: PerturbParams, s: float) -> np.ndarray:
-    """Unperturbed triple with one pair in its eps_2 state (the lowest level
-    whose decoded value is wrong)."""
+    """Unperturbed triple with one pair at its level +s, (|11>-|00>)/sqrt2
+    (the lowest level whose decoded value is wrong)."""
     s = float(s)
-    lam, c_minus, *_ = _two_site_data(s)
-    ground = np.array([1.0 - s, -(s + lam) / 2.0, -(s + lam) / 2.0, 1.0 - s]) / c_minus
-    eps2_vec = np.array([-1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
+    even, odd = single_qubit_eigs(1.0, s).vec_minus  # on (|00>+|11>)/sqrt2, (|01>+|10>)/sqrt2
+    ground = np.array([even, odd, odd, even]) / np.sqrt(2.0)
+    plus_s = np.array([-1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
     pm = single_qubit_eigs(params.omega0, s).vec_minus
-    cols = [reduce(np.kron, [eps2_vec if pair == which else ground for pair in range(3)] + [pm]) for which in range(3)]
+    cols = [reduce(np.kron, [plus_s if pair == which else ground for pair in range(3)] + [pm]) for which in range(3)]
     return np.stack(cols, axis=1)
 
 

@@ -15,9 +15,10 @@ For ``cell_size == 4`` each cell hosts two logical qubits: block A takes
 shore-0 indices {0,1,2} as problem qubits with the shore-1 index 3 qubit as
 its penalty; block B mirrors this (shore-1 problem qubits {0,1,2}, shore-0
 penalty at index 3).  Logical edges are realized by the three same-index
-physical couplers between the blocks' problem qubits; no coupler realizes
-two logical edges, and an :class:`EncodedGraph` that would share one is
-rejected.
+physical couplers between the blocks' problem qubits.  An
+:class:`EncodedGraph` checks that every logical edge's couplers pair the
+problem qubits of its two blocks one to one, so no coupler realizes two
+logical edges.
 """
 
 from __future__ import annotations
@@ -91,6 +92,8 @@ class HardwareGraph:
                 raise ValidationError(f"edge ({a},{b}) touches an inactive qubit")
 
     def qubit_id(self, row: int, col: int, shore: int, index: int) -> int:
+        if not (0 <= row < self.rows and 0 <= col < self.cols and 0 <= shore < 2 and 0 <= index < self.cell_size):
+            raise ValidationError(f"coordinates ({row}, {col}, {shore}, {index}) outside the {self.rows}x{self.cols} graph of cell size {self.cell_size}")
         return 2 * self.cell_size * (row * self.cols + col) + shore * self.cell_size + index
 
 
@@ -183,17 +186,28 @@ class LogicalEncoding:
 class EncodedGraph:
     """Logical-qubit graph derived from a hardware graph.
 
-    ``logical_edges`` maps an ordered pair of logical ids to the tuple of
-    physical couplers realizing that edge.  No coupler may realize two
-    logical edges (the canonical block placement never shares one), so any
-    set of logical edges can be active at once; construction validates this.
+    ``logical_edges`` maps a pair (i, j), i < j, of logical ids to the tuple
+    of physical couplers realizing that edge.  Construction raises
+    ValidationError unless both blocks exist and the couplers, all in the
+    host graph if there is one, pair the problem qubits of block i with
+    those of block j one to one.  So no coupler realizes two logical edges,
+    and any set of logical edges can be active at once.
     """
 
     encoding: LogicalEncoding
     logical_edges: dict[tuple[int, int], tuple[tuple[int, int], ...]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.validate()
+        n, host = self.encoding.n, self.encoding.host
+        block_of = {q: b.logical_id for b in self.encoding.blocks for q in b.problem_ids}
+        for (i, j), couplers in self.logical_edges.items():
+            # n couplers with 2n distinct ends, each joining block i to block j
+            if not (i < j and len(couplers) == n and len({q for c in couplers for q in c}) == 2 * n
+                    and all({block_of.get(a), block_of.get(b)} == {i, j} for a, b in couplers)):
+                raise ValidationError(f"logical edge ({i},{j}) needs i < j and {n} couplers pairing the problem qubits of blocks {i} and {j} one to one")
+            for a, b in couplers:
+                if host is not None and (min(a, b), max(a, b)) not in host.edges:
+                    raise ValidationError(f"coupler ({a},{b}) of logical edge ({i},{j}) missing from host graph")
 
     @property
     def blocks(self) -> tuple[LogicalBlock, ...]:
@@ -207,19 +221,6 @@ class EncodedGraph:
                 adj[i].add(j)
                 adj[j].add(i)
         return adj
-
-    def validate(self) -> None:
-        n = self.encoding.n
-        owner: dict[tuple[int, int], tuple[int, int]] = {}
-        for (i, j), couplers in self.logical_edges.items():
-            if len(couplers) != n:
-                raise ValidationError(f"logical edge ({i},{j}) realized by {len(couplers)} couplers, expected {n}")
-            for e in couplers:
-                key = tuple(sorted(e))
-                if self.encoding.host is not None and key not in self.encoding.host.edges:
-                    raise ValidationError(f"coupler {e} of logical edge ({i},{j}) missing from host graph")
-                if owner.setdefault(key, (i, j)) != (i, j):
-                    raise ValidationError(f"coupler {key} realizes logical edges {owner[key]} and ({i},{j})")
 
 
 def build_encoding(hw: HardwareGraph) -> tuple[LogicalEncoding, EncodedGraph]:

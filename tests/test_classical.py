@@ -18,6 +18,12 @@ def test_fits_recover_noise_free_curves(p):
     np.testing.assert_allclose(lor_fit.predict(NS), 1.0 / (1.0 + lor_fit.p * NS**2.0), rtol=1e-15)
 
 
+@pytest.mark.parametrize("p", [1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6])
+def test_lorentzian_fit_recovers_noise_free_curves_over_fifteen_decades(p):
+    fit = lorentzian_fit([(n, 1.0 / (1.0 + p * n * n)) for n in NS])
+    assert fit.p == pytest.approx(p, rel=1e-6)
+
+
 @pytest.mark.parametrize("fit", [exponential_fit, lorentzian_fit])
 def test_fits_flag_all_ones_as_degenerate(fit):
     result = fit([(2, 1.0), (5, 1.0), (9, 1.0)])
@@ -58,6 +64,7 @@ def test_no_kink_probability_rejects_empty_chain():
         [(2, 0.9), (3, 0.0), (4, 0.7)],  # probability 0
         [(2, 0.9), (3, 1.2), (4, 0.7)],  # probability above 1
         [(2, 0.9), (3, -0.1), (4, 0.7)],
+        [(0, 0.9), (3, 0.8), (4, 0.7)],  # no chain
     ],
 )
 def test_fits_reject_bad_curves(fit, data):

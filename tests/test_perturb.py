@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -53,7 +55,7 @@ def test_models_equal_kronecker_builds(s):
         assert np.abs(perturb.coupled_pairs_model(p, s) - coupled_pairs_kron(p, s)).max() < 1e-12
 
 
-@pytest.mark.parametrize("omega", [1.0, 0.01])
+@pytest.mark.parametrize("omega", [1.0, 0.01, -0.5])
 def test_single_qubit_eigs_against_eigh(omega):
     grid = np.array([0.0, 0.2, 0.5, 0.8, 1.0])
     A0 = 1.7
@@ -66,6 +68,49 @@ def test_single_qubit_eigs_against_eigh(omega):
         for vec, ref in ((eig.vec_minus[i], vecs[:, 0]), (eig.vec_plus[i], vecs[:, 1])):
             assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
             assert abs(vec @ ref) == pytest.approx(1.0, abs=1e-12)
+
+
+def perturbation_coefficients(model, manifold, p, s):
+    """Gap shifts per beta and per beta^2 by numerical perturbation theory
+    on the dense model: V = model(beta=1) - model(beta=0) in the eigenbasis
+    of model(beta=0), from the non-degenerate ground level to the mean over
+    the three-fold level that holds ``manifold``."""
+    H0 = model(dataclasses.replace(p, beta=0.0), s)
+    vals, vecs = np.linalg.eigh(H0)
+    V = vecs.T @ (model(dataclasses.replace(p, beta=1.0), s) - H0) @ vecs
+    cols = manifold(p, s)
+    level = vals[np.argmax(np.sum((cols.T @ vecs) ** 2, axis=0))]
+    triplet = np.abs(vals - level) < 1e-9
+    ground = np.arange(len(vals)) == 0
+    assert triplet.sum() == 3 and vals[1] - vals[0] > 1e-9
+    span = vecs[:, triplet]
+    assert np.abs(span @ (span.T @ cols) - cols).max() < 1e-10
+
+    def orders(rows, energy):
+        first = np.trace(V[np.ix_(rows, rows)]) / rows.sum()
+        out = ~rows
+        second = np.sum(V[np.ix_(out, rows)] ** 2 / (energy - vals[out])[:, None]) / rows.sum()
+        return np.array([first, second])
+
+    return orders(triplet, level) - orders(ground, vals[0])
+
+
+@pytest.mark.parametrize("omega", [1.0, -1.0])
+@pytest.mark.parametrize("s", [0.2, 0.5, 0.8, 1.0])
+def test_logical_gap_is_first_order_perturbation_theory(s, omega):
+    p = PerturbParams(A0=1.3, omega=omega, omega0=0.2, beta=0.07)
+    first, _ = perturbation_coefficients(perturb.single_logical_model, perturb.single_logical_excited_manifold, p, s)
+    gap = [perturb.logical_qubit_perturbed_gap(dataclasses.replace(p, beta=b), s) for b in (0.0, 1.0)]
+    assert abs((gap[1] - gap[0]) - first) < 1e-10
+
+
+@pytest.mark.parametrize("s", [0.2, 0.5, 0.8])
+def test_pairs_gap_is_second_order_perturbation_theory(s):
+    p = PerturbParams(A0=1.3, omega=1.0, omega0=0.2, beta=0.07)
+    first, second = perturbation_coefficients(perturb.coupled_pairs_model, perturb.coupled_pairs_excited_manifold, p, s)
+    gap = [perturb.coupled_pairs_perturbed_gap(dataclasses.replace(p, beta=b), s) for b in (0.0, 1.0)]
+    assert abs(first) < 1e-10
+    assert abs((gap[1] - gap[0]) - second) < 1e-10
 
 
 @pytest.mark.parametrize(

@@ -56,6 +56,12 @@ class TestBuildChimera:
         assert ids == [2 * 4 * (r * 5 + c) + s * 4 + i for r, c, s, i in coords]
         assert sorted(ids) == list(range(2 * 4 * 3 * 5))
 
+    @pytest.mark.parametrize("coords", [(0, 0, 0, 4), (0, 0, 2, 0), (0, 2, 0, 0), (2, 0, 0, 0), (5, 0, 0, 0), (-1, 0, 0, 0)])
+    def test_qubit_id_rejects_coordinates_outside_the_graph(self, coords):
+        # unchecked, (0, 0, 0, 4) would alias (0, 0, 1, 0) and (5, 0, 0, 0) would be id 80 of 32
+        with pytest.raises(ValidationError):
+            build_chimera(2, 2, 4).qubit_id(*coords)
+
     def test_validate_accepts_construction(self):
         # construction validates: build_chimera's graph passes when rebuilt,
         # and a copy with a defective end on one edge fails
@@ -145,16 +151,46 @@ class TestBuildEncoding:
             LogicalEncoding(3, (same_shore,), host=hw)
         assert LogicalEncoding(3, (LogicalBlock(0, problem, hw.qubit_id(0, 0, 1, 3)),), host=hw).blocks
 
-    def test_shared_coupler_rejected(self):
-        # synthetic triangle whose two edges at vertex 0 share one coupler
+    @pytest.mark.parametrize("case", [
+        "reversed pair", "missing block", "two couplers", "repeated coupler", "repeated qubit", "penalty end", "other block",
+        "neither block",
+    ])
+    def test_logical_edges_must_pair_problem_qubits(self, case):
+        # synthetic blocks with no host: block i holds problem qubits 10i, 10i+1, 10i+2
         from qacsim.topology import EncodedGraph, LogicalBlock, LogicalEncoding
 
         blocks = tuple(LogicalBlock(i, (10 * i, 10 * i + 1, 10 * i + 2), 10 * i + 3) for i in range(3))
         enc = LogicalEncoding(3, blocks)
-        disjoint = {(0, 1): ((100, 101), (102, 103), (104, 105)), (1, 2): ((200, 201), (202, 203), (204, 205))}
-        assert EncodedGraph(enc, disjoint).logical_edges == disjoint
-        with pytest.raises(ValidationError, match="realizes logical edges"):
-            EncodedGraph(enc, {**disjoint, (0, 2): ((105, 104), (106, 107), (108, 109))})
+        edges = {(0, 1): ((0, 10), (11, 1), (2, 12)), (1, 2): ((10, 22), (11, 20), (12, 21))}
+        assert EncodedGraph(enc, edges).logical_edges == edges
+        bad = {
+            "reversed pair": {(1, 0): ((0, 10), (1, 11), (2, 12))},
+            "missing block": {(0, 5): ((0, 50), (1, 51), (2, 52))},
+            "two couplers": {(0, 1): ((0, 10), (1, 11))},
+            "repeated coupler": {(0, 1): ((0, 10), (1, 11), (2, 12), (0, 10))},
+            "repeated qubit": {(0, 1): ((0, 10), (0, 11), (2, 12))},
+            "penalty end": {(0, 1): ((0, 10), (1, 11), (3, 12))},
+            "other block": {(0, 1): ((0, 20), (1, 21), (2, 22))},
+            "neither block": {(0, 1): ((100, 101), (102, 103), (104, 105))},
+        }[case]
+        with pytest.raises(ValidationError, match="logical edge"):
+            EncodedGraph(enc, bad)
+
+    def test_logical_edge_needs_its_own_blocks_couplers(self):
+        # the couplers of edge (2, 3) cannot stand for (0, 3): blocks 0 and 3 share none
+        from qacsim.topology import EncodedGraph
+
+        enc, eg = build_encoding(build_chimera(1, 2, 4))
+        with pytest.raises(ValidationError, match="one to one"):
+            EncodedGraph(enc, {(0, 3): eg.logical_edges[(2, 3)]})
+        # a pairing that the host graph lacks
+        enc, _ = build_encoding(build_chimera(1, 1, 4))
+        crossed = tuple((enc.blocks[0].problem_ids[k], enc.blocks[1].problem_ids[(k + 1) % 3]) for k in range(3))
+        EncodedGraph(enc, {(0, 1): crossed})  # accepted in a cell: every shore-0/shore-1 pair is a coupler
+        enc, _ = build_encoding(build_chimera(2, 1, 4))
+        crossed = tuple((enc.blocks[0].problem_ids[k], enc.blocks[2].problem_ids[(k + 1) % 3]) for k in range(3))
+        with pytest.raises(ValidationError, match="missing from host"):
+            EncodedGraph(enc, {(0, 2): crossed})
 
 
 class TestEmbedChain:
