@@ -11,9 +11,14 @@ There are two:
 * :func:`frame_run`, the adiabatic master equation for
   :mod:`qacsim.master_equation` when a bath is coupled (kappa > 0).  The
   density matrix is tracked in the frame of the instantaneous eigenvectors.
-  Over a sub-step the coherent part of the frame equation (dynamical phases
-  plus the non-adiabatic coupling K) is one propagator P = diag(e^{-i phi}) W:
-  phi comes from a cubic Hermite model of the eigenvalue curves, and W is a
+  When no qubit has a local field, H(s) commutes with the global flip
+  prod_q sigma^x_q, and the frame is built in its two parity sectors: two
+  half-size eigensolves a node, levels split evenly between the sectors,
+  and a dissipator that skips the sigma^z elements the symmetry makes zero.
+  Otherwise the frame is the one whole-space sector.  Over a sub-step the
+  coherent part of the frame equation (dynamical phases plus the
+  non-adiabatic coupling K) is one propagator P = diag(e^{-i phi}) W: phi
+  comes from a cubic Hermite model of the eigenvalue curves, and W is a
   Magnus exponential whose oscillatory integrals of K are taken
   analytically, so steps are never limited by the fastest Bohr frequency.
   The dissipator, non-oscillatory in this frame because its terms pair equal
@@ -22,9 +27,9 @@ There are two:
   the embedded estimate, so a step builds two nodes.  The step keeps its two
   half-step propagators; the one-step propagator only gives a Richardson
   estimate of the coherent error.  Overlap matching keeps the eigenbasis
-  continuous from node to node: columns are permuted to follow each level
-  through crossings, and near-degenerate clusters are rotated onto the
-  previous node's gauge.
+  continuous from node to node, within each sector: columns are permuted to
+  follow each level through crossings, and near-degenerate clusters are
+  rotated onto the previous node's gauge.
 
 The operators behind H(s) = A(s) * sum_i sigma^x_i + B(s) * H_z, the anneal
 fractions where steps must end and the level-count check are defined here,
@@ -36,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
 from .errors import NumericalError, ValidationError
@@ -103,10 +109,12 @@ class IntegratorReport:
     snapshot or a schedule knot counts at the length it was cut from, so
     ``min_step_ns`` lies in (0, t_f].  ``node_builds`` counts eigensolves: 0
     for the matrix-free :func:`split_operator_run`, two a step for
-    :func:`frame_run`.  ``truncation_margin`` is the smallest gap
-    between the last kept and the first dropped level over the nodes with
-    0 < s < 1, or None when every level is kept: near zero, the truncation
-    cuts a (near-)degenerate cluster.
+    :func:`frame_run` (a node's sector eigensolves count once).
+    ``truncation_margin`` is the smallest gap between the last kept and the
+    first dropped level of one frame sector over the nodes with 0 < s < 1,
+    or None when every level is kept: near zero, the truncation cuts a
+    (near-)degenerate cluster.  Levels of different flip sectors cross
+    exactly and do not narrow it.
     """
 
     accepted: int
@@ -208,8 +216,8 @@ def split_operator_run(problem, schedule, W0, snapshots, rtol):
 @dataclass
 class _Node:
     t: float
-    eps: np.ndarray
-    V: np.ndarray
+    eps: np.ndarray  # frame energies, sector by sector
+    U: list[np.ndarray]  # each sector's eigenvectors in its own basis
     eps_dot: np.ndarray
     K: np.ndarray
     dissipator: "_DissipatorProgram"
@@ -222,71 +230,101 @@ class _DissipatorProgram:
     M: np.ndarray
 
 
+def _sector_eigh(H: np.ndarray, keep: int):
+    """The lowest ``keep`` eigenpairs of H and one more when that many
+    exist, so the gap at the cut is exact."""
+    if keep < len(H):
+        return scipy.linalg.eigh(H, subset_by_index=(0, keep), driver="evx")
+    return np.linalg.eigh(H)
+
+
 def frame_run(problem, schedule, bath, rho0, levels, snapshots, rtol):
     """Adiabatic master equation (kappa > 0) from the density matrix rho0,
-    tracking the lowest ``levels`` instantaneous levels (all when None).  A
-    step attempt builds the frame nodes (eigensolve, alignment, dissipator
-    program) at its midpoint and end.  Runs under :func:`adaptive_run` at
-    order 4; returns (s values, density matrices in the computational basis
-    at the snapshots, IntegratorReport)."""
+    tracking the lowest ``levels`` instantaneous levels (all when None).
+
+    The frame is built in sectors.  Sector sign σ of dimension d is spanned
+    by (|x> + σ|x'>) / sqrt(1 + σ^2) for x < d, with x' = x XOR (2^n - 1) the
+    global flip of x.  When ``ising_diagonal`` is flip-symmetric, H(s)
+    commutes with the product of all sigma^x, and the frame is its two
+    sectors σ = ±1 of dimension 2^(n-1), with ``levels`` split evenly
+    between them (an odd count raises ValidationError).  Otherwise it is the
+    one whole-space sector σ = 0.  Each sector takes its own eigensolve, its
+    own gauge fixes and its own level matching, so every frame column stays
+    a parity eigenvector and no level crosses the cut at an exact crossing
+    between sectors.  A step attempt builds the frame nodes (eigensolves,
+    alignment, dissipator program) at its midpoint and end.  Runs under
+    :func:`adaptive_run` at order 4; returns (s values, density matrices in
+    the computational basis at the snapshots, IntegratorReport)."""
     n = problem.num_physical
     dim = 1 << n
     m = tracked_levels(levels, n)
-    X = pauli_x_sum(n)
     Ez = ising_diagonal(problem)
+    signs = (1.0, -1.0) if np.array_equal(Ez, Ez[::-1]) else (0.0,)
+    if m % len(signs):
+        raise ValidationError("levels must be even: the flip-symmetric frame splits them between two sectors")
+    d, per = dim // len(signs), m // len(signs)
+    X = pauli_x_sum(n)
+    X_sectors = [X[:d, :d] + sign * X[:d, ::-1][:, :d] for sign in signs]
+    Ez_sector = Ez[:d]  # the flip leaves E_z unchanged wherever there are two sectors
     t_f = schedule.t_f_ns
-    flips = flip_indices(n)
-    zdiags = np.ascontiguousarray(config_from_index(np.arange(dim)[:, None], n).T, dtype=float)
+    zdiags = np.ascontiguousarray(config_from_index(np.arange(d)[:, None], n).T, dtype=float)
     node_builds = 0
-    margin = None if m == dim else np.inf
+    margin = None if per == d else np.inf
 
-    def m_dot(s: float, V: np.ndarray) -> np.ndarray:
-        dA, dB = schedule.derivatives_of(s)
-        Y = np.zeros_like(V)
-        for fi in flips:
-            Y += V[fi, :]
-        Y *= float(dA)
-        Y += float(dB) * (Ez[:, None] * V)
-        return (V.T @ Y) / t_f
+    def lift(node: _Node) -> np.ndarray:
+        """The frame's columns in the computational basis, (2^n, levels)."""
+        V = np.zeros((dim, m))
+        for k, (sign, U) in enumerate(zip(signs, node.U)):
+            V[:d, k * per:(k + 1) * per] = U
+            V[dim - d:, k * per:(k + 1) * per] += sign * U[::-1]
+        return V / np.sqrt(1.0 + signs[0] ** 2)
 
     def build_node(t: float, prev: _Node | None) -> _Node:
         nonlocal node_builds, margin
         s = t / t_f
-        H = annealing_hamiltonian(X, Ez, schedule.A_of(s), schedule.B_of(s))
+        A, B = schedule.A_of(s), schedule.B_of(s)
+        dA, dB = schedule.derivatives_of(s)
         node_builds += 1
-        eps, V = np.linalg.eigh(H)
-        if m < dim and 0.0 < s < 1.0:
-            margin = min(margin, float(eps[m] - eps[m - 1]))
-        eps, V = eps[:m], V[:, :m]
-        M_dot = m_dot(s, V)
-
-        # Within each (near-)degenerate cluster the eigensolver basis is
-        # arbitrary; rotate to the basis diagonalizing dH/dt (degenerate
-        # perturbation theory), which is the correct adiabatic continuation
-        # and removes spurious couplings over vanishing denominators.
-        scale = max(1.0, float(np.abs(eps).max()))
-        for cluster in _degenerate_clusters(eps, 1e-6 * scale):
-            if len(cluster) > 1:
-                ix = np.ix_(cluster, cluster)
-                dots, rot = np.linalg.eigh(0.5 * (M_dot[ix] + M_dot[ix].T))
-                V[:, cluster] = V[:, cluster] @ rot
-                M_dot[cluster, :] = rot.T @ M_dot[cluster, :]
-                M_dot[:, cluster] = M_dot[:, cluster] @ rot
-
-        eps, V, M_dot = _align(prev, eps, V, M_dot)
-        eps_dot = np.diag(M_dot).copy()
-        denom = eps[None, :] - eps[:, None]
+        solved = [_sector_eigh(annealing_hamiltonian(Xk, Ez_sector, A, B), per) for Xk in X_sectors]
+        if per < d and 0.0 < s < 1.0:
+            margin = min([margin] + [float(e[per] - e[per - 1]) for e, _ in solved])
+        scale = max(1.0, max(float(np.abs(e[:per]).max()) for e, _ in solved))
         guard = 1e-9 * scale
-        safe = np.where(np.abs(denom) > guard, denom, np.inf)
-        K = M_dot / safe
-        np.fill_diagonal(K, 0.0)
+        eps, eps_dot, K, U = np.empty(m), np.empty(m), np.zeros((m, m)), []
+        for k, (Xk, (e, u)) in enumerate(zip(X_sectors, solved)):
+            e, u = e[:per], u[:, :per]
+            M_dot = u.T @ (float(dA) * (Xk @ u) + float(dB) * (Ez_sector[:, None] * u)) / t_f
 
-        return _Node(t, eps, V, eps_dot, K, _build_dissipator(eps, V, zdiags, bath))
+            # Within each (near-)degenerate cluster the eigensolver basis is
+            # arbitrary; rotate to the basis diagonalizing dH/dt (degenerate
+            # perturbation theory), which is the correct adiabatic continuation
+            # and removes spurious couplings over vanishing denominators.
+            for cluster in _degenerate_clusters(e, 1e-6 * scale):
+                if len(cluster) > 1:
+                    ix = np.ix_(cluster, cluster)
+                    dots, rot = np.linalg.eigh(0.5 * (M_dot[ix] + M_dot[ix].T))
+                    u[:, cluster] = u[:, cluster] @ rot
+                    M_dot[cluster, :] = rot.T @ M_dot[cluster, :]
+                    M_dot[:, cluster] = M_dot[:, cluster] @ rot
+
+            e, u, M_dot = _align(None if prev is None else prev.U[k], e, u, M_dot)
+            denom = e[None, :] - e[:, None]
+            Kk = M_dot / np.where(np.abs(denom) > guard, denom, np.inf)
+            np.fill_diagonal(Kk, 0.0)
+            block = slice(k * per, (k + 1) * per)  # K is block-diagonal: dH/dt keeps the sector
+            eps[block], eps_dot[block], K[block, block] = e, np.diag(M_dot), Kk
+            U.append(u)
+        # at s = 0 the transverse field's multiplets make Bohr frequencies
+        # coincide that part as soon as s > 0: the start node, which the
+        # first step weighs as much as any, takes the bins of s -> 0+
+        return _Node(t, eps, U, eps_dot, K,
+                     _build_dissipator(eps, signs, U, zdiags, bath, eps_dot if s == 0.0 else None))
 
     def start():
         """The state at s = 0: its node, and rho0 in that node's frame."""
         node = build_node(0.0, None)
-        y = node.V.T @ rho0.astype(complex) @ node.V
+        V = lift(node)
+        y = V.T @ rho0.astype(complex) @ V
         captured = float(np.real(np.trace(y)))
         if captured < 1.0 - 1e-9:
             raise ValidationError(f"initial state has weight {1 - captured:.2e} outside the {m} tracked levels")
@@ -321,30 +359,33 @@ def frame_run(problem, schedule, bath, rho0, levels, snapshots, rtol):
         y_new = P @ u4 @ P.conj().T
         return (node1, 0.5 * (y_new + y_new.conj().T)), err
 
+    def record(state):
+        V = lift(state[0])
+        return V @ state[1] @ V.T
+
     # no local holds the start state: its node, at the most degenerate
     # point, has the largest dissipator program and is freed after one step
-    s_points, rhos, report = adaptive_run(step, start(), schedule, snapshots, 4,
-                                          lambda state: state[0].V @ state[1] @ state[0].V.T)
+    s_points, rhos, report = adaptive_run(step, start(), schedule, snapshots, 4, record)
     return s_points, rhos, replace(report, node_builds=node_builds, truncation_margin=margin)
 
 
-def _align(prev: _Node | None, eps: np.ndarray, V: np.ndarray, M_dot: np.ndarray):
-    """Follow the previous node's levels: permute columns by overlap, fix
-    each level's sign, and rotate clusters where both the energy and its
-    slope coincide onto the previous gauge.  At the first node, make each
-    column's largest component positive."""
+def _align(prev_U: np.ndarray | None, eps: np.ndarray, U: np.ndarray, M_dot: np.ndarray):
+    """Follow the previous node's levels within one sector: permute columns
+    by overlap with ``prev_U``, fix each level's sign, and rotate clusters
+    where both the energy and its slope coincide onto the previous gauge.
+    At the first node, make each column's largest component positive."""
     m = len(eps)
-    if prev is None:
-        lead = np.argmax(np.abs(V), axis=0)
-        signs = np.sign(V[lead, np.arange(m)])
+    if prev_U is None:
+        lead = np.argmax(np.abs(U), axis=0)
+        signs = np.sign(U[lead, np.arange(m)])
         signs[signs == 0] = 1.0
-        V = V * signs
+        U = U * signs
         M_dot = signs[:, None] * M_dot * signs[None, :]
-        return eps, V, M_dot
-    overlap = prev.V.T @ V
+        return eps, U, M_dot
+    overlap = prev_U.T @ U
     perm = linear_sum_assignment(np.abs(overlap), maximize=True)[1]
     eps = eps[perm]
-    V = V[:, perm]
+    U = U[:, perm]
     M_dot = M_dot[np.ix_(perm, perm)]
     overlap = overlap[:, perm]
     # per-level sign gauge; polar alignment only where both the energy
@@ -359,43 +400,64 @@ def _align(prev: _Node | None, eps: np.ndarray, V: np.ndarray, M_dot: np.ndarray
             if len(idx) == 1:
                 i = idx[0]
                 if overlap[i, i] < 0:
-                    V[:, i] = -V[:, i]
+                    U[:, i] = -U[:, i]
                     M_dot[i, :] = -M_dot[i, :]
                     M_dot[:, i] = -M_dot[:, i]
             else:
-                block = V[:, idx].T @ prev.V[:, idx]
+                block = U[:, idx].T @ prev_U[:, idx]
                 u, _, vt = np.linalg.svd(block)
                 rot = u @ vt
-                V[:, idx] = V[:, idx] @ rot
+                U[:, idx] = U[:, idx] @ rot
                 M_dot[idx, :] = rot.T @ M_dot[idx, :]
                 M_dot[:, idx] = M_dot[:, idx] @ rot
-    return eps, V, M_dot
+    return eps, U, M_dot
 
 
-def _build_dissipator(eps: np.ndarray, V: np.ndarray, zdiags: np.ndarray, bath) -> _DissipatorProgram:
-    """The dissipator in the frame of the columns of V (energies eps), for
-    sigma^z couplings with the (qubits, 2^n) diagonals ``zdiags``."""
+def _build_dissipator(eps: np.ndarray, signs, Us: list[np.ndarray], zdiags: np.ndarray, bath,
+                      slopes: np.ndarray | None = None) -> _DissipatorProgram:
+    """The dissipator in the frame of the sectors' eigenvectors ``Us``
+    (energies eps, sector by sector, sector signs ``signs``), for sigma^z
+    couplings with the (qubits, d) diagonals ``zdiags`` over a sector's d
+    basis states.
+
+    sigma^z anticommutes with the global flip, so it couples sector sign σ
+    only to sector sign -σ: its element between two levels of one ±1 sector
+    is exactly zero, and every such pair is left out of the program.
+    Between the two ±1 sectors, and within the whole-space sector, the
+    element of qubit q is U_a^T diag(z_q) U_b.
+
+    Bohr frequencies within _BIN_TOL share a Lindblad operator.  Given the
+    levels' ``slopes`` d(eps)/dt, frequencies whose slopes differ by more
+    than _BIN_TOL per ns do not: they coincide only at this instant.
+    """
     m = len(eps)
-    gaps = (eps[None, :] - eps[:, None]).ravel()
-    key = np.rint(gaps / _BIN_TOL).astype(np.int64)
-    order = np.argsort(key, kind="stable")
-    sorted_key = key[order]
-    starts = np.flatnonzero(np.r_[True, sorted_key[1:] != sorted_key[:-1]])
-    lengths = np.diff(np.r_[starts, len(sorted_key)])
-    rates = bath.rate(gaps[order[starts]])
+    nq = len(zdiags)
+    sizes = [U.shape[1] for U in Us]
+    offsets = np.cumsum([0] + sizes)
+    w = np.zeros((nq, m, m))
+    for a, (sign_a, Ua) in enumerate(zip(signs, Us)):
+        for b, (sign_b, Ub) in enumerate(zip(signs, Us)):
+            if sign_a == -sign_b:  # all W_q of the block via one batched product
+                w[:, offsets[a]:offsets[a + 1], offsets[b]:offsets[b + 1]] = Ua.T @ (zdiags[:, :, None] * Ub)
+    w_flat = w.reshape(nq, m * m)
+    level_sign = np.repeat(signs, sizes)
+    pairs = np.flatnonzero(level_sign[:, None] == -level_sign[None, :])
 
-    # all W_q = V^T (z_q * V) via one batched product
-    nq, dim = zdiags.shape
-    Vz = (zdiags[:, :, None] * V[None, :, :]).transpose(1, 0, 2).reshape(dim, nq * m)
-    w_flat = np.ascontiguousarray(
-        (V.T @ Vz).reshape(m, nq, m).transpose(1, 0, 2)
-    ).reshape(nq, m * m)  # (n_qubits, m*m)
+    gaps = (eps[None, :] - eps[:, None]).ravel()[pairs]
+    key = np.rint(gaps / _BIN_TOL).astype(np.int64)
+    drift = np.zeros_like(key)
+    if slopes is not None:
+        drift = np.rint((slopes[None, :] - slopes[:, None]).ravel()[pairs] / _BIN_TOL).astype(np.int64)
+    order = np.lexsort((drift, key))
+    starts = np.flatnonzero(np.r_[True, (np.diff(key[order]) != 0) | (np.diff(drift[order]) != 0)])
+    lengths = np.diff(np.r_[starts, len(order)])
+    rates = bath.rate(gaps[order[starts]])
 
     classes = []
     M = np.zeros(m * m)
     for c in np.unique(lengths):
         bins_c = np.flatnonzero(lengths == c)
-        members = order[starts[bins_c][:, None] + np.arange(c)[None, :]]  # (nb, c)
+        members = pairs[order[starts[bins_c][:, None] + np.arange(c)[None, :]]]  # (nb, c)
         a_idx = members // m
         b_idx = members % m
         outer = np.einsum("qki,qkj->kij", w_flat[:, members], w_flat[:, members])
@@ -423,13 +485,17 @@ def _dissipator_rhs(program: _DissipatorProgram, rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def _phases(n0: _Node, n1: _Node, h: float, theta: float) -> np.ndarray:
-    """integral of eps(t) over [n0.t, n0.t + theta*h], cubic Hermite model."""
-    i00 = theta**4 / 2 - theta**3 + theta
-    i10 = theta**4 / 4 - 2 * theta**3 / 3 + theta**2 / 2
-    i01 = -(theta**4) / 2 + theta**3
-    i11 = theta**4 / 4 - theta**3 / 3
-    return h * (n0.eps * i00 + h * n0.eps_dot * i10 + n1.eps * i01 + h * n1.eps_dot * i11)
+_KNOTS = np.linspace(0.0, 1.0, _PIECES + 1)
+# integrals over [0, c] of the cubic Hermite basis, at each knot c: the
+# weights of eps(t0), h eps_dot(t0), eps(t1) and h eps_dot(t1) in the phase
+_PHASE_WEIGHTS = np.stack([
+    _KNOTS**4 / 2 - _KNOTS**3 + _KNOTS,
+    _KNOTS**4 / 4 - 2 * _KNOTS**3 / 3 + _KNOTS**2 / 2,
+    -(_KNOTS**4) / 2 + _KNOTS**3,
+    _KNOTS**4 / 4 - _KNOTS**3 / 3,
+])[:, :, None]
+_PIECE_MIDPOINTS = (0.5 * (_KNOTS[:-1] + _KNOTS[1:]))[:, None, None]
+_PIECE_WIDTHS = np.diff(_KNOTS)[:, None, None]
 
 
 def _propagator(n0: _Node, n1: _Node, h: float) -> np.ndarray:
@@ -437,22 +503,19 @@ def _propagator(n0: _Node, n1: _Node, h: float) -> np.ndarray:
     n0.t + h, with phi the accumulated phases and W the Magnus exponential of
     the non-adiabatic coupling K.
 
-    The coupling element (a, b) oscillates at the accumulated phase
+    The phases at the _PIECES + 1 knots integrate a cubic Hermite model of
+    eps(t).  The coupling element (a, b) oscillates at the accumulated phase
     difference; its integral is taken with a piecewise-linear phase and a
-    linearly interpolated K envelope over _PIECES sub-intervals.
+    linearly interpolated K envelope over the _PIECES sub-intervals.
     """
-    knots = np.linspace(0.0, 1.0, _PIECES + 1)
-    phis = [_phases(n0, n1, h, c) for c in knots]
-    omega = np.zeros((len(n0.eps),) * 2, dtype=complex)
-    for j in range(_PIECES):
-        dphi0 = phis[j][:, None] - phis[j][None, :]
-        dphi1 = phis[j + 1][:, None] - phis[j + 1][None, :]
-        x = dphi1 - dphi0
-        shape = np.where(np.abs(x) < 1e-8, 1.0 + 0.5j * x, (np.exp(1j * x) - 1.0) / np.where(np.abs(x) < 1e-8, 1.0, 1j * x))
-        c_mid = 0.5 * (knots[j] + knots[j + 1])
-        K_mid = n0.K + (n1.K - n0.K) * c_mid
-        dtau = (knots[j + 1] - knots[j]) * h
-        omega -= K_mid * np.exp(1j * dphi0) * shape * dtau
+    i00, i10, i01, i11 = _PHASE_WEIGHTS
+    phis = h * (n0.eps * i00 + h * n0.eps_dot * i10 + n1.eps * i01 + h * n1.eps_dot * i11)  # (knots, m)
+    dphi = phis[:, :, None] - phis[:, None, :]
+    x = dphi[1:] - dphi[:-1]
+    small = np.abs(x) < 1e-8
+    shape = np.where(small, 1.0 + 0.5j * x, (np.exp(1j * x) - 1.0) / np.where(small, 1.0, 1j * x))
+    K_mid = n0.K + (n1.K - n0.K) * _PIECE_MIDPOINTS
+    omega = -(K_mid * np.exp(1j * dphi[:-1]) * shape * (_PIECE_WIDTHS * h)).sum(axis=0)
     # omega is anti-Hermitian, so exponentiate through the Hermitian 1j*omega
     evals, U = np.linalg.eigh(1j * omega)
     return np.exp(-1j * phis[-1])[:, None] * ((U * np.exp(-1j * evals)) @ U.conj().T)

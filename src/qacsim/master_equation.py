@@ -20,7 +20,8 @@ function to its step controller: at kappa = 0 the anneal is unitary and runs
 on the matrix-free split-operator integrator behind
 :func:`qacsim.dynamics.evolve_closed`; with a bath it runs on the eigenbasis
 integrator ``frame_run``, whose sub-steps are one coherent propagator matrix
-each.
+each, and whose frame splits into the two parity sectors of the global flip
+when no qubit has a local field.
 """
 
 from __future__ import annotations
@@ -86,7 +87,13 @@ def evolve_open(
 
     With a bath (kappa > 0) the density matrix is propagated in the
     instantaneous eigenbasis (see :mod:`qacsim._integrator`), optionally
-    truncated to the lowest ``levels`` instantaneous states.  At kappa = 0
+    truncated to the lowest ``levels`` instantaneous states.  When no
+    physical qubit has a local field, H(s) commutes with the global flip
+    prod_q sigma^x_q and the eigenbasis is built in its two parity sectors:
+    ``levels`` is then split evenly between them and must be even
+    (ValidationError otherwise), so the frame keeps the lowest levels/2 of
+    each sector.  A state with coherence between the sectors needs nothing
+    special.  At kappa = 0
     the anneal is unitary: a factor W of rho0 = W W^dagger (the state itself
     when pure, sqrt(p)-scaled eigenvectors when mixed) runs on the
     matrix-free integrator behind :func:`qacsim.dynamics.evolve_closed`, every
@@ -95,12 +102,13 @@ def evolve_open(
     raises NumericalError; Hermiticity is enforced by symmetrization.
 
     The returned trajectory's ``report`` (an ``IntegratorReport``) gives the
-    accepted and rejected steps, the node builds (one eigensolve each, two a
-    step with a bath, none at kappa = 0), the smallest step the error
-    control chose, in ns, and, under truncation, the truncation margin: the
-    smallest gap between the last kept and the first dropped level for
-    0 < s < 1.  A margin near zero means ``levels`` cuts a degenerate
-    cluster, where the step size collapses and the answer moves.
+    accepted and rejected steps, the node builds (one eigensolve per sector
+    each, two a step with a bath, none at kappa = 0), the smallest step the
+    error control chose, in ns, and, under truncation, the truncation
+    margin: the smallest gap between the last kept and the first dropped
+    level of one sector for 0 < s < 1.  A margin near zero means ``levels``
+    cuts a degenerate cluster, where the step size collapses and the answer
+    moves.
     """
     n = problem.num_physical
     if n > DEFAULT_OPEN_QUBIT_CAP:

@@ -24,7 +24,9 @@ logical edges.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -191,13 +193,15 @@ class EncodedGraph:
     ValidationError unless both blocks exist and the couplers, all in the
     host graph if there is one, pair the problem qubits of block i with
     those of block j one to one.  So no coupler realizes two logical edges,
-    and any set of logical edges can be active at once.
+    and any set of logical edges can be active at once.  The graph keeps a
+    read-only copy of the mapping, so no edge can skip the check later.
     """
 
     encoding: LogicalEncoding
-    logical_edges: dict[tuple[int, int], tuple[tuple[int, int], ...]] = field(default_factory=dict)
+    logical_edges: Mapping[tuple[int, int], tuple[tuple[int, int], ...]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "logical_edges", MappingProxyType(dict(self.logical_edges)))
         n, host = self.encoding.n, self.encoding.host
         block_of = {q: b.logical_id for b in self.encoding.blocks for q in b.problem_ids}
         for (i, j), couplers in self.logical_edges.items():

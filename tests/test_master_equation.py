@@ -5,7 +5,7 @@ from scipy.integrate import solve_ivp
 from qacsim.dynamics import QuantumState, evolve_closed
 from qacsim.errors import NumericalError, ValidationError
 from qacsim.master_equation import BathSpec, bath_rate, evolve_open
-from qacsim.problem import encode_problem, make_af_chain, schedule_linear
+from qacsim.problem import IsingProblem, encode_problem, make_af_chain, schedule_linear
 
 OMEGAS = np.array([1e-3, 0.1, 1.0, 5.0, 40.0])
 
@@ -89,6 +89,8 @@ SZ = np.diag([1.0, -1.0])
 I2 = np.eye(2)
 HX = np.kron(SX, I2) + np.kron(I2, SX)
 HZ = ALPHA * np.kron(SZ, SZ)  # the U two-spin antiferromagnetic chain
+FIELD = 0.4  # a local field on spin 0 breaks the global flip symmetry
+HZ_FIELD = HZ + ALPHA * FIELD * np.kron(SZ, I2)
 ZS = np.stack([np.diag(np.kron(SZ, I2)), np.diag(np.kron(I2, SZ))])
 ORACLE_KAPPAS = (1e-3, 8e-3, 0.0)
 # the mixed kappa = 0 input carries coherences between levels, whose phase
@@ -97,8 +99,9 @@ ORACLE_KAPPAS = (1e-3, 8e-3, 0.0)
 ORACLE_RTOLS = (1e-6, 1e-6, 1e-7)
 
 
-def lindblad_rhs(t, y, baths):
-    """d(rho)/dt of the adiabatic master equation for one rho per bath.
+def lindblad_rhs(t, y, baths, hz=HZ):
+    """d(rho)/dt of the adiabatic master equation for one rho per bath,
+    with the problem Hamiltonian ``hz`` (spin 0 is the left Kronecker factor).
 
     H(s) is diagonalized at every call; for each qubit q and each Bohr
     frequency omega = E_b - E_a (binned to BIN_TOL) the Lindblad operator
@@ -106,7 +109,7 @@ def lindblad_rhs(t, y, baths):
     """
     t_f = T_F_US * 1e3
     s = t / t_f
-    H = 2.0 * A0 * (1.0 - s) * HX + 2.0 * A0 * s * HZ
+    H = 2.0 * A0 * (1.0 - s) * HX + 2.0 * A0 * s * hz
     eps, V = np.linalg.eigh(H)
     omega = eps[None, :] - eps[:, None]
     bins, first, inverse = np.unique(np.rint(omega / BIN_TOL), return_index=True, return_inverse=True)
@@ -161,6 +164,36 @@ def test_open_anneal_matches_lindblad_oracle(u_oracle_runs, which):
     assert abs(np.trace(rho) - 1.0) < 1e-10
 
 
+def _oracle_final(rho0, bath, hz):
+    sol = solve_ivp(lindblad_rhs, (0.0, T_F_US * 1e3), rho0.ravel(), method="DOP853", rtol=1e-10, atol=1e-12,
+                    args=([bath], hz))
+    assert sol.success
+    return sol.y[:, -1].reshape(4, 4)
+
+
+@pytest.mark.parametrize("case", ["field, one sector", "flip-symmetric, coherence between sectors"])
+def test_open_anneal_sector_frames_match_lindblad_oracle(case):
+    # with a local field the frame is the one whole-space sector; without
+    # one it is the two flip sectors, and rho0 = |up up><up up| carries
+    # coherence between them.  Like the mixed kappa = 0 input, a rho0 with
+    # coherences between levels runs at rtol 1e-7 (3e-5 off at 1e-6).
+    bath = BathSpec(1e-3)
+    if case.startswith("field"):
+        logical, hz, rtol = IsingProblem(2, {0: FIELD}, {(0, 1): 1.0}), HZ_FIELD, 1e-6
+        rho0 = oracle_initial_states()[0]
+    else:
+        logical, hz, rtol = make_af_chain(2), HZ, 1e-7
+        rho0 = np.zeros((4, 4), dtype=complex)
+        rho0[0, 0] = 1.0
+    problem = encode_problem(logical, "U", ALPHA)
+    traj = evolve_open(problem, schedule_linear(A0, T_F_US), bath, initial=QuantumState.density(rho0), rtol=rtol,
+                       snapshots=2)
+    rho = traj.final.data
+    assert np.abs(rho - _oracle_final(rho0, bath, hz)).max() < 1e-5
+    assert abs(np.trace(rho) - 1.0) < 1e-10
+    _check_counts(traj.report)
+
+
 # ---------------------------------------------------------------------------
 # integrator report
 
@@ -194,12 +227,29 @@ def test_report_c_chain_truncation_keeps_clusters():
     assert traj.report.truncation_margin > 1e-3
 
 
-def test_report_ep_chain_truncation_cuts_a_cluster():
-    # levels 7 and 8 of the EP two-spin chain stay degenerate over s ~ 0.62-0.72
+@pytest.fixture(scope="module")
+def ep_chain_run():
     problem = encode_problem(make_af_chain(2), "EP", ALPHA, 0.2)
-    traj = evolve_open(problem, schedule_linear(A0, T_F_US), BathSpec(1e-3), levels=8, rtol=1e-4, snapshots=2)
-    _check_counts(traj.report)
-    assert traj.report.truncation_margin < 1e-9
+    return evolve_open(problem, schedule_linear(A0, T_F_US), BathSpec(1e-3), levels=8, rtol=1e-4, snapshots=2)
+
+
+def test_report_ep_chain_truncation_keeps_clusters(ep_chain_run):
+    # levels 7 and 8 of the whole EP two-spin spectrum cross over s ~ 0.62-0.72,
+    # but they lie in different flip sectors: 4 + 4 levels cut no cluster
+    _check_counts(ep_chain_run.report)
+    assert ep_chain_run.report.truncation_margin > 1e-6
+
+
+def test_ep_chain_state_keeps_flip_symmetry(ep_chain_run):
+    # rho0 and H(s) commute with the global flip x -> x XOR (2^n - 1), which reverses the basis
+    rho = ep_chain_run.final.data
+    assert np.abs(rho - rho[::-1, ::-1]).max() < 1e-12
+
+
+def test_flip_symmetric_frame_needs_even_levels():
+    problem = encode_problem(make_af_chain(2), "EP", ALPHA, 0.2)
+    with pytest.raises(ValidationError, match="even"):
+        evolve_open(problem, schedule_linear(A0, T_F_US), BathSpec(1e-3), levels=7)
 
 
 def test_closed_anneal_report():

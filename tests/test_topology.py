@@ -192,6 +192,24 @@ class TestBuildEncoding:
         with pytest.raises(ValidationError, match="missing from host"):
             EncodedGraph(enc, {(0, 2): crossed})
 
+    def test_logical_edges_are_read_only(self):
+        # an edge added after construction would skip the one-to-one check
+        _, eg = build_encoding(build_chimera(1, 2, 4))
+        with pytest.raises(TypeError):
+            eg.logical_edges[(0, 3)] = eg.logical_edges[(2, 3)]
+        assert (0, 3) not in eg.logical_edges
+
+    def test_logical_edges_are_copied(self):
+        from qacsim.topology import EncodedGraph
+
+        enc, eg = build_encoding(build_chimera(1, 2, 4))
+        edges = dict(eg.logical_edges)
+        graph = EncodedGraph(enc, edges)
+        before = embed_chain(graph, 2, 5, rng_seed=1)
+        edges[(0, 3)] = edges[(2, 3)]  # editing the caller's dict leaves the graph alone
+        assert (0, 3) not in graph.logical_edges
+        assert embed_chain(graph, 2, 5, rng_seed=1) == before
+
 
 class TestEmbedChain:
     def test_unique_pair_in_single_cell(self):
