@@ -31,6 +31,15 @@ There are two:
   follow each level through crossings, and near-degenerate clusters are
   rotated onto the previous node's gauge.
 
+Both integrators take an :class:`~qacsim.problem.IsingProblem`, and
+:func:`anneal_components` runs them once per distinct connected component
+of a problem: components share no coupling and each qubit has its own bath,
+so from a product start the state stays the product of the components'
+states.  U, EP and QAC are one component; C's uncoupled copies anneal as
+one U copy.  Components run untruncated; a factored run's report adds up
+its runs' counts (see :func:`anneal_components`), and the callers' qubit
+caps bound the returned 2^n state, not the components.
+
 The operators behind H(s) = A(s) * sum_i sigma^x_i + B(s) * H_z, the anneal
 fractions where steps must end and the level-count check are defined here,
 once, for both integrators, :mod:`qacsim.dynamics` and :mod:`qacsim.perturb`.
@@ -39,13 +48,14 @@ once, for both integrators, :mod:`qacsim.dynamics` and :mod:`qacsim.perturb`.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
 from .errors import NumericalError, ValidationError
-from .problem import EncodedProblem, _bit_position, all_config_energies, config_from_index
+from .problem import IsingProblem, _bit_position, all_config_energies, config_from_index
 
 _PIECES = 4  # sub-intervals for the piecewise-linear phase model inside K integrals
 _BIN_TOL = 1e-6  # Bohr frequencies closer than this share a Lindblad operator
@@ -65,11 +75,6 @@ def pauli_x_sum(num_qubits: int) -> np.ndarray:
     out = np.zeros((dim, dim))
     out[np.arange(dim), flip_indices(num_qubits)] = 1.0
     return out
-
-
-def ising_diagonal(problem: EncodedProblem) -> np.ndarray:
-    """Diagonal of the physical Ising operator over the computational basis."""
-    return all_config_energies(problem.physical)
 
 
 def annealing_hamiltonian(X: np.ndarray, Ez: np.ndarray, A: float, B: float) -> np.ndarray:
@@ -169,6 +174,58 @@ def adaptive_run(step, state, schedule, snapshots: int, order: int, record):
     return boundaries[snapshot], out, IntegratorReport(accepted, rejected, 0, float(min_step), None)
 
 
+def anneal_components(problem: IsingProblem, run):
+    """Anneal ``problem`` one connected component at a time.
+
+    Every listed coupling joins its two qubits.  Each component, its qubits
+    relabelled 0..k-1 in increasing order, is a k-spin IsingProblem; two
+    components are equal when their fields and couplings are, and
+    ``run(component) -> (s values, states, IntegratorReport)`` is called once
+    for each distinct one, from its own start.  A snapshot is the tensor
+    product of the components' states at it (vectors, or density matrices
+    when 2-d), permuted to the problem's qubit order.  A problem of one
+    component is handed to ``run`` as it is, and its result returned
+    unchanged.  The report of a factored run adds up the runs' steps and
+    node builds and keeps their smallest ``min_step_ns``, so it is the one
+    run's report when every component is equal; its margin is None, since
+    the callers run every component untruncated.
+    """
+    n = problem.num_spins
+    group = list(range(n))  # each qubit's component, named by its smallest qubit
+    for i, j in problem.couplings:
+        keep, merge = sorted((group[i], group[j]))
+        group = [keep if g == merge else g for g in group]
+    parts = [[q for q in range(n) if group[q] == g] for g in dict.fromkeys(group)]
+    if len(parts) == 1:
+        return run(problem)
+
+    subs = []
+    for qubits in parts:
+        label = {q: k for k, q in enumerate(qubits)}
+        subs.append(IsingProblem(
+            len(qubits),
+            {label[q]: h for q, h in problem.local_fields.items() if q in label},
+            {(label[i], label[j]): v for (i, j), v in problem.couplings.items() if i in label},
+        ))
+    distinct = [sub for k, sub in enumerate(subs) if sub not in subs[:k]]
+    runs = [run(sub) for sub in distinct]
+    which = [distinct.index(sub) for sub in subs]
+
+    # the product's qubit axes run part by part; put them in problem order
+    axes = np.argsort([q for qubits in parts for q in qubits])
+
+    def product(k: int) -> np.ndarray:
+        state = reduce(np.kron, [runs[w][1][k] for w in which])
+        order = np.concatenate([axes + n * d for d in range(state.ndim)])  # rows, then columns
+        return state.reshape((2,) * (n * state.ndim)).transpose(order).reshape(state.shape)
+
+    reports = [report for _, _, report in runs]
+    report = IntegratorReport(sum(r.accepted for r in reports), sum(r.rejected for r in reports),
+                              sum(r.node_builds for r in reports), min(r.min_step_ns for r in reports), None)
+    s_points = runs[0][0]
+    return s_points, [product(k) for k in range(len(s_points))], report
+
+
 # Yoshida's triple jump (Phys. Lett. A 150, 262 (1990)): symmetric
 # second-order steps of w*h, (1 - 2w)*h and w*h compose to fourth order
 _W = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
@@ -176,8 +233,9 @@ _TRIPLE_JUMP = np.array([_W, 1.0 - 2.0 * _W, _W])
 _TRIPLE_JUMP_MIDPOINTS = np.cumsum(_TRIPLE_JUMP) - 0.5 * _TRIPLE_JUMP
 
 
-def split_operator_run(problem, schedule, W0, snapshots, rtol):
-    """Unitary fourth-order splitting of H(s) = A(s) * sum_q sigma^x_q + B(s) * diag(E_z).
+def split_operator_run(problem: IsingProblem, schedule, W0, snapshots, rtol):
+    """Unitary fourth-order splitting of H(s) = A(s) * sum_q sigma^x_q + B(s) * diag(E_z),
+    with E_z the energies of ``problem``.
 
     Evolves a state vector W0, or the columns of a (2^n, r) factor W0 of a
     density matrix rho0 = W0 W0^dagger.  A Strang step over
@@ -189,8 +247,8 @@ def split_operator_run(problem, schedule, W0, snapshots, rtol):
     :func:`adaptive_run` at order 5; returns (s values, factors,
     IntegratorReport).
     """
-    Ez = ising_diagonal(problem)
-    flips = flip_indices(problem.num_physical)
+    Ez = all_config_energies(problem)
+    flips = flip_indices(problem.num_spins)
     t_f = schedule.t_f_ns
     columns = (1,) * (W0.ndim - 1)  # the diagonal phases act on every column alike
 
@@ -230,21 +288,27 @@ class _DissipatorProgram:
     M: np.ndarray
 
 
-def _sector_eigh(H: np.ndarray, keep: int):
-    """The lowest ``keep`` eigenpairs of H and one more when that many
-    exist, so the gap at the cut is exact."""
-    if keep < len(H):
-        return scipy.linalg.eigh(H, subset_by_index=(0, keep), driver="evx")
-    return np.linalg.eigh(H)
+def _sector_eigh(H: np.ndarray, keep: int, t: float, sign: float):
+    """The lowest ``keep`` eigenpairs of the sector-``sign`` block H at time
+    t and one more when that many exist, so the gap at the cut is exact; a
+    failed eigensolve raises NumericalError."""
+    try:
+        if keep < len(H):
+            return scipy.linalg.eigh(H, subset_by_index=(0, keep), driver="evx")
+        return np.linalg.eigh(H)
+    except np.linalg.LinAlgError as exc:
+        sector = "whole-space" if sign == 0 else f"{sign:+g}"
+        raise NumericalError(f"eigensolve failed at t={t} ns in the {sector} sector: {exc}") from exc
 
 
-def frame_run(problem, schedule, bath, rho0, levels, snapshots, rtol):
-    """Adiabatic master equation (kappa > 0) from the density matrix rho0,
-    tracking the lowest ``levels`` instantaneous levels (all when None).
+def frame_run(problem: IsingProblem, schedule, bath, rho0, levels, snapshots, rtol):
+    """Adiabatic master equation (kappa > 0) of ``problem`` from the density
+    matrix rho0, tracking the lowest ``levels`` instantaneous levels (all
+    when None).
 
     The frame is built in sectors.  Sector sign σ of dimension d is spanned
     by (|x> + σ|x'>) / sqrt(1 + σ^2) for x < d, with x' = x XOR (2^n - 1) the
-    global flip of x.  When ``ising_diagonal`` is flip-symmetric, H(s)
+    global flip of x.  When the energies E_z are flip-symmetric, H(s)
     commutes with the product of all sigma^x, and the frame is its two
     sectors σ = ±1 of dimension 2^(n-1), with ``levels`` split evenly
     between them (an odd count raises ValidationError).  Otherwise it is the
@@ -255,10 +319,10 @@ def frame_run(problem, schedule, bath, rho0, levels, snapshots, rtol):
     alignment, dissipator program) at its midpoint and end.  Runs under
     :func:`adaptive_run` at order 4; returns (s values, density matrices in
     the computational basis at the snapshots, IntegratorReport)."""
-    n = problem.num_physical
+    n = problem.num_spins
     dim = 1 << n
     m = tracked_levels(levels, n)
-    Ez = ising_diagonal(problem)
+    Ez = all_config_energies(problem)
     signs = (1.0, -1.0) if np.array_equal(Ez, Ez[::-1]) else (0.0,)
     if m % len(signs):
         raise ValidationError("levels must be even: the flip-symmetric frame splits them between two sectors")
@@ -285,7 +349,8 @@ def frame_run(problem, schedule, bath, rho0, levels, snapshots, rtol):
         A, B = schedule.A_of(s), schedule.B_of(s)
         dA, dB = schedule.derivatives_of(s)
         node_builds += 1
-        solved = [_sector_eigh(annealing_hamiltonian(Xk, Ez_sector, A, B), per) for Xk in X_sectors]
+        solved = [_sector_eigh(annealing_hamiltonian(Xk, Ez_sector, A, B), per, t, sign)
+                  for sign, Xk in zip(signs, X_sectors)]
         if per < d and 0.0 < s < 1.0:
             margin = min([margin] + [float(e[per] - e[per - 1]) for e, _ in solved])
         scale = max(1.0, max(float(np.abs(e[:per]).max()) for e, _ in solved))
@@ -517,7 +582,11 @@ def _propagator(n0: _Node, n1: _Node, h: float) -> np.ndarray:
     K_mid = n0.K + (n1.K - n0.K) * _PIECE_MIDPOINTS
     omega = -(K_mid * np.exp(1j * dphi[:-1]) * shape * (_PIECE_WIDTHS * h)).sum(axis=0)
     # omega is anti-Hermitian, so exponentiate through the Hermitian 1j*omega
-    evals, U = np.linalg.eigh(1j * omega)
+    try:
+        evals, U = np.linalg.eigh(1j * omega)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"propagator eigensolve failed from t={n0.t} ns to t={n0.t + h} ns, "
+                             f"all sectors: {exc}") from exc
     return np.exp(-1j * phis[-1])[:, None] * ((U * np.exp(-1j * evals)) @ U.conj().T)
 
 

@@ -12,7 +12,10 @@ with ``H_z`` the diagonal physical Ising operator of an encoded problem
 (problem scale alpha and penalty scale beta are already folded into the
 physical couplings).  Hamiltonians and gap profiles are dense; unitary
 evolution runs the matrix-free split-operator integrator of
-:mod:`qacsim._integrator` under the step controller every anneal shares.
+:mod:`qacsim._integrator` under the step controller every anneal shares,
+once for each distinct connected component of the physical problem: the
+returned state is the product of the components' states, and
+``DEFAULT_QUBIT_CAP`` still bounds its 2^n amplitudes.
 """
 
 from __future__ import annotations
@@ -24,15 +27,15 @@ import scipy.linalg
 
 from ._integrator import (
     IntegratorReport,
+    anneal_components,
     annealing_hamiltonian,
-    ising_diagonal,
     pauli_x_sum,
     split_operator_run,
     tracked_levels,
 )
 from .decode import SampleRecord, SampleSet, decodable_mask, ground_indices
 from .errors import NumericalError, ResourceLimitError, ValidationError
-from .problem import AnnealSchedule, EncodedProblem, config_from_index
+from .problem import AnnealSchedule, EncodedProblem, all_config_energies, config_from_index
 
 __all__ = [
     "DEFAULT_QUBIT_CAP",
@@ -54,6 +57,11 @@ DEFAULT_QUBIT_CAP = 12
 
 # ---------------------------------------------------------------------------
 # operators
+
+
+def ising_diagonal(problem: EncodedProblem) -> np.ndarray:
+    """Diagonal of the physical Ising operator over the computational basis."""
+    return all_config_energies(problem.physical)
 
 
 def hamiltonian_at(
@@ -221,11 +229,20 @@ def evolve_closed(
     basis (see :func:`qacsim._integrator.split_operator_run`): every factor
     of a step is an exact exponential, so the integrator is unitary by
     construction and renormalizes nothing; a norm off 1 by more than
-    ``QuantumState.PURE_NORM_TOL`` raises NumericalError.  Every level is
-    tracked: ``levels`` must lie in [1, 2^n] but is otherwise ignored.  The
-    trajectory's ``report`` gives the accepted and rejected steps and the
-    smallest step the error control chose, in ns; the integrator builds no
-    eigenbasis, so ``node_builds`` is 0 and the truncation margin None.
+    ``QuantumState.PURE_NORM_TOL`` raises NumericalError.  The physical
+    problem is split into its connected components (every listed coupling
+    joins its two qubits), each distinct component is annealed once from its
+    own transverse-field ground state, and every snapshot is the tensor
+    product of the components' vectors, permuted to the problem's qubit
+    order: C's three uncoupled copies run as one U copy.  Every level is
+    tracked: ``levels`` must lie in [1, 2^n] but is otherwise ignored.
+    ``DEFAULT_QUBIT_CAP`` bounds the qubits of the returned 2^n-entry
+    vectors, however small the components.  The trajectory's ``report``
+    gives the accepted and rejected steps and the smallest step the error
+    control chose, in ns: the one run's when every component is equal, and
+    otherwise the runs' steps added up and their smallest step.  The
+    integrator builds no eigenbasis, so ``node_builds`` is 0 and the
+    truncation margin None.
     """
     n = problem.num_physical
     if n > DEFAULT_QUBIT_CAP:
@@ -233,7 +250,8 @@ def evolve_closed(
     if not 0.0 <= rtol < np.inf:
         raise ValidationError(f"rtol must be finite and >= 0, got {rtol}")
     tracked_levels(levels, n)
-    s_points, raw, report = split_operator_run(problem, schedule, QuantumState.transverse_ground(n).data, snapshots, rtol)
+    s_points, raw, report = anneal_components(problem.physical, lambda part: split_operator_run(
+        part, schedule, QuantumState.transverse_ground(part.num_spins).data, snapshots, rtol))
     for vec in raw:
         norm = np.linalg.norm(vec)
         if abs(norm - 1.0) > QuantumState.PURE_NORM_TOL:

@@ -21,7 +21,12 @@ on the matrix-free split-operator integrator behind
 :func:`qacsim.dynamics.evolve_closed`; with a bath it runs on the eigenbasis
 integrator ``frame_run``, whose sub-steps are one coherent propagator matrix
 each, and whose frame splits into the two parity sectors of the global flip
-when no qubit has a local field.
+when no qubit has a local field.  From the transverse-field start both run
+once per distinct connected component of the physical problem: a qubit's
+sigma^z Lindblad operators act on its own component alone, so C's three
+uncoupled copies cost one U anneal.  Such a factored anneal keeps every
+level, so ``levels`` is only range-checked against 2^n, and
+``DEFAULT_OPEN_QUBIT_CAP`` still bounds the returned 2^n x 2^n state.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._integrator import frame_run, split_operator_run, tracked_levels
+from ._integrator import anneal_components, frame_run, split_operator_run, tracked_levels
 from .dynamics import QuantumState, Trajectory
 from .errors import NumericalError, ResourceLimitError, ValidationError
 from .problem import AnnealSchedule, EncodedProblem
@@ -85,21 +90,32 @@ def evolve_open(
 ) -> Trajectory:
     """Integrate the adiabatic master equation across the anneal.
 
+    From the default start, the transverse-field ground state, each distinct
+    connected component of the physical problem (every listed coupling joins
+    its two qubits) is annealed once on its own 2^k space, and every
+    snapshot is the tensor product of the components' states, permuted to
+    the problem's qubit order: C's three uncoupled copies run as one U copy.
+    A given ``initial`` state anneals the whole problem as one component.
+
     With a bath (kappa > 0) the density matrix is propagated in the
-    instantaneous eigenbasis (see :mod:`qacsim._integrator`), optionally
-    truncated to the lowest ``levels`` instantaneous states.  When no
-    physical qubit has a local field, H(s) commutes with the global flip
-    prod_q sigma^x_q and the eigenbasis is built in its two parity sectors:
-    ``levels`` is then split evenly between them and must be even
-    (ValidationError otherwise), so the frame keeps the lowest levels/2 of
-    each sector.  A state with coherence between the sectors needs nothing
-    special.  At kappa = 0
-    the anneal is unitary: a factor W of rho0 = W W^dagger (the state itself
-    when pure, sqrt(p)-scaled eigenvectors when mixed) runs on the
-    matrix-free integrator behind :func:`qacsim.dynamics.evolve_closed`, every
-    level is tracked and ``levels`` is range-checked but otherwise ignored.
-    A trace off 1 by more than ``QuantumState.TRACE_TOL`` at any snapshot
-    raises NumericalError; Hermiticity is enforced by symmetrization.
+    instantaneous eigenbasis (see :mod:`qacsim._integrator`).  A problem
+    annealed as one component is optionally truncated to the lowest
+    ``levels`` instantaneous states.  When no physical qubit has a local
+    field, H(s) commutes with the global flip prod_q sigma^x_q and the
+    eigenbasis is built in its two parity sectors: ``levels`` is then split
+    evenly between them and must be even (ValidationError otherwise), so the
+    frame keeps the lowest levels/2 of each sector.  A state with coherence
+    between the sectors needs nothing special.  A problem of several
+    components keeps every level of each: ``levels`` must lie in [1, 2^n]
+    but is otherwise ignored.  At kappa = 0 the anneal is unitary: a factor
+    W of rho0 = W W^dagger (the state itself when pure, sqrt(p)-scaled
+    eigenvectors when mixed) runs on the matrix-free integrator behind
+    :func:`qacsim.dynamics.evolve_closed`, every level is tracked and
+    ``levels`` is range-checked but otherwise ignored.  A trace off 1 by
+    more than ``QuantumState.TRACE_TOL`` at any snapshot raises
+    NumericalError; Hermiticity is enforced by symmetrization.
+    ``DEFAULT_OPEN_QUBIT_CAP`` bounds the qubits of the returned 2^n x 2^n
+    density matrices, however small the components.
 
     The returned trajectory's ``report`` (an ``IntegratorReport``) gives the
     accepted and rejected steps, the node builds (one eigensolve per sector
@@ -108,32 +124,39 @@ def evolve_open(
     margin: the smallest gap between the last kept and the first dropped
     level of one sector for 0 < s < 1.  A margin near zero means ``levels``
     cuts a degenerate cluster, where the step size collapses and the answer
-    moves.
+    moves.  A factored anneal reports its one run when every component is
+    equal, as under C; distinct components add up their steps and node
+    builds and keep the smallest step.
     """
     n = problem.num_physical
     if n > DEFAULT_OPEN_QUBIT_CAP:
         raise ResourceLimitError(f"{n} qubits exceeds the density-matrix cap of {DEFAULT_OPEN_QUBIT_CAP}")
     if not 0.0 <= rtol < np.inf:
         raise ValidationError(f"rtol must be finite and >= 0, got {rtol}")
-    if initial is None:
-        initial = QuantumState.transverse_ground(n)
-    if initial.data.shape[0] != (1 << n):
-        raise ValidationError("initial state dimension does not match the problem")
-    rho0 = initial.as_density()
-    if abs(np.trace(rho0).real - 1.0) > QuantumState.TRACE_TOL:
-        raise ValidationError("initial density matrix must have unit trace")
+    tracked_levels(levels, n)
 
-    if bath.kappa == 0.0:
-        tracked_levels(levels, n)
-        if initial.kind == "pure":
-            W0 = initial.data
-        else:
-            p, V = np.linalg.eigh(rho0)
-            W0 = V[:, p > 0] * np.sqrt(p[p > 0])
-        s_points, factors, report = split_operator_run(problem, schedule, W0, snapshots, rtol)
-        raw = [W @ W.conj().T for W in (F.reshape(1 << n, -1) for F in factors)]
+    def run(physical, start: QuantumState):
+        """Anneal ``physical`` from ``start``: factors W at kappa = 0, else density matrices."""
+        if bath.kappa > 0.0:
+            # a component narrower than the problem keeps every level
+            return frame_run(physical, schedule, bath, start.as_density(), levels if physical.num_spins == n else None,
+                             snapshots, rtol)
+        if start.kind == "pure":
+            return split_operator_run(physical, schedule, start.data, snapshots, rtol)
+        p, V = np.linalg.eigh(start.data)
+        return split_operator_run(physical, schedule, V[:, p > 0] * np.sqrt(p[p > 0]), snapshots, rtol)
+
+    if initial is None:
+        s_points, raw, report = anneal_components(
+            problem.physical, lambda part: run(part, QuantumState.transverse_ground(part.num_spins)))
     else:
-        s_points, raw, report = frame_run(problem, schedule, bath, rho0, levels, snapshots, rtol)
+        if initial.data.shape[0] != (1 << n):
+            raise ValidationError("initial state dimension does not match the problem")
+        if abs(np.trace(initial.as_density()).real - 1.0) > QuantumState.TRACE_TOL:
+            raise ValidationError("initial density matrix must have unit trace")
+        s_points, raw, report = run(problem.physical, initial)
+    if bath.kappa == 0.0:
+        raw = [W @ W.conj().T for W in (F.reshape(1 << n, -1) for F in raw)]
     states = []
     for rho in raw:
         rho = 0.5 * (rho + rho.conj().T)

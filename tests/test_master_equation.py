@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import solve_ivp
 
+from qacsim import dynamics, master_equation
 from qacsim.dynamics import QuantumState, evolve_closed
-from qacsim.errors import NumericalError, ValidationError
+from qacsim.errors import NumericalError, ResourceLimitError, ValidationError
 from qacsim.master_equation import BathSpec, bath_rate, evolve_open
 from qacsim.problem import IsingProblem, encode_problem, make_af_chain, schedule_linear
 
@@ -195,6 +197,109 @@ def test_open_anneal_sector_frames_match_lindblad_oracle(case):
 
 
 # ---------------------------------------------------------------------------
+# uncoupled components anneal once each
+
+
+@pytest.mark.parametrize("fields", [(0.5, 0.5), (0.5, -0.8)], ids=["equal", "distinct"])
+def test_uncoupled_qubits_match_lindblad_oracle(fields):
+    # no coupling: each qubit is a component; the oracle integrates the whole 4 x 4 rho
+    h0, h1 = fields
+    bath = BathSpec(1e-3)
+    problem = encode_problem(IsingProblem(2, {0: h0, 1: h1}), "U", ALPHA)
+    traj = evolve_open(problem, schedule_linear(A0, T_F_US), bath, rtol=1e-6, snapshots=2)
+    hz = ALPHA * (h0 * np.kron(SZ, I2) + h1 * np.kron(I2, SZ))
+    assert np.abs(traj.final.data - _oracle_final(oracle_initial_states()[0], bath, hz)).max() < 1e-5
+
+
+def test_c_chain_matches_permuted_oracle_product(u_oracle_runs):
+    # C's copies are the qubit pairs {k, 3 + k}: rho_C is rho_U (x) rho_U (x) rho_U
+    # with its qubits 0, 3, 1, 4, 2, 5 put back in order
+    problem = encode_problem(make_af_chain(2), "C", ALPHA)
+    traj = evolve_open(problem, schedule_linear(A0, T_F_US), BathSpec(ORACLE_KAPPAS[0]), rtol=1e-6, snapshots=2)
+    rho_u = u_oracle_runs[0][1]
+    order = [0, 3, 1, 4, 2, 5]
+    axes = [order.index(q) for q in range(6)]
+    product = np.kron(np.kron(rho_u, rho_u), rho_u).reshape((2,) * 12)
+    expected = product.transpose(axes + [6 + a for a in axes]).reshape(64, 64)
+    assert np.abs(traj.final.data - expected).max() < 1e-5
+
+
+def test_c_chain_whole_space_matches_factored():
+    # a given initial state anneals the whole 64-dimensional space
+    problem = encode_problem(make_af_chain(2), "C", ALPHA)
+    schedule, bath = schedule_linear(A0, T_F_US), BathSpec(0.0)
+    whole = evolve_open(problem, schedule, bath, initial=QuantumState.transverse_ground(6), rtol=1e-7, snapshots=3)
+    factored = evolve_open(problem, schedule, bath, rtol=1e-7, snapshots=3)
+    for a, b in zip(whole.states, factored.states, strict=True):
+        assert np.abs(a.data - b.data).max() < 1e-7
+
+
+@pytest.mark.parametrize("kappa", [None, 1e-3])
+def test_each_distinct_component_anneals_once(monkeypatch, kappa):
+    # kappa None is the closed anneal
+    module, name = (dynamics, "split_operator_run") if kappa is None else (master_equation, "frame_run")
+    real = getattr(module, name)
+    calls = []
+
+    def counted(problem, *args):
+        calls.append(problem)
+        return real(problem, *args)
+
+    monkeypatch.setattr(module, name, counted)
+    schedule = schedule_linear(A0, T_F_US)
+    # C: three equal two-qubit copies; U without couplings: two one-qubit components
+    for logical, strategy, widths in ((make_af_chain(2), "C", [2]), (IsingProblem(2, {0: 0.5, 1: -0.8}), "U", [1, 1])):
+        calls.clear()
+        problem = encode_problem(logical, strategy, ALPHA)
+        if kappa is None:
+            traj = evolve_closed(problem, schedule, rtol=1e-4, snapshots=2)
+        else:
+            traj = evolve_open(problem, schedule, BathSpec(kappa), rtol=1e-4, snapshots=2)
+        assert [part.num_spins for part in calls] == widths
+        assert traj.final.data.shape[0] == 1 << problem.num_physical
+
+
+def test_open_anneal_caps_the_whole_state():
+    # the cap bounds the returned 2^9 x 2^9 rho, though C's copies have 3 qubits each
+    problem = encode_problem(make_af_chain(3), "C", ALPHA)
+    with pytest.raises(ResourceLimitError):
+        evolve_open(problem, schedule_linear(A0, T_F_US), BathSpec(1e-3))
+
+
+# ---------------------------------------------------------------------------
+# eigensolver failures
+
+
+@pytest.mark.parametrize("case,match", [
+    ("field", r"t=0\.0 ns in the whole-space sector"),
+    ("truncated", r"t=0\.0 ns in the \+1 sector"),
+    ("propagator", r"propagator eigensolve failed from t=0\.0 ns"),
+])
+def test_failed_eigensolve_is_a_numerical_error(monkeypatch, case, match):
+    # the frame blocks are real and the propagator's exponent complex:
+    # make the solver fail on one of them, as LAPACK does when it does not converge
+    fail_complex = case == "propagator"
+
+    def failing(real):
+        def eigh(a, *args, **kwargs):
+            if np.iscomplexobj(a) == fail_complex:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return real(a, *args, **kwargs)
+        return eigh
+
+    monkeypatch.setattr(np.linalg, "eigh", failing(np.linalg.eigh))
+    monkeypatch.setattr(scipy.linalg, "eigh", failing(scipy.linalg.eigh))
+    if case == "field":
+        problem, levels = encode_problem(IsingProblem(2, {0: FIELD}, {(0, 1): 1.0}), "U", ALPHA), None
+    elif case == "truncated":
+        problem, levels = encode_problem(make_af_chain(2), "EP", ALPHA, 0.2), 8
+    else:
+        problem, levels = encode_problem(make_af_chain(2), "U", ALPHA), None
+    with pytest.raises(NumericalError, match=match):
+        evolve_open(problem, schedule_linear(A0, T_F_US), BathSpec(1e-3), levels=levels)
+
+
+# ---------------------------------------------------------------------------
 # integrator report
 
 
@@ -220,11 +325,20 @@ def test_report_untruncated_u_chain(u_oracle_runs):
             assert traj.report.node_builds > 0 and traj.report.truncation_margin is None
 
 
-def test_report_c_chain_truncation_keeps_clusters():
+def test_report_c_chain_keeps_every_level():
+    # C's uncoupled copies anneal as one untruncated U copy: levels is
+    # range-checked against 2^6, then ignored, and the report is the U run's
     problem = encode_problem(make_af_chain(2), "C", ALPHA)
-    traj = evolve_open(problem, schedule_linear(A0, T_F_US), BathSpec(1e-3), levels=32, rtol=1e-4, snapshots=2)
-    _check_counts(traj.report)
-    assert traj.report.truncation_margin > 1e-3
+    schedule, bath = schedule_linear(A0, T_F_US), BathSpec(1e-3)
+    cut = evolve_open(problem, schedule, bath, levels=32, rtol=1e-4, snapshots=2)
+    full = evolve_open(problem, schedule, bath, rtol=1e-4, snapshots=2)
+    for a, b in zip(cut.states, full.states, strict=True):
+        assert np.array_equal(a.data, b.data)
+    assert cut.report == full.report and cut.report.truncation_margin is None
+    _check_counts(cut.report)
+    for bad in (0, 65):
+        with pytest.raises(ValidationError):
+            evolve_open(problem, schedule, bath, levels=bad)
 
 
 @pytest.fixture(scope="module")
