@@ -40,6 +40,15 @@ one U copy.  Components run untruncated; a factored run's report adds up
 its runs' counts (see :func:`anneal_components`), and the callers' qubit
 caps bound the returned 2^n state, not the components.
 
+Two splittings of H(s) are defined here once each, for every user:
+
+* :func:`connected_components`, the components of a problem and which of
+  them are equal: :func:`anneal_components` (so ``evolve_closed`` and
+  ``evolve_open``) and :func:`qacsim.dynamics.gap_profile`;
+* :func:`sector_blocks`, the parity-sector blocks of H(s), or its one
+  whole-space block: :func:`frame_run` and
+  :func:`qacsim.dynamics.gap_profile`.
+
 The operators behind H(s) = A(s) * sum_i sigma^x_i + B(s) * H_z, the anneal
 fractions where steps must end and the level-count check are defined here,
 once, for both integrators, :mod:`qacsim.dynamics` and :mod:`qacsim.perturb`.
@@ -79,9 +88,11 @@ def pauli_x_sum(num_qubits: int) -> np.ndarray:
 
 def annealing_hamiltonian(X: np.ndarray, Ez: np.ndarray, A: float, B: float) -> np.ndarray:
     """Dense real H = A * X + B * diag(Ez); at anneal fraction s the
-    coefficients are the schedule's A(s) and B(s)."""
+    coefficients are the schedule's A(s) and B(s).  A stack of X blocks
+    gives the stack of their H blocks, each with the same diag(Ez)."""
     H = float(A) * X
-    H[np.diag_indices_from(H)] += float(B) * Ez
+    diag = np.arange(len(Ez))
+    H[..., diag, diag] += float(B) * Ez
     return H
 
 
@@ -174,12 +185,61 @@ def adaptive_run(step, state, schedule, snapshots: int, order: int, record):
     return boundaries[snapshot], out, IntegratorReport(accepted, rejected, 0, float(min_step), None)
 
 
+def connected_components(problem: IsingProblem):
+    """Split ``problem`` into its connected components: every listed
+    coupling joins its two qubits.
+
+    Returns (parts, distinct, which): ``parts`` lists each component's
+    qubits in increasing order, components ordered by their smallest qubit;
+    ``distinct`` holds the k-spin IsingProblems of the distinct components,
+    their qubits relabelled 0..k-1 in increasing order, two components being
+    equal when their fields and couplings are; ``which[c]`` indexes the
+    problem of component c in ``distinct``.
+    """
+    n = problem.num_spins
+    group = list(range(n))  # each qubit's component, named by its smallest qubit
+    for i, j in problem.couplings:
+        keep, merge = sorted((group[i], group[j]))
+        group = [keep if g == merge else g for g in group]
+    parts = [[q for q in range(n) if group[q] == g] for g in dict.fromkeys(group)]
+    subs = []
+    for qubits in parts:
+        label = {q: k for k, q in enumerate(qubits)}
+        subs.append(IsingProblem(
+            len(qubits),
+            {label[q]: h for q, h in problem.local_fields.items() if q in label},
+            {(label[i], label[j]): v for (i, j), v in problem.couplings.items() if i in label},
+        ))
+    distinct = [sub for k, sub in enumerate(subs) if sub not in subs[:k]]
+    return parts, distinct, [distinct.index(sub) for sub in subs]
+
+
+def sector_blocks(problem: IsingProblem):
+    """The blocks of H(s) = A(s) * sum_q sigma^x_q + B(s) * diag(E_z) of
+    ``problem``, one per sector: (signs, X blocks, E_z block).
+
+    Sector sign σ of dimension d is spanned by (|x> + σ|x'>) / sqrt(1 + σ^2)
+    for x < d, with x' = x XOR (2^n - 1) the global flip of x.  When E_z is
+    flip-symmetric, H(s) commutes with the product of all sigma^x, and the
+    sectors are σ = ±1 of dimension 2^(n-1); otherwise there is the one
+    whole-space sector σ = 0.  Over sector σ the transverse term is the X
+    block of that sign, the blocks stacked (sectors, d, d) in the order of
+    ``signs``, and the Ising term is diag(E_z block), the same in both ±1
+    sectors.  The sectors' spectra together are H(s)'s.
+    """
+    n = problem.num_spins
+    Ez = all_config_energies(problem)
+    signs = (1.0, -1.0) if np.array_equal(Ez, Ez[::-1]) else (0.0,)
+    d = len(Ez) // len(signs)
+    X = pauli_x_sum(n)
+    X_sectors = np.stack([X[:d, :d] + sign * X[:d, ::-1][:, :d] for sign in signs])
+    return signs, X_sectors, Ez[:d]  # the flip leaves E_z unchanged wherever there are two sectors
+
+
 def anneal_components(problem: IsingProblem, run):
     """Anneal ``problem`` one connected component at a time.
 
-    Every listed coupling joins its two qubits.  Each component, its qubits
-    relabelled 0..k-1 in increasing order, is a k-spin IsingProblem; two
-    components are equal when their fields and couplings are, and
+    The components are those of :func:`connected_components`, and
     ``run(component) -> (s values, states, IntegratorReport)`` is called once
     for each distinct one, from its own start.  A snapshot is the tensor
     product of the components' states at it (vectors, or density matrices
@@ -190,28 +250,13 @@ def anneal_components(problem: IsingProblem, run):
     run's report when every component is equal; its margin is None, since
     the callers run every component untruncated.
     """
-    n = problem.num_spins
-    group = list(range(n))  # each qubit's component, named by its smallest qubit
-    for i, j in problem.couplings:
-        keep, merge = sorted((group[i], group[j]))
-        group = [keep if g == merge else g for g in group]
-    parts = [[q for q in range(n) if group[q] == g] for g in dict.fromkeys(group)]
+    parts, distinct, which = connected_components(problem)
     if len(parts) == 1:
         return run(problem)
-
-    subs = []
-    for qubits in parts:
-        label = {q: k for k, q in enumerate(qubits)}
-        subs.append(IsingProblem(
-            len(qubits),
-            {label[q]: h for q, h in problem.local_fields.items() if q in label},
-            {(label[i], label[j]): v for (i, j), v in problem.couplings.items() if i in label},
-        ))
-    distinct = [sub for k, sub in enumerate(subs) if sub not in subs[:k]]
     runs = [run(sub) for sub in distinct]
-    which = [distinct.index(sub) for sub in subs]
 
     # the product's qubit axes run part by part; put them in problem order
+    n = problem.num_spins
     axes = np.argsort([q for qubits in parts for q in qubits])
 
     def product(k: int) -> np.ndarray:
@@ -306,30 +351,24 @@ def frame_run(problem: IsingProblem, schedule, bath, rho0, levels, snapshots, rt
     matrix rho0, tracking the lowest ``levels`` instantaneous levels (all
     when None).
 
-    The frame is built in sectors.  Sector sign σ of dimension d is spanned
-    by (|x> + σ|x'>) / sqrt(1 + σ^2) for x < d, with x' = x XOR (2^n - 1) the
-    global flip of x.  When the energies E_z are flip-symmetric, H(s)
-    commutes with the product of all sigma^x, and the frame is its two
-    sectors σ = ±1 of dimension 2^(n-1), with ``levels`` split evenly
-    between them (an odd count raises ValidationError).  Otherwise it is the
-    one whole-space sector σ = 0.  Each sector takes its own eigensolve, its
-    own gauge fixes and its own level matching, so every frame column stays
-    a parity eigenvector and no level crosses the cut at an exact crossing
-    between sectors.  A step attempt builds the frame nodes (eigensolves,
-    alignment, dissipator program) at its midpoint and end.  Runs under
-    :func:`adaptive_run` at order 4; returns (s values, density matrices in
-    the computational basis at the snapshots, IntegratorReport)."""
+    The frame is built in the sectors of :func:`sector_blocks`: the two
+    sectors σ = ±1 of dimension 2^(n-1) when E_z is flip-symmetric, with
+    ``levels`` split evenly between them (an odd count raises
+    ValidationError), and otherwise the one whole-space sector σ = 0.  Each
+    sector takes its own eigensolve, its own gauge fixes and its own level
+    matching, so every frame column stays a parity eigenvector and no level
+    crosses the cut at an exact crossing between sectors.  A step attempt
+    builds the frame nodes (eigensolves, alignment, dissipator program) at
+    its midpoint and end.  Runs under :func:`adaptive_run` at order 4;
+    returns (s values, density matrices in the computational basis at the
+    snapshots, IntegratorReport)."""
     n = problem.num_spins
     dim = 1 << n
     m = tracked_levels(levels, n)
-    Ez = all_config_energies(problem)
-    signs = (1.0, -1.0) if np.array_equal(Ez, Ez[::-1]) else (0.0,)
+    signs, X_sectors, Ez_sector = sector_blocks(problem)
     if m % len(signs):
         raise ValidationError("levels must be even: the flip-symmetric frame splits them between two sectors")
     d, per = dim // len(signs), m // len(signs)
-    X = pauli_x_sum(n)
-    X_sectors = [X[:d, :d] + sign * X[:d, ::-1][:, :d] for sign in signs]
-    Ez_sector = Ez[:d]  # the flip leaves E_z unchanged wherever there are two sectors
     t_f = schedule.t_f_ns
     zdiags = np.ascontiguousarray(config_from_index(np.arange(d)[:, None], n).T, dtype=float)
     node_builds = 0

@@ -10,26 +10,40 @@ convention.
 The annealing Hamiltonian is ``H(s) = A(s) * sum_i sigma^x_i + B(s) * H_z``
 with ``H_z`` the diagonal physical Ising operator of an encoded problem
 (problem scale alpha and penalty scale beta are already folded into the
-physical couplings).  Hamiltonians and gap profiles are dense; unitary
-evolution runs the matrix-free split-operator integrator of
-:mod:`qacsim._integrator` under the step controller every anneal shares,
-once for each distinct connected component of the physical problem: the
-returned state is the product of the components' states, and
-``DEFAULT_QUBIT_CAP`` still bounds its 2^n amplitudes.
+physical couplings).  :func:`hamiltonian_at` is dense.  Gap profiles and
+unitary evolution both work on the connected components of the physical
+problem, split by the one rule of
+:func:`qacsim._integrator.connected_components`:
+
+* :func:`gap_profile` diagonalizes each distinct component densely in the
+  sector blocks of :func:`qacsim._integrator.sector_blocks` (the two parity
+  sectors of the global flip, or the whole component under a field), the
+  blocks the master-equation frame is built in, and combines the
+  components' levels exactly;
+* :func:`evolve_closed` runs the matrix-free split-operator integrator of
+  :mod:`qacsim._integrator` under the step controller every anneal shares,
+  once for each distinct component: the returned state is the product of
+  the components' states.
+
+``DEFAULT_QUBIT_CAP`` still bounds the n physical qubits of both, as it
+bounds the 2^n amplitudes of a returned state, although their cost is now
+set by the components.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
-import scipy.linalg
 
 from ._integrator import (
     IntegratorReport,
     anneal_components,
     annealing_hamiltonian,
+    connected_components,
     pauli_x_sum,
+    sector_blocks,
     split_operator_run,
     tracked_levels,
 )
@@ -176,7 +190,24 @@ def gap_profile(
 ) -> GapProfile:
     """Gap to the relevant excited level (see :func:`relevant_level_index`)
     on a uniform s-grid; ValidationError when no level lies above the final
-    ground manifold."""
+    ground manifold.
+
+    The gap is the whole space's: level k of H(s) over all 2^n physical
+    qubits.  It is computed from small spectra.  The physical problem splits
+    into the connected components of
+    :func:`qacsim._integrator.connected_components`, whose spectra add: the
+    whole space's levels are every sum of one level per component.  Each
+    distinct component is diagonalized once a grid point, block by block,
+    in the sectors of :func:`qacsim._integrator.sector_blocks` (two parity
+    sectors when its E_z is flip-symmetric, else the whole component), and
+    its levels are the sectors' merged.  The components' levels are then
+    combined by pairwise sums, an equal component once per copy (C: three).
+    Only the lowest k + 1 levels are kept at every stage, which is exact: a
+    sum using a component's level j > k has at least k + 1 sums at or below
+    it.  Every block, of whatever size, takes one full ``eigvalsh``.
+    ``DEFAULT_QUBIT_CAP`` bounds the n physical qubits as before, although
+    the cost is now set by the largest component's blocks.
+    """
     n = problem.num_physical
     if n > DEFAULT_QUBIT_CAP:
         raise ResourceLimitError(f"{n} qubits exceeds the dense-operator cap of {DEFAULT_QUBIT_CAP}")
@@ -186,13 +217,16 @@ def gap_profile(
     if k >= 1 << n:
         raise ValidationError(f"all {1 << n} levels end in the ground manifold: no gap to profile")
 
-    X = pauli_x_sum(n)
-    Ez = ising_diagonal(problem)
+    _, distinct, which = connected_components(problem.physical)
+    blocks = [sector_blocks(sub) for sub in distinct]
     grid = np.linspace(0.0, 1.0, grid_points)
     gaps = np.empty(grid_points)
-    for i, s in enumerate(grid):
-        H = annealing_hamiltonian(X, Ez, schedule.A_of(s), schedule.B_of(s))
-        vals = scipy.linalg.eigh(H, subset_by_index=(0, k), eigvals_only=True)
+    for i, (A, B) in enumerate(zip(schedule.A_of(grid), schedule.B_of(grid))):
+        # each distinct component's lowest k + 1 levels, its sectors merged
+        own = [np.sort(np.linalg.eigvalsh(annealing_hamiltonian(X_sectors, Ez, A, B))[:, :k + 1], axis=None)[:k + 1]
+               for _, X_sectors, Ez in blocks]
+        vals = reduce(lambda low, w: np.sort(np.add.outer(low, own[w]), axis=None)[:k + 1],
+                      which[1:], own[which[0]])
         gaps[i] = vals[k] - vals[0]
     imin = int(np.argmin(gaps))
     return GapProfile(grid, gaps, k, float(grid[imin]), float(gaps[imin]))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from qacsim._integrator import connected_components, sector_blocks
 from qacsim.dynamics import (
     QuantumState,
     evolve_closed,
@@ -57,11 +58,16 @@ def kron_hamiltonian(problem, schedule, s):
 
 
 def encoded(strategy, length=2):
+    """The AF chain of ``length`` encoded, or ``length`` itself when it is a logical IsingProblem."""
     beta = 0.3 if strategy in ("EP", "QAC") else 0.0
-    return encode_problem(make_af_chain(length), strategy, 0.4, beta)
+    logical = length if isinstance(length, IsingProblem) else make_af_chain(length)
+    return encode_problem(logical, strategy, 0.4, beta)
 
 
 SCHEDULE = schedule_linear(1.0, 0.01)
+# a local field breaks the flip symmetry; qubit 2 of LONE_QUBIT is a component of its own
+FIELD = IsingProblem(2, {0: 0.5}, {(0, 1): 1.0})
+LONE_QUBIT = IsingProblem(3, {}, {(0, 1): 1.0})
 # dA/ds and dB/ds jump at s = 0.3, which is not a snapshot
 KNOTTED = AnnealSchedule(0.01, np.array([0.0, 0.3, 1.0]), np.array([2.0, 0.6, 0.0]), np.array([0.0, 1.1, 2.0]))
 
@@ -112,7 +118,16 @@ def test_hamiltonian_at_kronecker(strategy, s):
     assert np.allclose(H, kron_hamiltonian(problem, SCHEDULE, s), rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("strategy,length", [("U", 2), ("U", 4), ("C", 2), ("EP", 2), ("QAC", 2)])
+@pytest.mark.parametrize("strategy,length", [
+    ("U", 2), ("U", 4), ("C", 2), ("EP", 2), ("QAC", 2),
+    # three equal 3-qubit components, whose 2^3 ground states make level 8 the relevant one
+    ("C", 3),
+    # one whole-space block of 8 qubits
+    pytest.param("EP", FIELD, id="EP-field"),
+    # two distinct components, the lone qubit's two 1-dimensional sectors
+    # holding fewer than k + 1 = 5 levels
+    pytest.param("U", LONE_QUBIT, id="U-lone-qubit"),
+])
 def test_gap_profile_dense_eigvalsh(strategy, length):
     problem = encoded(strategy, length)
     profile = gap_profile(problem, SCHEDULE, grid_points=9)
@@ -123,6 +138,31 @@ def test_gap_profile_dense_eigvalsh(strategy, length):
         vals = np.linalg.eigvalsh(kron_hamiltonian(problem, SCHEDULE, s))
         assert gap == pytest.approx(vals[profile.level_index] - vals[0], rel=1e-9, abs=1e-9)
     assert profile.delta_min == profile.gap.min()
+
+
+def test_gap_profile_blocks_of_the_cases():
+    # C splits into its three equal copies, each in two parity sectors
+    parts, distinct, which = connected_components(encoded("C", 3).physical)
+    assert parts == [[0, 3, 6], [1, 4, 7], [2, 5, 8]] and which == [0, 0, 0]
+    assert sector_blocks(distinct[0])[0] == (1.0, -1.0)
+    # a field leaves one component and one whole-space sector
+    field = encoded("EP", FIELD).physical
+    assert len(connected_components(field)[0]) == 1 and sector_blocks(field)[0] == (0.0,)
+    parts, distinct, which = connected_components(encoded("U", LONE_QUBIT).physical)
+    assert parts == [[0, 1], [2]] and which == [0, 1] and distinct[1] == IsingProblem(1)
+
+
+@pytest.mark.parametrize("strategy,length", [
+    ("U", 3), ("EP", 2), pytest.param("EP", FIELD, id="EP-field"),
+])
+def test_sector_blocks_hold_the_kronecker_spectrum(strategy, length):
+    problem = encoded(strategy, length)
+    signs, X_sectors, Ez = sector_blocks(problem.physical)
+    assert X_sectors.shape == (len(signs), len(Ez), len(Ez))
+    A, B = float(SCHEDULE.A_of(0.4)), float(SCHEDULE.B_of(0.4))
+    blocks = np.linalg.eigvalsh(A * X_sectors + B * np.diag(Ez))
+    kron = np.linalg.eigvalsh(kron_hamiltonian(problem, SCHEDULE, 0.4))
+    assert np.allclose(np.sort(blocks, axis=None), kron, rtol=0, atol=1e-12)
 
 
 def test_gap_profile_without_a_level_above_the_ground_manifold():
