@@ -12,19 +12,26 @@ There are two:
   :mod:`qacsim.master_equation` when a bath is coupled (kappa > 0).  The
   density matrix is tracked in the frame of the instantaneous eigenvectors.
   When no qubit has a local field, H(s) commutes with the global flip
-  prod_q sigma^x_q, and the frame is built in its two parity sectors: two
-  half-size eigensolves a node, levels split evenly between the sectors,
-  and a dissipator that skips the sigma^z elements the symmetry makes zero.
-  Otherwise the frame is the one whole-space sector.  Over a sub-step the
-  coherent part of the frame equation (dynamical phases plus the
-  non-adiabatic coupling K) is one propagator P = diag(e^{-i phi}) W: phi
-  comes from a cubic Hermite model of the eigenvalue curves, and W is a
-  Magnus exponential whose oscillatory integrals of K are taken
-  analytically, so steps are never limited by the fastest Bohr frequency.
-  The dissipator, non-oscillatory in this frame because its terms pair equal
-  Bohr frequencies, runs as classical RK4 in the interaction picture of P on
-  the step's start, midpoint and end nodes, with Kutta's third-order rule as
-  the embedded estimate, so a step builds two nodes.  The step keeps its two
+  prod_q sigma^x_q, and the frame is built in its two parity sectors: one
+  stacked eigensolve of the two half-size blocks a node (one subset solve
+  per sector when truncated), levels split evenly between the sectors, and
+  a dissipator that skips the sigma^z elements the symmetry makes zero.
+  Otherwise the frame is the one whole-space sector.  Every frame quantity
+  is a stack of sector blocks, and so is the frame density matrix: its two
+  diagonal blocks when rho0 commutes with the flip (the Lindbladian keeps
+  that, since each sigma^z jump swaps both sectors), all four otherwise,
+  and one block in the whole-space sector.  Over a sub-step the coherent
+  part of the frame equation (dynamical phases plus the non-adiabatic
+  coupling K) is one propagator P = diag(e^{-i phi}) W: phi comes from a
+  cubic Hermite model of the eigenvalue curves, and W is a Magnus
+  exponential whose oscillatory integrals of K are taken analytically, so
+  steps are never limited by the fastest Bohr frequency.  K keeps the
+  sector, so each sector's W is exponentiated on its own, and a step's
+  three propagators in one stacked eigensolve.  The dissipator,
+  non-oscillatory in this frame because its terms pair equal Bohr
+  frequencies, runs as classical RK4 in the interaction picture of P on the
+  step's start, midpoint and end nodes, with Kutta's third-order rule as the
+  embedded estimate, so a step builds two nodes.  The step keeps its two
   half-step propagators; the one-step propagator only gives a Richardson
   estimate of the coherent error.  Overlap matching keeps the eigenbasis
   continuous from node to node, within each sector: columns are permuted to
@@ -319,31 +326,86 @@ def split_operator_run(problem: IsingProblem, schedule, W0, snapshots, rtol):
 @dataclass
 class _Node:
     t: float
-    eps: np.ndarray  # frame energies, sector by sector
-    U: list[np.ndarray]  # each sector's eigenvectors in its own basis
-    eps_dot: np.ndarray
-    K: np.ndarray
+    eps: np.ndarray  # (sectors, levels per sector): frame energies
+    U: np.ndarray  # (sectors, d, levels per sector): each sector's eigenvectors in its own basis
+    eps_dot: np.ndarray  # (sectors, levels per sector)
+    K: np.ndarray  # (sectors, levels per sector, levels per sector): dH/dt keeps the sector
     dissipator: "_DissipatorProgram"
 
 
 @dataclass
 class _DissipatorProgram:
-    # per bin-size class: (prefactors, gather indices, scatter indices)
-    classes: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
-    M: np.ndarray
+    # the jump terms: out.flat[scatter] += pref * y.flat[gather], over the
+    # carried blocks, with complex y and out viewed as float arrays
+    pref: np.ndarray
+    gather: np.ndarray
+    scatter: np.ndarray
+    # M = sum gamma L^dagger L in the row and in the column sector of each carried block
+    M_rows: np.ndarray
+    M_cols: np.ndarray
 
 
-def _sector_eigh(H: np.ndarray, keep: int, t: float, sign: float):
-    """The lowest ``keep`` eigenpairs of the sector-``sign`` block H at time
-    t and one more when that many exist, so the gap at the cut is exact; a
-    failed eigensolve raises NumericalError."""
-    try:
-        if keep < len(H):
-            return scipy.linalg.eigh(H, subset_by_index=(0, keep), driver="evx")
-        return np.linalg.eigh(H)
-    except np.linalg.LinAlgError as exc:
-        sector = "whole-space" if sign == 0 else f"{sign:+g}"
-        raise NumericalError(f"eigensolve failed at t={t} ns in the {sector} sector: {exc}") from exc
+@dataclass(frozen=True)
+class _Layout:
+    """Where a frame density matrix's elements sit in its carried sector
+    blocks, and the sigma^z transitions (a, b) its dissipator is built from."""
+
+    rows: np.ndarray  # the carried blocks (rows[i], cols[i]), by sector index
+    cols: np.ndarray
+    partner: np.ndarray  # carried block (b, a) is block (a, b)'s conjugate transpose
+    position: np.ndarray  # (levels, levels): flat index of element (a, a') in the carried blocks
+    pair_a: np.ndarray  # the levels a and b of each transition, (+, -) then (-, +)
+    pair_b: np.ndarray
+    split: np.ndarray  # per transition: a's sector (so b's), when only the diagonal blocks are carried
+
+
+def _layout(signs, per: int, all_blocks: bool) -> _Layout:
+    """The layout of ``per`` levels in each sector of ``signs`` (sector by
+    sector, levels in frame order), carrying every sector block when
+    ``all_blocks`` and otherwise only the diagonal ones.  sigma^z
+    anticommutes with the global flip, so it couples sector sign σ only to
+    sector sign -σ: the transitions between the two ±1 sectors, or all of
+    the whole-space sector."""
+    sectors = len(signs)
+    rows, cols = np.divmod(np.arange(sectors * sectors), sectors) if all_blocks else (np.arange(sectors),) * 2
+    blocks = list(zip(rows, cols))
+    block_of = np.zeros((sectors, sectors), dtype=np.int64)
+    block_of[rows, cols] = np.arange(len(blocks))
+    sector, local = np.divmod(np.arange(sectors * per), per)
+    position = (block_of[sector[:, None], sector[None, :]] * per + local[:, None]) * per + local[None, :]
+    level_sign = np.repeat(signs, per)
+    pair_a, pair_b = np.nonzero(level_sign[:, None] == -level_sign[None, :])
+    split = sector[pair_a] if not all_blocks else np.zeros_like(pair_a)
+    return _Layout(rows, cols, np.array([blocks.index((b, a)) for a, b in blocks]), position, pair_a, pair_b, split)
+
+
+def _dagger(a: np.ndarray) -> np.ndarray:
+    return a.conj().swapaxes(-1, -2)
+
+
+def _sector_eigh(H: np.ndarray, signs, keep: int, where: str):
+    """Eigenpairs of the stacked sector blocks H (..., sectors, d, d): all of
+    them, or, when keep < d, the lowest ``keep`` of each sector and one more,
+    so the gap at the cut is exact.  A failed eigensolve raises
+    NumericalError naming ``where`` and the sector."""
+    d = H.shape[-1]
+    if keep >= d:
+        try:
+            return np.linalg.eigh(H)
+        except np.linalg.LinAlgError:
+            pass  # solved again below, one sector at a time, to name the one that fails
+    solved = []
+    for k, sign in enumerate(signs):
+        try:
+            if keep < d:
+                solved.append(scipy.linalg.eigh(H[k], subset_by_index=(0, keep), driver="evx"))
+            else:
+                solved.append(np.linalg.eigh(H[..., k, :, :]))
+        except np.linalg.LinAlgError as exc:
+            sector = "whole-space" if sign == 0 else f"{sign:+g}"
+            raise NumericalError(f"{where} in the {sector} sector: {exc}") from exc
+    e, u = zip(*solved)
+    return np.stack(e, axis=-2), np.stack(u, axis=-3)
 
 
 def frame_run(problem: IsingProblem, schedule, bath, rho0, levels, snapshots, rtol):
@@ -357,29 +419,51 @@ def frame_run(problem: IsingProblem, schedule, bath, rho0, levels, snapshots, rt
     ValidationError), and otherwise the one whole-space sector σ = 0.  Each
     sector takes its own eigensolve, its own gauge fixes and its own level
     matching, so every frame column stays a parity eigenvector and no level
-    crosses the cut at an exact crossing between sectors.  A step attempt
-    builds the frame nodes (eigensolves, alignment, dissipator program) at
-    its midpoint and end.  Runs under :func:`adaptive_run` at order 4;
-    returns (s values, density matrices in the computational basis at the
-    snapshots, IntegratorReport)."""
+    crosses the cut at an exact crossing between sectors.  Untruncated
+    sectors are solved in one stacked eigensolve.
+
+    The frame density matrix y is carried as a stack of its sector blocks
+    (σ, σ').  When rho0 commutes with the global flip (rho0 equals
+    rho0[::-1, ::-1]), so does rho(t): the Lindbladian keeps that symmetry,
+    since every sigma^z jump maps block (σ, σ') to (-σ, -σ'), and only the
+    two diagonal blocks are carried.  Any other rho0 carries all four; the
+    whole-space sector is one block.  The coherent propagators, the
+    dissipator, the error norms and the Hermitian clean-up act block by
+    block, and the step's three propagators are exponentiated together,
+    each sector on its own.  A step attempt builds the frame nodes
+    (eigensolves, alignment, dissipator program) at its midpoint and end.
+    Runs under :func:`adaptive_run` at order 4; returns (s values, density
+    matrices in the computational basis at the snapshots,
+    IntegratorReport)."""
     n = problem.num_spins
     dim = 1 << n
     m = tracked_levels(levels, n)
     signs, X_sectors, Ez_sector = sector_blocks(problem)
-    if m % len(signs):
+    sectors = len(signs)
+    if m % sectors:
         raise ValidationError("levels must be even: the flip-symmetric frame splits them between two sectors")
-    d, per = dim // len(signs), m // len(signs)
+    d, per = dim // sectors, m // sectors
     t_f = schedule.t_f_ns
     zdiags = np.ascontiguousarray(config_from_index(np.arange(d)[:, None], n).T, dtype=float)
     node_builds = 0
     margin = None if per == d else np.inf
 
+    # rho0 commutes with the global flip, which reverses the basis, or carries all blocks
+    layout = _layout(signs, per, sectors == 2 and not np.array_equal(rho0, rho0[::-1, ::-1]))
+    rows, cols = layout.rows, layout.cols
+
+    def conjugation(P: np.ndarray):
+        """The maps y -> P y P^dagger and y -> P^dagger y P on the carried
+        blocks y, for P a stack of sector blocks."""
+        left, right = P[rows], _dagger(P[cols])
+        left_h, right_h = _dagger(left), _dagger(right)
+        return (lambda y: left @ y @ right), (lambda y: left_h @ y @ right_h)
+
     def lift(node: _Node) -> np.ndarray:
-        """The frame's columns in the computational basis, (2^n, levels)."""
-        V = np.zeros((dim, m))
-        for k, (sign, U) in enumerate(zip(signs, node.U)):
-            V[:d, k * per:(k + 1) * per] = U
-            V[dim - d:, k * per:(k + 1) * per] += sign * U[::-1]
+        """Each sector's frame columns in the computational basis, (sectors, 2^n, levels per sector)."""
+        V = np.zeros((sectors, dim, per))
+        V[:, :d] = node.U
+        V[:, dim - d:] += np.reshape(signs, (-1, 1, 1)) * node.U[:, ::-1]
         return V / np.sqrt(1.0 + signs[0] ** 2)
 
     def build_node(t: float, prev: _Node | None) -> _Node:
@@ -388,84 +472,83 @@ def frame_run(problem: IsingProblem, schedule, bath, rho0, levels, snapshots, rt
         A, B = schedule.A_of(s), schedule.B_of(s)
         dA, dB = schedule.derivatives_of(s)
         node_builds += 1
-        solved = [_sector_eigh(annealing_hamiltonian(Xk, Ez_sector, A, B), per, t, sign)
-                  for sign, Xk in zip(signs, X_sectors)]
+        e, u = _sector_eigh(annealing_hamiltonian(X_sectors, Ez_sector, A, B), signs, per,
+                            f"eigensolve failed at t={t} ns")
         if per < d and 0.0 < s < 1.0:
-            margin = min([margin] + [float(e[per] - e[per - 1]) for e, _ in solved])
-        scale = max(1.0, max(float(np.abs(e[:per]).max()) for e, _ in solved))
-        guard = 1e-9 * scale
-        eps, eps_dot, K, U = np.empty(m), np.empty(m), np.zeros((m, m)), []
-        for k, (Xk, (e, u)) in enumerate(zip(X_sectors, solved)):
-            e, u = e[:per], u[:, :per]
-            M_dot = u.T @ (float(dA) * (Xk @ u) + float(dB) * (Ez_sector[:, None] * u)) / t_f
-
+            margin = min(margin, float((e[:, per] - e[:, per - 1]).min()))
+        e, u = e[:, :per], u[:, :, :per]
+        scale = max(1.0, float(np.abs(e).max()))
+        M_dot = u.swapaxes(1, 2) @ (float(dA) * (X_sectors @ u) + float(dB) * (Ez_sector[:, None] * u)) / t_f
+        eps, U = np.empty((sectors, per)), np.empty((sectors, d, per))
+        for k in range(sectors):
+            uk, Mk = u[k], M_dot[k]
             # Within each (near-)degenerate cluster the eigensolver basis is
             # arbitrary; rotate to the basis diagonalizing dH/dt (degenerate
             # perturbation theory), which is the correct adiabatic continuation
             # and removes spurious couplings over vanishing denominators.
-            for cluster in _degenerate_clusters(e, 1e-6 * scale):
-                if len(cluster) > 1:
-                    ix = np.ix_(cluster, cluster)
-                    dots, rot = np.linalg.eigh(0.5 * (M_dot[ix] + M_dot[ix].T))
-                    u[:, cluster] = u[:, cluster] @ rot
-                    M_dot[cluster, :] = rot.T @ M_dot[cluster, :]
-                    M_dot[:, cluster] = M_dot[:, cluster] @ rot
-
-            e, u, M_dot = _align(None if prev is None else prev.U[k], e, u, M_dot)
-            denom = e[None, :] - e[:, None]
-            Kk = M_dot / np.where(np.abs(denom) > guard, denom, np.inf)
-            np.fill_diagonal(Kk, 0.0)
-            block = slice(k * per, (k + 1) * per)  # K is block-diagonal: dH/dt keeps the sector
-            eps[block], eps_dot[block], K[block, block] = e, np.diag(M_dot), Kk
-            U.append(u)
+            for cluster in _degenerate_clusters(e[k], 1e-6 * scale):
+                ix = np.ix_(cluster, cluster)
+                _, rot = np.linalg.eigh(0.5 * (Mk[ix] + Mk[ix].T))
+                uk[:, cluster] = uk[:, cluster] @ rot
+                Mk[cluster, :] = rot.T @ Mk[cluster, :]
+                Mk[:, cluster] = Mk[:, cluster] @ rot
+            eps[k], U[k], M_dot[k] = _align(None if prev is None else prev.U[k], e[k], uk, Mk)
+        guard = 1e-9 * scale
+        denom = eps[:, None, :] - eps[:, :, None]
+        K = M_dot / np.where(np.abs(denom) > guard, denom, np.inf)
+        diag = np.arange(per)
+        K[:, diag, diag] = 0.0
+        eps_dot = M_dot[:, diag, diag]
         # at s = 0 the transverse field's multiplets make Bohr frequencies
         # coincide that part as soon as s > 0: the start node, which the
         # first step weighs as much as any, takes the bins of s -> 0+
         return _Node(t, eps, U, eps_dot, K,
-                     _build_dissipator(eps, signs, U, zdiags, bath, eps_dot if s == 0.0 else None))
+                     _build_dissipator(eps, U, zdiags, bath, layout, eps_dot if s == 0.0 else None))
 
     def start():
-        """The state at s = 0: its node, and rho0 in that node's frame."""
+        """The state at s = 0: its node, and rho0's carried blocks in that node's frame."""
         node = build_node(0.0, None)
         V = lift(node)
-        y = V.T @ rho0.astype(complex) @ V
-        captured = float(np.real(np.trace(y)))
+        y = V[rows].swapaxes(1, 2) @ rho0.astype(complex) @ V[cols]
+        captured = float(np.trace(y[rows == cols], axis1=1, axis2=2).real.sum())
         if captured < 1.0 - 1e-9:
             raise ValidationError(f"initial state has weight {1 - captured:.2e} outside the {m} tracked levels")
         return node, y
 
     def step(state, t: float, h: float):
-        """One attempt from ``state`` = (node, frame density matrix); returns
-        ((end node, frame density matrix there), err)."""
+        """One attempt from ``state`` = (node, carried blocks of the frame
+        density matrix); returns ((end node, blocks there), err)."""
         node0, y = state
         node_mid = build_node(t + 0.5 * h, node0)
         node1 = build_node(t + h, node_mid)
         # P1 and P = P2 P1 propagate the frame over [t, t+h/2] and [t, t+h];
         # the one-step P_full only measures the coherent model's error
-        P1 = _propagator(node0, node_mid, 0.5 * h)
-        P = _propagator(node_mid, node1, 0.5 * h) @ P1
-        P_full = _propagator(node0, node1, h)
+        P1, P2, P_full = _propagators(node0, node_mid, node1, h, signs)
+        half, whole = conjugation(P1), conjugation(P2 @ P1)
         scale = _ATOL + rtol * float(np.linalg.norm(y))
-        err = float(np.linalg.norm(P_full @ y @ P_full.conj().T - P @ y @ P.conj().T)) / (3.0 * scale)
+        err = float(np.linalg.norm(conjugation(P_full)[0](y) - whole[0](y))) / (3.0 * scale)
 
         def rhs(node, prop, u):
             """The dissipator at ``node`` acting on the interaction-picture ``u``."""
-            return prop.conj().T @ _dissipator_rhs(node.dissipator, prop @ u @ prop.conj().T) @ prop
+            forward, back = prop
+            return back(_dissipator_rhs(node.dissipator, forward(u)))
 
         k1 = _dissipator_rhs(node0.dissipator, y)
-        k2 = rhs(node_mid, P1, y + 0.5 * h * k1)
-        k3 = rhs(node_mid, P1, y + 0.5 * h * k2)
-        k4 = rhs(node1, P, y + h * k3)
-        k3_kutta = rhs(node1, P, y + h * (2.0 * k2 - k1))
+        k2 = rhs(node_mid, half, y + 0.5 * h * k1)
+        k3 = rhs(node_mid, half, y + 0.5 * h * k2)
+        k4 = rhs(node1, whole, y + h * k3)
+        k3_kutta = rhs(node1, whole, y + h * (2.0 * k2 - k1))
         u4 = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         u3 = y + (h / 6.0) * (k1 + 4.0 * k2 + k3_kutta)
         err = max(err, float(np.linalg.norm(u4 - u3)) / scale)
-        y_new = P @ u4 @ P.conj().T
-        return (node1, 0.5 * (y_new + y_new.conj().T)), err
+        y_new = whole[0](u4)
+        return (node1, 0.5 * (y_new + _dagger(y_new[layout.partner]))), err
 
     def record(state):
+        """The density matrix in the computational basis: the sum of the
+        lifted blocks, as one product of the blocks side by side."""
         V = lift(state[0])
-        return V @ state[1] @ V.T
+        return np.concatenate(V[rows] @ state[1], axis=1) @ np.concatenate(V[cols], axis=1).T
 
     # no local holds the start state: its node, at the most degenerate
     # point, has the largest dissipator program and is freed after one step
@@ -490,103 +573,96 @@ def _align(prev_U: np.ndarray | None, eps: np.ndarray, U: np.ndarray, M_dot: np.
     perm = linear_sum_assignment(np.abs(overlap), maximize=True)[1]
     eps = eps[perm]
     U = U[:, perm]
-    M_dot = M_dot[np.ix_(perm, perm)]
-    overlap = overlap[:, perm]
+    M_dot = M_dot[perm][:, perm]
     # per-level sign gauge; polar alignment only where both the energy
     # and its slope coincide (the dH/dt basis is then still arbitrary)
-    scale = max(1.0, float(np.abs(eps).max()))
-    eps_dot = np.diag(M_dot)
+    flip = overlap[:, perm].diagonal() < 0
+    eps_dot = M_dot.diagonal()
     dot_tol = 1e-9 * max(1.0, float(np.abs(eps_dot).max()))
-    for cluster in _degenerate_clusters(eps, 1e-6 * scale):
-        subs = _degenerate_clusters(eps_dot[cluster], dot_tol) if len(cluster) > 1 else [[0]]
-        for sub in subs:
-            idx = [cluster[i] for i in sub]
-            if len(idx) == 1:
-                i = idx[0]
-                if overlap[i, i] < 0:
-                    U[:, i] = -U[:, i]
-                    M_dot[i, :] = -M_dot[i, :]
-                    M_dot[:, i] = -M_dot[:, i]
-            else:
-                block = U[:, idx].T @ prev_U[:, idx]
-                u, _, vt = np.linalg.svd(block)
-                rot = u @ vt
-                U[:, idx] = U[:, idx] @ rot
-                M_dot[idx, :] = rot.T @ M_dot[idx, :]
-                M_dot[:, idx] = M_dot[:, idx] @ rot
-    return eps, U, M_dot
+    for cluster in _degenerate_clusters(eps, 1e-6 * max(1.0, float(np.abs(eps).max()))):
+        for sub in _degenerate_clusters(eps_dot[cluster], dot_tol):
+            idx = cluster[sub]
+            flip[idx] = False
+            u, _, vt = np.linalg.svd(U[:, idx].T @ prev_U[:, idx])
+            rot = u @ vt
+            U[:, idx] = U[:, idx] @ rot
+            M_dot[idx, :] = rot.T @ M_dot[idx, :]
+            M_dot[:, idx] = M_dot[:, idx] @ rot
+    signs = np.where(flip, -1.0, 1.0)
+    return eps, U * signs, signs[:, None] * M_dot * signs[None, :]
 
 
-def _build_dissipator(eps: np.ndarray, signs, Us: list[np.ndarray], zdiags: np.ndarray, bath,
+def _build_dissipator(eps: np.ndarray, U: np.ndarray, zdiags: np.ndarray, bath, layout: _Layout,
                       slopes: np.ndarray | None = None) -> _DissipatorProgram:
-    """The dissipator in the frame of the sectors' eigenvectors ``Us``
-    (energies eps, sector by sector, sector signs ``signs``), for sigma^z
-    couplings with the (qubits, d) diagonals ``zdiags`` over a sector's d
-    basis states.
+    """The dissipator in the frame of the sectors' eigenvectors ``U``
+    (sectors, d, levels per sector), with energies ``eps`` (sectors, levels
+    per sector), for sigma^z couplings with the (qubits, d) diagonals
+    ``zdiags`` over a sector's d basis states, acting on the carried blocks
+    of ``layout``.
 
-    sigma^z anticommutes with the global flip, so it couples sector sign σ
-    only to sector sign -σ: its element between two levels of one ±1 sector
-    is exactly zero, and every such pair is left out of the program.
-    Between the two ±1 sectors, and within the whole-space sector, the
-    element of qubit q is U_a^T diag(z_q) U_b.
+    sigma^z anticommutes with the global flip, so its element between two
+    levels of one ±1 sector is exactly zero, and only the transitions of
+    ``layout`` enter.  Between the two ±1 sectors the element of qubit q is
+    U_+^T diag(z_q) U_-, and the (-, +) elements are its transpose; within
+    the whole-space sector it is U^T diag(z_q) U.  So a jump term maps block
+    (σ, σ') to block (-σ, -σ').
 
     Bohr frequencies within _BIN_TOL share a Lindblad operator.  Given the
     levels' ``slopes`` d(eps)/dt, frequencies whose slopes differ by more
-    than _BIN_TOL per ns do not: they coincide only at this instant.
+    than _BIN_TOL per ns do not: they coincide only at this instant.  When
+    only the diagonal blocks are carried, each bin's transitions are grouped
+    by sector, and the terms between the groups, which read and write the
+    off-diagonal blocks that stay zero, are left out.
     """
-    m = len(eps)
-    nq = len(zdiags)
-    sizes = [U.shape[1] for U in Us]
-    offsets = np.cumsum([0] + sizes)
-    w = np.zeros((nq, m, m))
-    for a, (sign_a, Ua) in enumerate(zip(signs, Us)):
-        for b, (sign_b, Ub) in enumerate(zip(signs, Us)):
-            if sign_a == -sign_b:  # all W_q of the block via one batched product
-                w[:, offsets[a]:offsets[a + 1], offsets[b]:offsets[b + 1]] = Ua.T @ (zdiags[:, :, None] * Ub)
-    w_flat = w.reshape(nq, m * m)
-    level_sign = np.repeat(signs, sizes)
-    pairs = np.flatnonzero(level_sign[:, None] == -level_sign[None, :])
-
-    gaps = (eps[None, :] - eps[:, None]).ravel()[pairs]
-    key = np.rint(gaps / _BIN_TOL).astype(np.int64)
-    drift = np.zeros_like(key)
+    per = eps.shape[1]
+    W = U[0].T @ (zdiags[:, :, None] * U[-1])  # all W_q of the (+, -) or whole-space block via one batched product
+    w = W.reshape(len(zdiags), -1)
+    if len(U) == 2:
+        w = np.concatenate([w, W.swapaxes(1, 2).reshape(len(zdiags), -1)], axis=1)
+    levels = eps.ravel()
+    gaps = levels[layout.pair_b] - levels[layout.pair_a]
+    keys = np.zeros((3, len(gaps)), dtype=np.int64)  # sort by frequency, then slope difference, then sector
+    keys[0] = layout.split
     if slopes is not None:
-        drift = np.rint((slopes[None, :] - slopes[:, None]).ravel()[pairs] / _BIN_TOL).astype(np.int64)
-    order = np.lexsort((drift, key))
-    starts = np.flatnonzero(np.r_[True, (np.diff(key[order]) != 0) | (np.diff(drift[order]) != 0)])
-    lengths = np.diff(np.r_[starts, len(order)])
-    rates = bath.rate(gaps[order[starts]])
+        keys[1] = np.rint((slopes.ravel()[layout.pair_b] - slopes.ravel()[layout.pair_a]) / _BIN_TOL)
+    keys[2] = np.rint(gaps / _BIN_TOL)
+    order = np.lexsort(keys)
+    ordered = keys[:, order]
+    new = np.ones((2, len(order)), dtype=bool)  # where a sector group starts, and where its bin does
+    new[0, 1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+    new[1, 1:] = (ordered[1:, 1:] != ordered[1:, :-1]).any(axis=0)
+    starts = np.flatnonzero(new[0])
+    lengths = np.bincount(np.cumsum(new[0]) - 1)
+    # a bin's groups share its Lindblad operator, at the bin's first frequency
+    rates = bath.rate(gaps[order[new[1]]])[np.cumsum(new[1])[starts] - 1]
 
-    classes = []
-    M = np.zeros(m * m)
-    for c in np.unique(lengths):
+    prefs, gathers, scatters = [], [], []
+    M = np.zeros(len(levels) * per)
+    for c in np.flatnonzero(np.bincount(lengths)):
         bins_c = np.flatnonzero(lengths == c)
-        members = pairs[order[starts[bins_c][:, None] + np.arange(c)[None, :]]]  # (nb, c)
-        a_idx = members // m
-        b_idx = members % m
-        outer = np.einsum("qki,qkj->kij", w_flat[:, members], w_flat[:, members])
-        pref = rates[bins_c][:, None, None] * outer
-        gather = (b_idx[:, :, None] * m + b_idx[:, None, :]).ravel()
-        scatter = (a_idx[:, :, None] * m + a_idx[:, None, :]).ravel()
-        classes.append((pref.ravel(), gather, scatter))
-        same_a = a_idx[:, :, None] == a_idx[:, None, :]
-        M += np.bincount(gather, weights=(pref * same_a).ravel(), minlength=m * m)
-    return _DissipatorProgram(classes, M.reshape(m, m))
+        members = order[starts[bins_c][:, None] + np.arange(c)[None, :]]  # (nb, c)
+        a, b = layout.pair_a[members], layout.pair_b[members]
+        pref = rates[bins_c][:, None, None] * np.einsum("qki,qkj->kij", w[:, members], w[:, members])
+        b_i, b_j = b[:, :, None], b[:, None, :]
+        prefs.append(pref.ravel())
+        gathers.append(layout.position[b_i, b_j].ravel())
+        scatters.append(layout.position[a[:, :, None], a[:, None, :]].ravel())
+        # L^dagger L pairs two levels b, b' below one level a, so of one sector
+        same_a = a[:, :, None] == a[:, None, :]
+        M += np.bincount((b_i * per + b_j % per).ravel(), weights=(pref * same_a).ravel(), minlength=len(M))
+    M = M.reshape(-1, per, per).astype(complex)
+    # the jump terms act on a complex y viewed as floats: real, imaginary, real, ...
+    parts = np.arange(2)
+    return _DissipatorProgram(np.repeat(np.concatenate(prefs), 2),
+                              (2 * np.concatenate(gathers)[:, None] + parts).ravel(),
+                              (2 * np.concatenate(scatters)[:, None] + parts).ravel(), M[layout.rows], M[layout.cols])
 
 
-def _dissipator_rhs(program: _DissipatorProgram, rho: np.ndarray) -> np.ndarray:
-    """The dissipator acting on a frame density matrix."""
-    m = rho.shape[0]
-    out = np.zeros_like(rho)
-    acc = np.zeros(m * m, dtype=complex)
-    flat = rho.ravel()
-    for pref, gather, scatter in program.classes:
-        vals = pref * flat[gather]
-        acc += np.bincount(scatter, weights=vals.real, minlength=m * m)
-        acc += 1j * np.bincount(scatter, weights=vals.imag, minlength=m * m)
-    out += acc.reshape(m, m)
-    out -= 0.5 * (program.M @ rho + rho @ program.M)
-    return out
+def _dissipator_rhs(program: _DissipatorProgram, y: np.ndarray) -> np.ndarray:
+    """The dissipator acting on the carried blocks y of a frame density matrix."""
+    flat = np.ascontiguousarray(y).view(np.float64).ravel()
+    out = np.bincount(program.scatter, program.pref * flat[program.gather], 2 * y.size).view(complex)
+    return out.reshape(y.shape) - 0.5 * (program.M_rows @ y + y @ program.M_cols)
 
 
 _KNOTS = np.linspace(0.0, 1.0, _PIECES + 1)
@@ -597,47 +673,52 @@ _PHASE_WEIGHTS = np.stack([
     _KNOTS**4 / 4 - 2 * _KNOTS**3 / 3 + _KNOTS**2 / 2,
     -(_KNOTS**4) / 2 + _KNOTS**3,
     _KNOTS**4 / 4 - _KNOTS**3 / 3,
-])[:, :, None]
-_PIECE_MIDPOINTS = (0.5 * (_KNOTS[:-1] + _KNOTS[1:]))[:, None, None]
-_PIECE_WIDTHS = np.diff(_KNOTS)[:, None, None]
+])[:, :, None, None, None]
+_PIECE_MIDPOINTS = (0.5 * (_KNOTS[:-1] + _KNOTS[1:]))[:, None, None, None, None]
+_PIECE_WIDTHS = np.diff(_KNOTS)[:, None, None, None, None]
 
 
-def _propagator(n0: _Node, n1: _Node, h: float) -> np.ndarray:
-    """The frame's coherent propagator P = diag(exp(-i phi)) W from n0.t to
-    n0.t + h, with phi the accumulated phases and W the Magnus exponential of
-    the non-adiabatic coupling K.
+def _propagators(n0: _Node, n_mid: _Node, n1: _Node, h: float, signs) -> np.ndarray:
+    """The frame's coherent propagators P = diag(exp(-i phi)) W over the
+    half steps n0 -> n_mid and n_mid -> n1 and the whole step n0 -> n1, of
+    length h, stacked (3, sectors, levels per sector, levels per sector):
+    phi are the accumulated phases and W the Magnus exponential of the
+    non-adiabatic coupling K.
 
     The phases at the _PIECES + 1 knots integrate a cubic Hermite model of
     eps(t).  The coupling element (a, b) oscillates at the accumulated phase
     difference; its integral is taken with a piecewise-linear phase and a
-    linearly interpolated K envelope over the _PIECES sub-intervals.
+    linearly interpolated K envelope over the _PIECES sub-intervals.  The
+    Magnus exponent is block-diagonal, so each sector's W is exponentiated
+    on its own; a failed eigensolve raises NumericalError naming the step
+    and the sector.
     """
+    starts, ends = (n0, n_mid, n0), (n_mid, n1, n1)
+    eps0, dot0, K0 = (np.array([getattr(node, name) for node in starts]) for name in ("eps", "eps_dot", "K"))
+    eps1, dot1, K1 = (np.array([getattr(node, name) for node in ends]) for name in ("eps", "eps_dot", "K"))
+    hs = np.array([0.5 * h, 0.5 * h, h])[:, None, None]
     i00, i10, i01, i11 = _PHASE_WEIGHTS
-    phis = h * (n0.eps * i00 + h * n0.eps_dot * i10 + n1.eps * i01 + h * n1.eps_dot * i11)  # (knots, m)
-    dphi = phis[:, :, None] - phis[:, None, :]
+    phis = hs * (eps0 * i00 + hs * dot0 * i10 + eps1 * i01 + hs * dot1 * i11)  # (knots, 3, sectors, levels)
+    dphi = phis[..., :, None] - phis[..., None, :]
     x = dphi[1:] - dphi[:-1]
     small = np.abs(x) < 1e-8
     shape = np.where(small, 1.0 + 0.5j * x, (np.exp(1j * x) - 1.0) / np.where(small, 1.0, 1j * x))
-    K_mid = n0.K + (n1.K - n0.K) * _PIECE_MIDPOINTS
-    omega = -(K_mid * np.exp(1j * dphi[:-1]) * shape * (_PIECE_WIDTHS * h)).sum(axis=0)
+    K_mid = K0 + (K1 - K0) * _PIECE_MIDPOINTS
+    omega = -(K_mid * np.exp(1j * dphi[:-1]) * shape * (_PIECE_WIDTHS * hs[..., None])).sum(axis=0)
     # omega is anti-Hermitian, so exponentiate through the Hermitian 1j*omega
-    try:
-        evals, U = np.linalg.eigh(1j * omega)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"propagator eigensolve failed from t={n0.t} ns to t={n0.t + h} ns, "
-                             f"all sectors: {exc}") from exc
-    return np.exp(-1j * phis[-1])[:, None] * ((U * np.exp(-1j * evals)) @ U.conj().T)
+    generator = 1j * omega
+    evals, V = _sector_eigh(0.5 * (generator + _dagger(generator)), signs, omega.shape[-1],
+                            f"propagator eigensolve failed from t={n0.t} ns to t={n1.t} ns")
+    return np.exp(-1j * phis[-1])[..., :, None] * ((V * np.exp(-1j * evals)[..., None, :]) @ _dagger(V))
 
 
-def _degenerate_clusters(eps: np.ndarray, tol: float) -> list[list[int]]:
+def _degenerate_clusters(eps: np.ndarray, tol: float) -> list[np.ndarray]:
+    """The runs of two or more indices of eps whose consecutive sorted values
+    lie within tol."""
     order = np.argsort(eps)
-    clusters: list[list[int]] = []
-    current = [int(order[0])]
-    for prev, nxt in zip(order[:-1], order[1:]):
-        if eps[nxt] - eps[prev] < tol:
-            current.append(int(nxt))
-        else:
-            clusters.append(current)
-            current = [int(nxt)]
-    clusters.append(current)
-    return clusters
+    ordered = eps[order]
+    close = ordered[1:] - ordered[:-1] < tol
+    if not close.any():
+        return []
+    runs = np.split(order, np.flatnonzero(~close) + 1)
+    return [run for run in runs if len(run) > 1]

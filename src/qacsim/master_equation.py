@@ -9,8 +9,10 @@ point).  Rates are
     gamma(omega) = 2 pi kappa omega exp(-omega/omega_c) / (1 - exp(-omega/T))
 
 with kappa the effective system-bath coupling, omega_c the UV cutoff and T
-the bath temperature (all in rad/ns).  gamma(0) is the analytic limit
-2 pi kappa T.  The exponential cutoff acts on signed omega, so the ratio
+the bath temperature (all in rad/ns).  omega / (1 - exp(-omega/T)) is
+evaluated as omega / -expm1(-omega/T), accurate to rounding on both signs
+and down to omega -> 0, where gamma(0) is the analytic limit 2 pi kappa T.
+The exponential cutoff acts on signed omega, so the ratio
 gamma(-omega)/gamma(omega) = exp(-omega/T) exp(2 omega/omega_c) is not
 exactly thermal.  The principal-value (Lamb-shift) part of the bath
 correlation is not modelled.
@@ -19,9 +21,13 @@ Both integrators live in :mod:`qacsim._integrator`, and each hands one step
 function to its step controller: at kappa = 0 the anneal is unitary and runs
 on the matrix-free split-operator integrator behind
 :func:`qacsim.dynamics.evolve_closed`; with a bath it runs on the eigenbasis
-integrator ``frame_run``, whose sub-steps are one coherent propagator matrix
-each, and whose frame splits into the two parity sectors of the global flip
-when no qubit has a local field.  From the transverse-field start both run
+integrator ``frame_run``, whose frame splits into the two parity sectors of
+the global flip when no qubit has a local field.  There the density matrix
+is carried as its sector blocks: only the two diagonal ones when the start
+commutes with the flip, as the transverse-field start does, since every
+sigma^z Lindblad operator maps sector σ to -σ and so keeps that symmetry.
+A sub-step's coherent propagator is one matrix per sector, exponentiated on
+its own.  From the transverse-field start both run
 once per distinct connected component of the physical problem: a qubit's
 sigma^z Lindblad operators act on its own component alone, so C's three
 uncoupled copies cost one U anneal.  Such a factored anneal keeps every
@@ -68,13 +74,10 @@ def bath_rate(omega, bath: BathSpec):
     """Ohmic spectral rate gamma(omega); accepts scalars or arrays."""
     w = np.asarray(omega, dtype=float)
     T = bath.temperature
-    x = w / T
-    # omega / (1 - exp(-omega/T)) evaluated stably on both signs
-    small = np.abs(x) < 1e-8
+    x = -w / T
+    # omega / (1 - exp(-omega/T)), with the limit T where x underflows to 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        pos = w / (1.0 - np.exp(-np.clip(x, 0.0, None)))
-        neg = -w * np.exp(np.clip(x, None, 0.0)) / (1.0 - np.exp(np.clip(x, None, 0.0)))
-    body = np.where(small, T + 0.5 * w, np.where(x > 0, pos, neg))
+        body = np.where(x == 0.0, T, w / -np.expm1(x))
     out = 2.0 * np.pi * bath.kappa * body * np.exp(-w / bath.omega_c)
     return float(out) if np.isscalar(omega) else out
 
@@ -104,8 +107,12 @@ def evolve_open(
     field, H(s) commutes with the global flip prod_q sigma^x_q and the
     eigenbasis is built in its two parity sectors: ``levels`` is then split
     evenly between them and must be even (ValidationError otherwise), so the
-    frame keeps the lowest levels/2 of each sector.  A state with coherence
-    between the sectors needs nothing special.  A problem of several
+    frame keeps the lowest levels/2 of each sector.  A start that commutes
+    with the flip (every start whose matrix is unchanged by reversing the
+    basis, the transverse ground state among them) stays so, and only the
+    density matrix's two diagonal sector blocks are integrated; any other
+    start, one with coherence between the sectors, is integrated in all four
+    blocks.  A problem of several
     components keeps every level of each: ``levels`` must lie in [1, 2^n]
     but is otherwise ignored.  At kappa = 0 the anneal is unitary: a factor
     W of rho0 = W W^dagger (the state itself when pure, sqrt(p)-scaled
@@ -118,8 +125,8 @@ def evolve_open(
     density matrices, however small the components.
 
     The returned trajectory's ``report`` (an ``IntegratorReport``) gives the
-    accepted and rejected steps, the node builds (one eigensolve per sector
-    each, two a step with a bath, none at kappa = 0), the smallest step the
+    accepted and rejected steps, the node builds (each solves every sector,
+    two a step with a bath, none at kappa = 0), the smallest step the
     error control chose, in ns, and, under truncation, the truncation
     margin: the smallest gap between the last kept and the first dropped
     level of one sector for 0 < s < 1.  A margin near zero means ``levels``

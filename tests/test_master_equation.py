@@ -1,9 +1,11 @@
+from functools import cache, reduce
+
 import numpy as np
 import pytest
 import scipy.linalg
 from scipy.integrate import solve_ivp
 
-from qacsim import dynamics, master_equation
+from qacsim import _integrator, dynamics, master_equation
 from qacsim.dynamics import QuantumState, evolve_closed
 from qacsim.errors import NumericalError, ResourceLimitError, ValidationError
 from qacsim.master_equation import BathSpec, bath_rate, evolve_open
@@ -30,6 +32,18 @@ def test_bath_rate_signed_cutoff():
     np.testing.assert_allclose(up, ohmic(OMEGAS, 1e-3, bath.omega_c, bath.temperature), rtol=1e-12)
     ratio = np.exp(-OMEGAS / bath.temperature) * np.exp(2.0 * OMEGAS / bath.omega_c)
     np.testing.assert_allclose(bath_rate(-OMEGAS, bath), up * ratio, rtol=1e-12)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_bath_rate_near_zero_frequency_matches_series(sign):
+    # omega / (1 - exp(-x)) = T (1 + x/2 + x^2/12 - x^4/720 + ...) with x =
+    # omega/T: the next term, x^6/30240, is below 1e-22 at |x| <= 1e-3
+    bath = BathSpec(kappa=1e-3)
+    T = bath.temperature
+    x = sign * np.geomspace(1e-12, 1e-3, 91)
+    series = T * (1.0 + x / 2.0 + x**2 / 12.0 - x**4 / 720.0)
+    expected = 2.0 * np.pi * bath.kappa * series * np.exp(-x * T / bath.omega_c)
+    np.testing.assert_allclose(bath_rate(x * T, bath), expected, rtol=1e-14, atol=0.0)
 
 
 def test_bath_rate_vanishes_without_coupling():
@@ -89,11 +103,23 @@ A0, T_F_US, ALPHA, BIN_TOL = 2.0 * np.pi, 0.01, 0.3, 1e-6
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 SZ = np.diag([1.0, -1.0])
 I2 = np.eye(2)
-HX = np.kron(SX, I2) + np.kron(I2, SX)
-HZ = ALPHA * np.kron(SZ, SZ)  # the U two-spin antiferromagnetic chain
+
+
+@cache
+def spin_operators(n):
+    """(sum_q sigma^x_q, the diagonals of every sigma^z_q) on n spins, spin 0 the left Kronecker factor."""
+    def single(op, q):
+        return reduce(np.kron, [op if k == q else I2 for k in range(n)])
+
+    return sum(single(SX, q) for q in range(n)), np.stack([np.diag(single(SZ, q)) for q in range(n)])
+
+
+ZS = spin_operators(2)[1]
+HZ = ALPHA * np.diag(ZS[0] * ZS[1])  # the U two-spin antiferromagnetic chain
+Z3 = spin_operators(3)[1]
+HZ3 = ALPHA * np.diag(Z3[0] * Z3[1] + Z3[1] * Z3[2])  # the U three-spin chain
 FIELD = 0.4  # a local field on spin 0 breaks the global flip symmetry
-HZ_FIELD = HZ + ALPHA * FIELD * np.kron(SZ, I2)
-ZS = np.stack([np.diag(np.kron(SZ, I2)), np.diag(np.kron(I2, SZ))])
+HZ_FIELD = HZ + ALPHA * FIELD * np.diag(ZS[0])
 ORACLE_KAPPAS = (1e-3, 8e-3, 0.0)
 # the mixed kappa = 0 input carries coherences between levels, whose phase
 # errors make its error about 20x the pure state's at one rtol (2e-5 at
@@ -101,30 +127,48 @@ ORACLE_KAPPAS = (1e-3, 8e-3, 0.0)
 ORACLE_RTOLS = (1e-6, 1e-6, 1e-7)
 
 
+def binned_lindblad_operators(eps, z_eigen):
+    """For levels ``eps`` and the (qubit, a, b) elements <a|Z_q|b> in their
+    eigenbasis: the Lindblad operators L = sum <a|Z_q|b> |a><b| of every Bohr
+    frequency omega = eps_b - eps_a (binned to BIN_TOL) and qubit q, as
+    (bins, qubits, levels, levels), and each bin's omega."""
+    omega = eps[None, :] - eps[:, None]
+    bins, first, inverse = np.unique(np.rint(omega / BIN_TOL), return_index=True, return_inverse=True)
+    in_bin = inverse.reshape(omega.shape) == np.arange(len(bins))[:, None, None]
+    return in_bin[:, None] * z_eigen, omega.ravel()[first]
+
+
+def dense_dissipator(L, gamma, rho):
+    """sum gamma (L rho L^dagger - {L^dagger L, rho} / 2) over the (bin, qubit)
+    operators L of ``binned_lindblad_operators``, gamma given per bin."""
+    L = L.reshape(-1, *rho.shape)
+    gamma = np.repeat(gamma, len(L) // len(gamma))
+    Lt = np.swapaxes(L, -1, -2)
+    LdL = np.tensordot(gamma, Lt @ L, axes=1)
+    return np.tensordot(gamma, L @ rho @ Lt, axes=1) - 0.5 * (LdL @ rho + rho @ LdL)
+
+
 def lindblad_rhs(t, y, baths, hz=HZ):
     """d(rho)/dt of the adiabatic master equation for one rho per bath,
-    with the problem Hamiltonian ``hz`` (spin 0 is the left Kronecker factor).
+    with the diagonal problem Hamiltonian ``hz`` on 2^n levels (spin 0 is
+    the left Kronecker factor).
 
     H(s) is diagonalized at every call; for each qubit q and each Bohr
     frequency omega = E_b - E_a (binned to BIN_TOL) the Lindblad operator
     L = sum <a|Z_q|b> |a><b| enters with weight bath_rate(omega).
     """
+    dim = len(hz)
+    hx, zs = spin_operators(dim.bit_length() - 1)
     t_f = T_F_US * 1e3
     s = t / t_f
-    H = 2.0 * A0 * (1.0 - s) * HX + 2.0 * A0 * s * hz
+    H = 2.0 * A0 * (1.0 - s) * hx + 2.0 * A0 * s * hz
     eps, V = np.linalg.eigh(H)
-    omega = eps[None, :] - eps[:, None]
-    bins, first, inverse = np.unique(np.rint(omega / BIN_TOL), return_index=True, return_inverse=True)
-    in_bin = inverse.reshape(omega.shape) == np.arange(len(bins))[:, None, None]
-    z_eigen = V.T @ (ZS[:, :, None] * V)
-    L = (V @ (in_bin[:, None] * z_eigen) @ V.T).reshape(-1, 4, 4)  # (bin, qubit) pairs
-    Lt = np.swapaxes(L, -1, -2)
-    rho = y.reshape(len(baths), 4, 4)
+    L, omega = binned_lindblad_operators(eps, V.T @ (zs[:, :, None] * V))
+    L = V @ L @ V.T
+    rho = y.reshape(len(baths), dim, dim)
     out = -1j * (H @ rho - rho @ H)
     for k, bath in enumerate(baths):
-        gamma = np.repeat(bath_rate(omega.ravel()[first], bath), len(ZS))
-        LdL = np.tensordot(gamma, Lt @ L, axes=1)
-        out[k] += np.tensordot(gamma, L @ rho[k] @ Lt, axes=1) - 0.5 * (LdL @ rho[k] + rho[k] @ LdL)
+        out[k] += dense_dissipator(L, bath_rate(omega, bath), rho[k])
     return out.ravel()
 
 
@@ -170,23 +214,39 @@ def _oracle_final(rho0, bath, hz):
     sol = solve_ivp(lindblad_rhs, (0.0, T_F_US * 1e3), rho0.ravel(), method="DOP853", rtol=1e-10, atol=1e-12,
                     args=([bath], hz))
     assert sol.success
-    return sol.y[:, -1].reshape(4, 4)
+    return sol.y[:, -1].reshape(rho0.shape)
 
 
-@pytest.mark.parametrize("case", ["field, one sector", "flip-symmetric, coherence between sectors"])
+def transverse_ground_density(n):
+    """The ground state of +sum sigma^x on n spins, |-->^n, as a density matrix."""
+    psi = reduce(np.kron, [np.array([1.0, -1.0]) / np.sqrt(2.0)] * n)
+    return np.outer(psi, psi).astype(complex)
+
+
+@pytest.mark.parametrize("case", ["field, one sector", "flip-symmetric, coherence between sectors",
+                                  "three spins, -1 sector", "flip-symmetric, mixed"])
 def test_open_anneal_sector_frames_match_lindblad_oracle(case):
     # with a local field the frame is the one whole-space sector; without
-    # one it is the two flip sectors, and rho0 = |up up><up up| carries
-    # coherence between them.  Like the mixed kappa = 0 input, a rho0 with
-    # coherences between levels runs at rtol 1e-7 (3e-5 off at 1e-6).
+    # one it is the two flip sectors.  rho0 = |up up><up up| carries
+    # coherence between them, so all four sector blocks are carried; the
+    # three-spin transverse start lies in the -1 sector, and the mixed
+    # (|up up><up up| + |down down><down down|) / 2 commutes with the flip,
+    # so both carry the two diagonal blocks.  Like the mixed kappa = 0
+    # input, a rho0 with coherences between levels runs at rtol 1e-7 (3e-5
+    # off at 1e-6).
     bath = BathSpec(1e-3)
     if case.startswith("field"):
         logical, hz, rtol = IsingProblem(2, {0: FIELD}, {(0, 1): 1.0}), HZ_FIELD, 1e-6
         rho0 = oracle_initial_states()[0]
+    elif case.startswith("three"):
+        logical, hz, rtol = make_af_chain(3), HZ3, 1e-6
+        rho0 = transverse_ground_density(3)
     else:
         logical, hz, rtol = make_af_chain(2), HZ, 1e-7
         rho0 = np.zeros((4, 4), dtype=complex)
         rho0[0, 0] = 1.0
+        if case.endswith("mixed"):
+            rho0 = 0.5 * (rho0 + rho0[::-1, ::-1])
     problem = encode_problem(logical, "U", ALPHA)
     traj = evolve_open(problem, schedule_linear(A0, T_F_US), bath, initial=QuantumState.density(rho0), rtol=rtol,
                        snapshots=2)
@@ -194,6 +254,49 @@ def test_open_anneal_sector_frames_match_lindblad_oracle(case):
     assert np.abs(rho - _oracle_final(rho0, bath, hz)).max() < 1e-5
     assert abs(np.trace(rho) - 1.0) < 1e-10
     _check_counts(traj.report)
+
+
+@pytest.mark.parametrize("case", ["flip-symmetric, diagonal blocks", "flip-symmetric, all blocks",
+                                  "field, one block"])
+def test_dissipator_program_matches_dense_lindblad_operators(case):
+    # one frame node at s = 0.4: the program acting on the carried blocks
+    # of a random Hermitian frame density matrix, against the dense
+    # dissipator of explicit L operators in the frame of all levels
+    field = {0: FIELD} if case.startswith("field") else {}
+    problem = encode_problem(IsingProblem(2, field, {(0, 1): 1.0}), "U", ALPHA).physical
+    signs, X, Ez = _integrator.sector_blocks(problem)
+    s, bath = 0.4, BathSpec(8e-3)
+    eps, U = np.linalg.eigh(_integrator.annealing_hamiltonian(X, Ez, 2.0 * A0 * (1.0 - s), 2.0 * A0 * s))
+    sectors, d = eps.shape
+    per, m = d, 4
+    all_blocks = case.endswith("all blocks")
+    layout = _integrator._layout(signs, per, all_blocks)
+    program = _integrator._build_dissipator(eps, U, ZS[:, :d], bath, layout)
+
+    # frame columns (|x> + sign |x'>) / sqrt(1 + sign^2), x' = 3 - x, sector by sector
+    V = np.zeros((4, m))
+    for k, sign in enumerate(signs):
+        V[:d, k * per:(k + 1) * per] = U[k]
+        V[4 - d:, k * per:(k + 1) * per] += sign * U[k][::-1]
+    V /= np.sqrt(1.0 + signs[0] ** 2)
+    rng = np.random.default_rng(5)
+    rho = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    rho = rho + rho.conj().T
+    if sectors == 2 and not all_blocks:
+        rho[:per, per:] = rho[per:, :per] = 0.0
+    L, omega = binned_lindblad_operators(eps.ravel(), V.T @ (ZS[:, :, None] * V))
+    expected = dense_dissipator(L, bath_rate(omega, bath), rho)
+
+    def block(a, b):
+        return (slice(a * per, (a + 1) * per), slice(b * per, (b + 1) * per))
+
+    y = np.array([rho[block(a, b)] for a, b in zip(layout.rows, layout.cols)])
+    out = _integrator._dissipator_rhs(program, y)
+    got = np.zeros_like(rho)
+    for a, b, values in zip(layout.rows, layout.cols, out):
+        got[block(a, b)] = values
+    assert np.abs(expected).max() > 1e-3
+    assert np.abs(got - expected).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +376,7 @@ def test_open_anneal_caps_the_whole_state():
 @pytest.mark.parametrize("case,match", [
     ("field", r"t=0\.0 ns in the whole-space sector"),
     ("truncated", r"t=0\.0 ns in the \+1 sector"),
-    ("propagator", r"propagator eigensolve failed from t=0\.0 ns"),
+    ("propagator", r"propagator eigensolve failed from t=0\.0 ns to t=\S+ ns in the \+1 sector"),
 ])
 def test_failed_eigensolve_is_a_numerical_error(monkeypatch, case, match):
     # the frame blocks are real and the propagator's exponent complex:
