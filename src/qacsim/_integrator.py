@@ -7,7 +7,7 @@ There are two:
 
 * :func:`split_operator_run`, the unitary anneal (closed, or open at kappa =
   0): a matrix-free fourth-order splitting in the computational basis that
-  evolves a state vector or a factor W of rho0 = W W^dagger;
+  evolves a state vector;
 * :func:`frame_run`, the adiabatic master equation for
   :mod:`qacsim.master_equation` when a bath is coupled (kappa > 0).  The
   density matrix is tracked in the frame of the instantaneous eigenvectors.
@@ -17,10 +17,10 @@ There are two:
   per sector when truncated), levels split evenly between the sectors, and
   a dissipator that skips the sigma^z elements the symmetry makes zero.
   Otherwise the frame is the one whole-space sector.  Every frame quantity
-  is a stack of sector blocks, and so is the frame density matrix: its two
-  diagonal blocks when rho0 commutes with the flip (the Lindbladian keeps
-  that, since each sigma^z jump swaps both sectors), all four otherwise,
-  and one block in the whole-space sector.  Over a sub-step the coherent
+  is a stack of sector blocks, and so is the frame density matrix, one
+  block per sector: the transverse-field start commutes with the flip, and
+  the Lindbladian keeps that, since each sigma^z jump swaps both sectors,
+  so the blocks between the sectors stay zero.  Over a sub-step the coherent
   part of the frame equation (dynamical phases plus the non-adiabatic
   coupling K) is one propagator P = diag(e^{-i phi}) W: phi comes from a
   cubic Hermite model of the eigenvalue curves, and W is a Magnus
@@ -38,10 +38,11 @@ There are two:
   follow each level through crossings, and near-degenerate clusters are
   rotated onto the previous node's gauge.
 
-Both integrators take an :class:`~qacsim.problem.IsingProblem`, and
+Both integrators take an :class:`~qacsim.problem.IsingProblem` and start
+from the ground state of the transverse field, and
 :func:`anneal_components` runs them once per distinct connected component
 of a problem: components share no coupling and each qubit has its own bath,
-so from a product start the state stays the product of the components'
+so from that product start the state stays the product of the components'
 states.  U, EP and QAC are one component; C's uncoupled copies anneal as
 one U copy.  Components run untruncated; a factored run's report adds up
 its runs' counts (see :func:`anneal_components`), and the callers' qubit
@@ -63,6 +64,7 @@ once, for both integrators, :mod:`qacsim.dynamics` and :mod:`qacsim.perturb`.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from functools import reduce
 
@@ -106,8 +108,11 @@ def annealing_hamiltonian(X: np.ndarray, Ez: np.ndarray, A: float, B: float) -> 
 def step_boundaries(schedule, snapshots: int) -> tuple[np.ndarray, np.ndarray]:
     """Anneal fractions where steps must end - ``snapshots`` evenly spaced
     points from 0 to 1 and the schedule's interior knots, where dA/ds and
-    dB/ds jump - and a mask of the ones that are snapshots."""
-    s_points = np.linspace(0.0, 1.0, max(2, snapshots))
+    dB/ds jump - and a mask of the ones that are snapshots.  ValidationError
+    unless ``snapshots`` is an integer >= 2."""
+    if not isinstance(snapshots, numbers.Integral) or snapshots < 2:
+        raise ValidationError(f"snapshots must be an integer >= 2, got {snapshots!r}")
+    s_points = np.linspace(0.0, 1.0, snapshots)
     knots = np.asarray(schedule.s, dtype=float)
     bounds = np.unique(np.concatenate([s_points, knots[(knots > 0) & (knots < 1)]]))
     return bounds, np.isin(bounds, s_points)
@@ -115,8 +120,10 @@ def step_boundaries(schedule, snapshots: int) -> tuple[np.ndarray, np.ndarray]:
 
 def tracked_levels(levels: int | None, num_qubits: int) -> int:
     """Instantaneous levels an anneal tracks: all 2^n when ``levels`` is
-    None; ValidationError outside [1, 2^n]."""
+    None; ValidationError for a non-integer or outside [1, 2^n]."""
     dim = 1 << num_qubits
+    if levels is not None and not isinstance(levels, numbers.Integral):
+        raise ValidationError(f"levels must be an integer or None, got {levels!r}")
     m = dim if levels is None else int(levels)
     if not 1 <= m <= dim:
         raise ValidationError(f"levels must lie in [1, {dim}]")
@@ -248,10 +255,11 @@ def anneal_components(problem: IsingProblem, run):
 
     The components are those of :func:`connected_components`, and
     ``run(component) -> (s values, states, IntegratorReport)`` is called once
-    for each distinct one, from its own start.  A snapshot is the tensor
-    product of the components' states at it (vectors, or density matrices
-    when 2-d), permuted to the problem's qubit order.  A problem of one
-    component is handed to ``run`` as it is, and its result returned
+    for each distinct one, and anneals it from its own transverse-field
+    ground state, so the whole start is their product.  A snapshot is the
+    tensor product of the components' states at it (vectors, or density
+    matrices when 2-d), permuted to the problem's qubit order.  A problem of
+    one component is handed to ``run`` as it is, and its result returned
     unchanged.  The report of a factored run adds up the runs' steps and
     node builds and keeps their smallest ``min_step_ns``, so it is the one
     run's report when every component is equal; its margin is None, since
@@ -285,42 +293,40 @@ _TRIPLE_JUMP = np.array([_W, 1.0 - 2.0 * _W, _W])
 _TRIPLE_JUMP_MIDPOINTS = np.cumsum(_TRIPLE_JUMP) - 0.5 * _TRIPLE_JUMP
 
 
-def split_operator_run(problem: IsingProblem, schedule, W0, snapshots, rtol):
+def split_operator_run(problem: IsingProblem, schedule, psi0, snapshots, rtol):
     """Unitary fourth-order splitting of H(s) = A(s) * sum_q sigma^x_q + B(s) * diag(E_z),
     with E_z the energies of ``problem``.
 
-    Evolves a state vector W0, or the columns of a (2^n, r) factor W0 of a
-    density matrix rho0 = W0 W0^dagger.  A Strang step over
+    Evolves the state vector psi0.  A Strang step over
     [t, t+h] takes A and B at its midpoint and applies exp(-i h/2 B E_z),
     then exp(-i h A sigma^x_q) for every qubit q, then exp(-i h/2 B E_z)
     again; three Strang steps make a triple-jump step.  Step doubling
     estimates the error as |full - halves| / 15 (Frobenius norm), which must
     stay within _ATOL + rtol; the two half steps are kept.  Runs under
-    :func:`adaptive_run` at order 5; returns (s values, factors,
+    :func:`adaptive_run` at order 5; returns (s values, state vectors,
     IntegratorReport).
     """
     Ez = all_config_energies(problem)
     flips = flip_indices(problem.num_spins)
     t_f = schedule.t_f_ns
-    columns = (1,) * (W0.ndim - 1)  # the diagonal phases act on every column alike
 
-    def fourth_order(W, t, h):
+    def fourth_order(psi, t, h):
         s = (t + _TRIPLE_JUMP_MIDPOINTS * h) / t_f
-        half_phases = np.exp(np.outer(-0.5j * h * _TRIPLE_JUMP * schedule.B_of(s), Ez)).reshape(3, -1, *columns)
+        half_phases = np.exp(np.outer(-0.5j * h * _TRIPLE_JUMP * schedule.B_of(s), Ez))
         theta = h * _TRIPLE_JUMP * schedule.A_of(s)
         for half_phase, cos, minus_i_sin in zip(half_phases, np.cos(theta), -1j * np.sin(theta)):
-            W = half_phase * W
+            psi = half_phase * psi
             for row in flips:
-                W = cos * W + minus_i_sin * W[row]
-            W = half_phase * W
-        return W
+                psi = cos * psi + minus_i_sin * psi[row]
+            psi = half_phase * psi
+        return psi
 
-    def step(W, t, h):
-        full = fourth_order(W, t, h)
-        halves = fourth_order(fourth_order(W, t, 0.5 * h), t + 0.5 * h, 0.5 * h)
+    def step(psi, t, h):
+        full = fourth_order(psi, t, h)
+        halves = fourth_order(fourth_order(psi, t, 0.5 * h), t + 0.5 * h, 0.5 * h)
         return halves, float(np.linalg.norm(full - halves)) / (15.0 * (_ATOL + rtol))
 
-    return adaptive_run(step, W0.astype(complex), schedule, snapshots, 5, lambda W: W)
+    return adaptive_run(step, psi0.astype(complex), schedule, snapshots, 5, lambda psi: psi)
 
 
 @dataclass
@@ -336,51 +342,45 @@ class _Node:
 @dataclass
 class _DissipatorProgram:
     # the jump terms: out.flat[scatter] += pref * y.flat[gather], over the
-    # carried blocks, with complex y and out viewed as float arrays
+    # sector blocks, with complex y and out viewed as float arrays
     pref: np.ndarray
     gather: np.ndarray
     scatter: np.ndarray
-    # M = sum gamma L^dagger L in the row and in the column sector of each carried block
-    M_rows: np.ndarray
-    M_cols: np.ndarray
+    M: np.ndarray  # sum gamma L^dagger L, one block per sector
 
 
 @dataclass(frozen=True)
 class _Layout:
-    """Where a frame density matrix's elements sit in its carried sector
-    blocks, and the sigma^z transitions (a, b) its dissipator is built from."""
+    """Where a frame density matrix's elements sit in its sector blocks, and
+    the sigma^z transitions (a, b) its dissipator is built from."""
 
-    rows: np.ndarray  # the carried blocks (rows[i], cols[i]), by sector index
-    cols: np.ndarray
-    partner: np.ndarray  # carried block (b, a) is block (a, b)'s conjugate transpose
-    position: np.ndarray  # (levels, levels): flat index of element (a, a') in the carried blocks
+    position: np.ndarray  # (levels, levels): flat index in the blocks of element (a, a'), a and a' of one sector
     pair_a: np.ndarray  # the levels a and b of each transition, (+, -) then (-, +)
     pair_b: np.ndarray
-    split: np.ndarray  # per transition: a's sector (so b's), when only the diagonal blocks are carried
+    split: np.ndarray  # per transition: a's sector
 
 
-def _layout(signs, per: int, all_blocks: bool) -> _Layout:
+def _layout(signs, per: int) -> _Layout:
     """The layout of ``per`` levels in each sector of ``signs`` (sector by
-    sector, levels in frame order), carrying every sector block when
-    ``all_blocks`` and otherwise only the diagonal ones.  sigma^z
+    sector, levels in frame order), one block per sector.  sigma^z
     anticommutes with the global flip, so it couples sector sign σ only to
     sector sign -σ: the transitions between the two ±1 sectors, or all of
     the whole-space sector."""
-    sectors = len(signs)
-    rows, cols = np.divmod(np.arange(sectors * sectors), sectors) if all_blocks else (np.arange(sectors),) * 2
-    blocks = list(zip(rows, cols))
-    block_of = np.zeros((sectors, sectors), dtype=np.int64)
-    block_of[rows, cols] = np.arange(len(blocks))
-    sector, local = np.divmod(np.arange(sectors * per), per)
-    position = (block_of[sector[:, None], sector[None, :]] * per + local[:, None]) * per + local[None, :]
+    levels = np.arange(len(signs) * per)
+    sector, local = np.divmod(levels, per)
     level_sign = np.repeat(signs, per)
     pair_a, pair_b = np.nonzero(level_sign[:, None] == -level_sign[None, :])
-    split = sector[pair_a] if not all_blocks else np.zeros_like(pair_a)
-    return _Layout(rows, cols, np.array([blocks.index((b, a)) for a, b in blocks]), position, pair_a, pair_b, split)
+    return _Layout(levels[:, None] * per + local[None, :], pair_a, pair_b, sector[pair_a])
 
 
 def _dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
+
+
+def _conjugation(P: np.ndarray):
+    """The maps y -> P y P^dagger and y -> P^dagger y P, for P and y stacks of sector blocks."""
+    P_h = _dagger(P)
+    return (lambda y: P @ y @ P_h), (lambda y: P_h @ y @ P)
 
 
 def _sector_eigh(H: np.ndarray, signs, keep: int, where: str):
@@ -408,10 +408,10 @@ def _sector_eigh(H: np.ndarray, signs, keep: int, where: str):
     return np.stack(e, axis=-2), np.stack(u, axis=-3)
 
 
-def frame_run(problem: IsingProblem, schedule, bath, rho0, levels, snapshots, rtol):
-    """Adiabatic master equation (kappa > 0) of ``problem`` from the density
-    matrix rho0, tracking the lowest ``levels`` instantaneous levels (all
-    when None).
+def frame_run(problem: IsingProblem, schedule, bath, psi0, levels, snapshots, rtol):
+    """Adiabatic master equation (kappa > 0) of ``problem`` from the pure
+    state psi0, the ground state of the transverse field, tracking the
+    lowest ``levels`` instantaneous levels (all when None).
 
     The frame is built in the sectors of :func:`sector_blocks`: the two
     sectors σ = ±1 of dimension 2^(n-1) when E_z is flip-symmetric, with
@@ -422,16 +422,17 @@ def frame_run(problem: IsingProblem, schedule, bath, rho0, levels, snapshots, rt
     crosses the cut at an exact crossing between sectors.  Untruncated
     sectors are solved in one stacked eigensolve.
 
-    The frame density matrix y is carried as a stack of its sector blocks
-    (σ, σ').  When rho0 commutes with the global flip (rho0 equals
-    rho0[::-1, ::-1]), so does rho(t): the Lindbladian keeps that symmetry,
-    since every sigma^z jump maps block (σ, σ') to (-σ, -σ'), and only the
-    two diagonal blocks are carried.  Any other rho0 carries all four; the
-    whole-space sector is one block.  The coherent propagators, the
-    dissipator, the error norms and the Hermitian clean-up act block by
-    block, and the step's three propagators are exponentiated together,
-    each sector on its own.  A step attempt builds the frame nodes
-    (eigensolves, alignment, dissipator program) at its midpoint and end.
+    The frame density matrix y is carried as a stack of its blocks, one per
+    sector.  psi0 is level 0 of the frame at s = 0, where H = A(0) sum_q
+    sigma^x_q with A(0) > 0, so it keeps all its weight under any
+    truncation.  It commutes with the global flip, and so does rho(t): the
+    Lindbladian keeps that symmetry, since every sigma^z jump maps sector
+    block (σ, σ') to (-σ, -σ'), so the blocks between the two ±1 sectors
+    stay zero.  The coherent propagators, the dissipator, the error norms
+    and the Hermitian clean-up act block by block, and the step's three
+    propagators are exponentiated together, each sector on its own.  A step
+    attempt builds the frame nodes (eigensolves, alignment, dissipator
+    program) at its midpoint and end.
     Runs under :func:`adaptive_run` at order 4; returns (s values, density
     matrices in the computational basis at the snapshots,
     IntegratorReport)."""
@@ -447,17 +448,7 @@ def frame_run(problem: IsingProblem, schedule, bath, rho0, levels, snapshots, rt
     zdiags = np.ascontiguousarray(config_from_index(np.arange(d)[:, None], n).T, dtype=float)
     node_builds = 0
     margin = None if per == d else np.inf
-
-    # rho0 commutes with the global flip, which reverses the basis, or carries all blocks
-    layout = _layout(signs, per, sectors == 2 and not np.array_equal(rho0, rho0[::-1, ::-1]))
-    rows, cols = layout.rows, layout.cols
-
-    def conjugation(P: np.ndarray):
-        """The maps y -> P y P^dagger and y -> P^dagger y P on the carried
-        blocks y, for P a stack of sector blocks."""
-        left, right = P[rows], _dagger(P[cols])
-        left_h, right_h = _dagger(left), _dagger(right)
-        return (lambda y: left @ y @ right), (lambda y: left_h @ y @ right_h)
+    layout = _layout(signs, per)
 
     def lift(node: _Node) -> np.ndarray:
         """Each sector's frame columns in the computational basis, (sectors, 2^n, levels per sector)."""
@@ -506,17 +497,13 @@ def frame_run(problem: IsingProblem, schedule, bath, rho0, levels, snapshots, rt
                      _build_dissipator(eps, U, zdiags, bath, layout, eps_dot if s == 0.0 else None))
 
     def start():
-        """The state at s = 0: its node, and rho0's carried blocks in that node's frame."""
+        """The state at s = 0: its node, and psi0's sector blocks in that node's frame."""
         node = build_node(0.0, None)
         V = lift(node)
-        y = V[rows].swapaxes(1, 2) @ rho0.astype(complex) @ V[cols]
-        captured = float(np.trace(y[rows == cols], axis1=1, axis2=2).real.sum())
-        if captured < 1.0 - 1e-9:
-            raise ValidationError(f"initial state has weight {1 - captured:.2e} outside the {m} tracked levels")
-        return node, y
+        return node, V.swapaxes(1, 2) @ np.outer(psi0, psi0.conj()) @ V
 
     def step(state, t: float, h: float):
-        """One attempt from ``state`` = (node, carried blocks of the frame
+        """One attempt from ``state`` = (node, sector blocks of the frame
         density matrix); returns ((end node, blocks there), err)."""
         node0, y = state
         node_mid = build_node(t + 0.5 * h, node0)
@@ -524,9 +511,9 @@ def frame_run(problem: IsingProblem, schedule, bath, rho0, levels, snapshots, rt
         # P1 and P = P2 P1 propagate the frame over [t, t+h/2] and [t, t+h];
         # the one-step P_full only measures the coherent model's error
         P1, P2, P_full = _propagators(node0, node_mid, node1, h, signs)
-        half, whole = conjugation(P1), conjugation(P2 @ P1)
+        half, whole = _conjugation(P1), _conjugation(P2 @ P1)
         scale = _ATOL + rtol * float(np.linalg.norm(y))
-        err = float(np.linalg.norm(conjugation(P_full)[0](y) - whole[0](y))) / (3.0 * scale)
+        err = float(np.linalg.norm(_conjugation(P_full)[0](y) - whole[0](y))) / (3.0 * scale)
 
         def rhs(node, prop, u):
             """The dissipator at ``node`` acting on the interaction-picture ``u``."""
@@ -542,13 +529,13 @@ def frame_run(problem: IsingProblem, schedule, bath, rho0, levels, snapshots, rt
         u3 = y + (h / 6.0) * (k1 + 4.0 * k2 + k3_kutta)
         err = max(err, float(np.linalg.norm(u4 - u3)) / scale)
         y_new = whole[0](u4)
-        return (node1, 0.5 * (y_new + _dagger(y_new[layout.partner]))), err
+        return (node1, 0.5 * (y_new + _dagger(y_new))), err
 
     def record(state):
         """The density matrix in the computational basis: the sum of the
         lifted blocks, as one product of the blocks side by side."""
         V = lift(state[0])
-        return np.concatenate(V[rows] @ state[1], axis=1) @ np.concatenate(V[cols], axis=1).T
+        return np.concatenate(V @ state[1], axis=1) @ np.concatenate(V, axis=1).T
 
     # no local holds the start state: its node, at the most degenerate
     # point, has the largest dissipator program and is freed after one step
@@ -597,7 +584,7 @@ def _build_dissipator(eps: np.ndarray, U: np.ndarray, zdiags: np.ndarray, bath, 
     """The dissipator in the frame of the sectors' eigenvectors ``U``
     (sectors, d, levels per sector), with energies ``eps`` (sectors, levels
     per sector), for sigma^z couplings with the (qubits, d) diagonals
-    ``zdiags`` over a sector's d basis states, acting on the carried blocks
+    ``zdiags`` over a sector's d basis states, acting on the sector blocks
     of ``layout``.
 
     sigma^z anticommutes with the global flip, so its element between two
@@ -609,10 +596,10 @@ def _build_dissipator(eps: np.ndarray, U: np.ndarray, zdiags: np.ndarray, bath, 
 
     Bohr frequencies within _BIN_TOL share a Lindblad operator.  Given the
     levels' ``slopes`` d(eps)/dt, frequencies whose slopes differ by more
-    than _BIN_TOL per ns do not: they coincide only at this instant.  When
-    only the diagonal blocks are carried, each bin's transitions are grouped
-    by sector, and the terms between the groups, which read and write the
-    off-diagonal blocks that stay zero, are left out.
+    than _BIN_TOL per ns do not: they coincide only at this instant.  Each
+    bin's transitions are grouped by sector, and the terms between the
+    groups, which read and write the blocks between the two ±1 sectors that
+    stay zero, are left out.
     """
     per = eps.shape[1]
     W = U[0].T @ (zdiags[:, :, None] * U[-1])  # all W_q of the (+, -) or whole-space block via one batched product
@@ -643,26 +630,26 @@ def _build_dissipator(eps: np.ndarray, U: np.ndarray, zdiags: np.ndarray, bath, 
         members = order[starts[bins_c][:, None] + np.arange(c)[None, :]]  # (nb, c)
         a, b = layout.pair_a[members], layout.pair_b[members]
         pref = rates[bins_c][:, None, None] * np.einsum("qki,qkj->kij", w[:, members], w[:, members])
-        b_i, b_j = b[:, :, None], b[:, None, :]
+        gather = layout.position[b[:, :, None], b[:, None, :]].ravel()
         prefs.append(pref.ravel())
-        gathers.append(layout.position[b_i, b_j].ravel())
+        gathers.append(gather)
         scatters.append(layout.position[a[:, :, None], a[:, None, :]].ravel())
         # L^dagger L pairs two levels b, b' below one level a, so of one sector
         same_a = a[:, :, None] == a[:, None, :]
-        M += np.bincount((b_i * per + b_j % per).ravel(), weights=(pref * same_a).ravel(), minlength=len(M))
+        M += np.bincount(gather, weights=(pref * same_a).ravel(), minlength=len(M))
     M = M.reshape(-1, per, per).astype(complex)
     # the jump terms act on a complex y viewed as floats: real, imaginary, real, ...
     parts = np.arange(2)
     return _DissipatorProgram(np.repeat(np.concatenate(prefs), 2),
                               (2 * np.concatenate(gathers)[:, None] + parts).ravel(),
-                              (2 * np.concatenate(scatters)[:, None] + parts).ravel(), M[layout.rows], M[layout.cols])
+                              (2 * np.concatenate(scatters)[:, None] + parts).ravel(), M)
 
 
 def _dissipator_rhs(program: _DissipatorProgram, y: np.ndarray) -> np.ndarray:
-    """The dissipator acting on the carried blocks y of a frame density matrix."""
+    """The dissipator acting on the sector blocks y of a frame density matrix."""
     flat = np.ascontiguousarray(y).view(np.float64).ravel()
     out = np.bincount(program.scatter, program.pref * flat[program.gather], 2 * y.size).view(complex)
-    return out.reshape(y.shape) - 0.5 * (program.M_rows @ y + y @ program.M_cols)
+    return out.reshape(y.shape) - 0.5 * (program.M @ y + y @ program.M)
 
 
 _KNOTS = np.linspace(0.0, 1.0, _PIECES + 1)

@@ -152,11 +152,6 @@ class QuantumState:
             return np.abs(self.data) ** 2
         return np.real(np.diag(self.data))
 
-    def as_density(self) -> np.ndarray:
-        if self.kind == "pure":
-            return np.outer(self.data, self.data.conj())
-        return self.data
-
 
 # ---------------------------------------------------------------------------
 # gap profiles
@@ -269,9 +264,10 @@ def evolve_closed(
     own transverse-field ground state, and every snapshot is the tensor
     product of the components' vectors, permuted to the problem's qubit
     order: C's three uncoupled copies run as one U copy.  Every level is
-    tracked: ``levels`` must lie in [1, 2^n] but is otherwise ignored.
-    ``DEFAULT_QUBIT_CAP`` bounds the qubits of the returned 2^n-entry
-    vectors, however small the components.  The trajectory's ``report``
+    tracked: ``levels`` must be None or an integer in [1, 2^n] but is
+    otherwise ignored.  ``snapshots`` must be an integer >= 2
+    (ValidationError otherwise).  ``DEFAULT_QUBIT_CAP`` bounds the qubits
+    of the returned 2^n-entry vectors, however small the components.  The trajectory's ``report``
     gives the accepted and rejected steps and the smallest step the error
     control chose, in ns: the one run's when every component is equal, and
     otherwise the runs' steps added up and their smallest step.  The

@@ -22,17 +22,18 @@ function to its step controller: at kappa = 0 the anneal is unitary and runs
 on the matrix-free split-operator integrator behind
 :func:`qacsim.dynamics.evolve_closed`; with a bath it runs on the eigenbasis
 integrator ``frame_run``, whose frame splits into the two parity sectors of
-the global flip when no qubit has a local field.  There the density matrix
-is carried as its sector blocks: only the two diagonal ones when the start
-commutes with the flip, as the transverse-field start does, since every
-sigma^z Lindblad operator maps sector σ to -σ and so keeps that symmetry.
-A sub-step's coherent propagator is one matrix per sector, exponentiated on
-its own.  From the transverse-field start both run
-once per distinct connected component of the physical problem: a qubit's
-sigma^z Lindblad operators act on its own component alone, so C's three
-uncoupled copies cost one U anneal.  Such a factored anneal keeps every
-level, so ``levels`` is only range-checked against 2^n, and
-``DEFAULT_OPEN_QUBIT_CAP`` still bounds the returned 2^n x 2^n state.
+the global flip when no qubit has a local field.  Every anneal starts in
+the ground state of the transverse field.  That start commutes with the
+flip, and every sigma^z Lindblad operator maps sector σ to -σ and so keeps
+that symmetry: the density matrix is carried as its two diagonal sector
+blocks, or as the one whole-space block under a field.  A sub-step's
+coherent propagator is one matrix per sector, exponentiated on its own.
+Both integrators run once per distinct connected component of the
+physical problem: a qubit's sigma^z Lindblad operators act on its own
+component alone, so C's three uncoupled copies cost one U anneal.  Such a
+factored anneal keeps every level, so ``levels`` is only range-checked
+against 2^n, and ``DEFAULT_OPEN_QUBIT_CAP`` still bounds the returned
+2^n x 2^n state.
 """
 
 from __future__ import annotations
@@ -86,19 +87,18 @@ def evolve_open(
     problem: EncodedProblem,
     schedule: AnnealSchedule,
     bath: BathSpec,
-    initial: QuantumState | None = None,
     levels: int | None = None,
     rtol: float = 1e-8,
     snapshots: int = 9,
 ) -> Trajectory:
-    """Integrate the adiabatic master equation across the anneal.
+    """Integrate the adiabatic master equation across the anneal from the
+    transverse-field ground state.
 
-    From the default start, the transverse-field ground state, each distinct
-    connected component of the physical problem (every listed coupling joins
-    its two qubits) is annealed once on its own 2^k space, and every
-    snapshot is the tensor product of the components' states, permuted to
-    the problem's qubit order: C's three uncoupled copies run as one U copy.
-    A given ``initial`` state anneals the whole problem as one component.
+    Each distinct connected component of the physical problem (every listed
+    coupling joins its two qubits) is annealed once on its own 2^k space,
+    from its own transverse-field ground state, and every snapshot is the
+    tensor product of the components' states, permuted to the problem's
+    qubit order: C's three uncoupled copies run as one U copy.
 
     With a bath (kappa > 0) the density matrix is propagated in the
     instantaneous eigenbasis (see :mod:`qacsim._integrator`).  A problem
@@ -107,22 +107,19 @@ def evolve_open(
     field, H(s) commutes with the global flip prod_q sigma^x_q and the
     eigenbasis is built in its two parity sectors: ``levels`` is then split
     evenly between them and must be even (ValidationError otherwise), so the
-    frame keeps the lowest levels/2 of each sector.  A start that commutes
-    with the flip (every start whose matrix is unchanged by reversing the
-    basis, the transverse ground state among them) stays so, and only the
-    density matrix's two diagonal sector blocks are integrated; any other
-    start, one with coherence between the sectors, is integrated in all four
-    blocks.  A problem of several
-    components keeps every level of each: ``levels`` must lie in [1, 2^n]
-    but is otherwise ignored.  At kappa = 0 the anneal is unitary: a factor
-    W of rho0 = W W^dagger (the state itself when pure, sqrt(p)-scaled
-    eigenvectors when mixed) runs on the matrix-free integrator behind
-    :func:`qacsim.dynamics.evolve_closed`, every level is tracked and
-    ``levels`` is range-checked but otherwise ignored.  A trace off 1 by
-    more than ``QuantumState.TRACE_TOL`` at any snapshot raises
-    NumericalError; Hermiticity is enforced by symmetrization.
-    ``DEFAULT_OPEN_QUBIT_CAP`` bounds the qubits of the returned 2^n x 2^n
-    density matrices, however small the components.
+    frame keeps the lowest levels/2 of each sector.  The start commutes with
+    the flip and stays so, and only the density matrix's two diagonal sector
+    blocks are integrated.  A problem of several components keeps every
+    level of each: ``levels`` must lie in [1, 2^n] but is otherwise ignored.
+    At kappa = 0 the anneal is unitary: the state vector runs on the
+    matrix-free integrator behind :func:`qacsim.dynamics.evolve_closed`,
+    every level is tracked and ``levels`` is range-checked but otherwise
+    ignored.  ``levels`` must be an integer or None and ``snapshots`` an
+    integer >= 2 (ValidationError otherwise).  A trace off 1 by more than
+    ``QuantumState.TRACE_TOL`` at any snapshot raises NumericalError;
+    Hermiticity is enforced by symmetrization.  ``DEFAULT_OPEN_QUBIT_CAP``
+    bounds the qubits of the returned 2^n x 2^n density matrices, however
+    small the components.
 
     The returned trajectory's ``report`` (an ``IntegratorReport``) gives the
     accepted and rejected steps, the node builds (each solves every sector,
@@ -142,28 +139,19 @@ def evolve_open(
         raise ValidationError(f"rtol must be finite and >= 0, got {rtol}")
     tracked_levels(levels, n)
 
-    def run(physical, start: QuantumState):
-        """Anneal ``physical`` from ``start``: factors W at kappa = 0, else density matrices."""
+    def run(physical):
+        """Anneal ``physical`` from its transverse-field ground state: state
+        vectors at kappa = 0, else density matrices."""
+        psi0 = QuantumState.transverse_ground(physical.num_spins).data
         if bath.kappa > 0.0:
             # a component narrower than the problem keeps every level
-            return frame_run(physical, schedule, bath, start.as_density(), levels if physical.num_spins == n else None,
+            return frame_run(physical, schedule, bath, psi0, levels if physical.num_spins == n else None,
                              snapshots, rtol)
-        if start.kind == "pure":
-            return split_operator_run(physical, schedule, start.data, snapshots, rtol)
-        p, V = np.linalg.eigh(start.data)
-        return split_operator_run(physical, schedule, V[:, p > 0] * np.sqrt(p[p > 0]), snapshots, rtol)
+        return split_operator_run(physical, schedule, psi0, snapshots, rtol)
 
-    if initial is None:
-        s_points, raw, report = anneal_components(
-            problem.physical, lambda part: run(part, QuantumState.transverse_ground(part.num_spins)))
-    else:
-        if initial.data.shape[0] != (1 << n):
-            raise ValidationError("initial state dimension does not match the problem")
-        if abs(np.trace(initial.as_density()).real - 1.0) > QuantumState.TRACE_TOL:
-            raise ValidationError("initial density matrix must have unit trace")
-        s_points, raw, report = run(problem.physical, initial)
+    s_points, raw, report = anneal_components(problem.physical, run)
     if bath.kappa == 0.0:
-        raw = [W @ W.conj().T for W in (F.reshape(1 << n, -1) for F in raw)]
+        raw = [psi[:, None] @ psi[None, :].conj() for psi in raw]
     states = []
     for rho in raw:
         rho = 0.5 * (rho + rho.conj().T)

@@ -6,7 +6,7 @@ import scipy.linalg
 from scipy.integrate import solve_ivp
 
 from qacsim import _integrator, dynamics, master_equation
-from qacsim.dynamics import QuantumState, evolve_closed
+from qacsim.dynamics import evolve_closed
 from qacsim.errors import NumericalError, ResourceLimitError, ValidationError
 from qacsim.master_equation import BathSpec, bath_rate, evolve_open
 from qacsim.problem import IsingProblem, encode_problem, make_af_chain, schedule_linear
@@ -71,9 +71,43 @@ def test_anneals_reject_bad_rtol(kappa, rtol):
             evolve_open(problem, schedule, BathSpec(kappa), rtol=rtol)
 
 
+@pytest.mark.parametrize("snapshots", [0, 1, -3, 2.5])
+@pytest.mark.parametrize("kappa", [None, 0.0, 1e-3])
+def test_anneals_reject_bad_snapshots(kappa, snapshots):
+    # kappa None is the closed anneal; fewer than two snapshots used to return two
+    problem = encode_problem(make_af_chain(2), "U", ALPHA)
+    with pytest.raises(ValidationError, match="snapshots"):
+        if kappa is None:
+            evolve_closed(problem, schedule_linear(A0, T_F_US), snapshots=snapshots)
+        else:
+            evolve_open(problem, schedule_linear(A0, T_F_US), BathSpec(kappa), snapshots=snapshots)
+
+
+@pytest.mark.parametrize("kappa", [None, 0.0, 1e-3])
+def test_anneals_reject_non_integer_levels(kappa):
+    # on the field chain at kappa > 0, levels=3.7 used to run 3 levels
+    problem = encode_problem(IsingProblem(2, {0: FIELD}, {(0, 1): 1.0}), "U", ALPHA)
+    with pytest.raises(ValidationError, match="levels"):
+        if kappa is None:
+            evolve_closed(problem, schedule_linear(A0, T_F_US), levels=3.7)
+        else:
+            evolve_open(problem, schedule_linear(A0, T_F_US), BathSpec(kappa), levels=3.7)
+
+
+def test_anneals_take_numpy_integers():
+    problem = encode_problem(make_af_chain(2), "EP", ALPHA, 0.2)
+    schedule, bath = schedule_linear(A0, T_F_US), BathSpec(1e-3)
+    numpy_ints = evolve_open(problem, schedule, bath, levels=np.int64(8), rtol=1e-4, snapshots=np.int32(3))
+    python_ints = evolve_open(problem, schedule, bath, levels=8, rtol=1e-4, snapshots=3)
+    assert numpy_ints.report == python_ints.report
+    assert np.array_equal(numpy_ints.final.data, python_ints.final.data)
+    closed = evolve_closed(problem, schedule, rtol=1e-4, snapshots=np.int64(3), levels=np.int64(8))
+    assert len(closed.states) == 3
+
+
 def test_open_anneal_trace_drift_is_a_numerical_error(monkeypatch):
-    def drifted(problem, schedule, bath, rho0, *rest):
-        return [0.0, 1.0], [(1.0 + 5e-9) * rho0] * 2, None
+    def drifted(problem, schedule, bath, psi0, *rest):
+        return [0.0, 1.0], [(1.0 + 5e-9) * np.outer(psi0, psi0.conj())] * 2, None
 
     monkeypatch.setattr("qacsim.master_equation.frame_run", drifted)
     problem = encode_problem(make_af_chain(2), "U", 0.4)
@@ -121,10 +155,10 @@ HZ3 = ALPHA * np.diag(Z3[0] * Z3[1] + Z3[1] * Z3[2])  # the U three-spin chain
 FIELD = 0.4  # a local field on spin 0 breaks the global flip symmetry
 HZ_FIELD = HZ + ALPHA * FIELD * np.diag(ZS[0])
 ORACLE_KAPPAS = (1e-3, 8e-3, 0.0)
-# the mixed kappa = 0 input carries coherences between levels, whose phase
-# errors make its error about 20x the pure state's at one rtol (2e-5 at
-# rtol 1e-6 for the split operator and for the eigenbasis integrator alike)
-ORACLE_RTOLS = (1e-6, 1e-6, 1e-7)
+# from the transverse-field start, rtol 1e-6 leaves every oracle case below
+# 1e-5: about 5e-6 and 8e-6 for U at kappa 1e-3 and 8e-3, 2e-7 at kappa 0,
+# 4e-6 with a field and 3e-6 for the three-spin chain
+ORACLE_RTOL = 1e-6
 
 
 def binned_lindblad_operators(eps, z_eigen):
@@ -172,16 +206,15 @@ def lindblad_rhs(t, y, baths, hz=HZ):
     return out.ravel()
 
 
-def oracle_initial_states():
-    """The ground state of +sum sigma^x for each kappa > 0, and a mixed state
-    of rank 3 (a random unitary applied to populations 0.5, 0.3, 0.2, 0) for
-    kappa = 0."""
-    psi0 = 0.5 * np.array([1.0, -1.0, -1.0, 1.0])
-    rng = np.random.default_rng(7)
-    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-    mixed = (q * np.array([0.5, 0.3, 0.2, 0.0])) @ q.conj().T
-    return [np.outer(psi0, psi0).astype(complex) if kappa > 0 else 0.5 * (mixed + mixed.conj().T)
-            for kappa in ORACLE_KAPPAS]
+def transverse_ground(n):
+    """The ground state of +sum sigma^x on n spins, |-->^n."""
+    return reduce(np.kron, [np.array([1.0, -1.0]) / np.sqrt(2.0)] * n)
+
+
+def transverse_ground_density(n):
+    """:func:`transverse_ground` as a density matrix."""
+    psi = transverse_ground(n)
+    return np.outer(psi, psi).astype(complex)
 
 
 @pytest.fixture(scope="module")
@@ -190,14 +223,14 @@ def u_oracle_runs():
     problem = encode_problem(make_af_chain(2), "U", ALPHA)
     schedule = schedule_linear(A0, T_F_US)
     baths = [BathSpec(kappa) for kappa in ORACLE_KAPPAS]
-    rho0s = oracle_initial_states()
-    sol = solve_ivp(lindblad_rhs, (0.0, T_F_US * 1e3), np.concatenate([r.ravel() for r in rho0s]), method="DOP853",
+    rho0 = transverse_ground_density(2)
+    sol = solve_ivp(lindblad_rhs, (0.0, T_F_US * 1e3), np.tile(rho0.ravel(), len(baths)), method="DOP853",
                     rtol=1e-10, atol=1e-12, args=(baths,))
     assert sol.success
     expected = sol.y[:, -1].reshape(len(baths), 4, 4)
     runs = []
-    for bath, rho0, rtol, rho_ref in zip(baths, rho0s, ORACLE_RTOLS, expected):
-        traj = evolve_open(problem, schedule, bath, initial=QuantumState.density(rho0), rtol=rtol, snapshots=2)
+    for bath, rho_ref in zip(baths, expected):
+        traj = evolve_open(problem, schedule, bath, rtol=ORACLE_RTOL, snapshots=2)
         runs.append((traj.final.data, rho_ref, traj))
     return runs
 
@@ -217,49 +250,40 @@ def _oracle_final(rho0, bath, hz):
     return sol.y[:, -1].reshape(rho0.shape)
 
 
-def transverse_ground_density(n):
-    """The ground state of +sum sigma^x on n spins, |-->^n, as a density matrix."""
-    psi = reduce(np.kron, [np.array([1.0, -1.0]) / np.sqrt(2.0)] * n)
-    return np.outer(psi, psi).astype(complex)
-
-
-@pytest.mark.parametrize("case", ["field, one sector", "flip-symmetric, coherence between sectors",
-                                  "three spins, -1 sector", "flip-symmetric, mixed"])
+@pytest.mark.parametrize("case", ["field, one sector", "three spins, -1 sector"])
 def test_open_anneal_sector_frames_match_lindblad_oracle(case):
     # with a local field the frame is the one whole-space sector; without
-    # one it is the two flip sectors.  rho0 = |up up><up up| carries
-    # coherence between them, so all four sector blocks are carried; the
-    # three-spin transverse start lies in the -1 sector, and the mixed
-    # (|up up><up up| + |down down><down down|) / 2 commutes with the flip,
-    # so both carry the two diagonal blocks.  Like the mixed kappa = 0
-    # input, a rho0 with coherences between levels runs at rtol 1e-7 (3e-5
-    # off at 1e-6).
+    # one it is the two flip sectors, and the three-spin transverse start
+    # lies in the -1 sector
     bath = BathSpec(1e-3)
     if case.startswith("field"):
-        logical, hz, rtol = IsingProblem(2, {0: FIELD}, {(0, 1): 1.0}), HZ_FIELD, 1e-6
-        rho0 = oracle_initial_states()[0]
-    elif case.startswith("three"):
-        logical, hz, rtol = make_af_chain(3), HZ3, 1e-6
-        rho0 = transverse_ground_density(3)
+        logical, hz, n = IsingProblem(2, {0: FIELD}, {(0, 1): 1.0}), HZ_FIELD, 2
     else:
-        logical, hz, rtol = make_af_chain(2), HZ, 1e-7
-        rho0 = np.zeros((4, 4), dtype=complex)
-        rho0[0, 0] = 1.0
-        if case.endswith("mixed"):
-            rho0 = 0.5 * (rho0 + rho0[::-1, ::-1])
+        logical, hz, n = make_af_chain(3), HZ3, 3
     problem = encode_problem(logical, "U", ALPHA)
-    traj = evolve_open(problem, schedule_linear(A0, T_F_US), bath, initial=QuantumState.density(rho0), rtol=rtol,
-                       snapshots=2)
+    traj = evolve_open(problem, schedule_linear(A0, T_F_US), bath, rtol=ORACLE_RTOL, snapshots=2)
     rho = traj.final.data
-    assert np.abs(rho - _oracle_final(rho0, bath, hz)).max() < 1e-5
+    assert np.abs(rho - _oracle_final(transverse_ground_density(n), bath, hz)).max() < 1e-5
     assert abs(np.trace(rho) - 1.0) < 1e-10
     _check_counts(traj.report)
 
 
-@pytest.mark.parametrize("case", ["flip-symmetric, diagonal blocks", "flip-symmetric, all blocks",
-                                  "field, one block"])
+@pytest.mark.parametrize("levels", [1, 3])
+def test_truncated_whole_space_frame_keeps_the_start(levels):
+    # a local field leaves the one whole-space sector, cut here to 1 or 3
+    # levels: the transverse start is level 0 of the s = 0 frame, so no
+    # weight is lost however few levels are kept
+    problem = encode_problem(IsingProblem(2, {0: FIELD}, {(0, 1): 1.0}), "U", ALPHA)
+    traj = evolve_open(problem, schedule_linear(A0, T_F_US), BathSpec(1e-3), levels=levels, rtol=1e-6, snapshots=3)
+    for state in traj.states:
+        assert abs(np.trace(state.data) - 1.0) < 1e-12
+    _check_counts(traj.report)
+    assert traj.report.truncation_margin is not None
+
+
+@pytest.mark.parametrize("case", ["flip-symmetric, diagonal blocks", "field, one block"])
 def test_dissipator_program_matches_dense_lindblad_operators(case):
-    # one frame node at s = 0.4: the program acting on the carried blocks
+    # one frame node at s = 0.4: the program acting on the sector blocks
     # of a random Hermitian frame density matrix, against the dense
     # dissipator of explicit L operators in the frame of all levels
     field = {0: FIELD} if case.startswith("field") else {}
@@ -269,8 +293,7 @@ def test_dissipator_program_matches_dense_lindblad_operators(case):
     eps, U = np.linalg.eigh(_integrator.annealing_hamiltonian(X, Ez, 2.0 * A0 * (1.0 - s), 2.0 * A0 * s))
     sectors, d = eps.shape
     per, m = d, 4
-    all_blocks = case.endswith("all blocks")
-    layout = _integrator._layout(signs, per, all_blocks)
+    layout = _integrator._layout(signs, per)
     program = _integrator._build_dissipator(eps, U, ZS[:, :d], bath, layout)
 
     # frame columns (|x> + sign |x'>) / sqrt(1 + sign^2), x' = 3 - x, sector by sector
@@ -282,7 +305,7 @@ def test_dissipator_program_matches_dense_lindblad_operators(case):
     rng = np.random.default_rng(5)
     rho = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
     rho = rho + rho.conj().T
-    if sectors == 2 and not all_blocks:
+    if sectors == 2:
         rho[:per, per:] = rho[per:, :per] = 0.0
     L, omega = binned_lindblad_operators(eps.ravel(), V.T @ (ZS[:, :, None] * V))
     expected = dense_dissipator(L, bath_rate(omega, bath), rho)
@@ -290,11 +313,11 @@ def test_dissipator_program_matches_dense_lindblad_operators(case):
     def block(a, b):
         return (slice(a * per, (a + 1) * per), slice(b * per, (b + 1) * per))
 
-    y = np.array([rho[block(a, b)] for a, b in zip(layout.rows, layout.cols)])
+    y = np.array([rho[block(k, k)] for k in range(sectors)])
     out = _integrator._dissipator_rhs(program, y)
     got = np.zeros_like(rho)
-    for a, b, values in zip(layout.rows, layout.cols, out):
-        got[block(a, b)] = values
+    for k, values in enumerate(out):
+        got[block(k, k)] = values
     assert np.abs(expected).max() > 1e-3
     assert np.abs(got - expected).max() < 1e-12
 
@@ -311,7 +334,7 @@ def test_uncoupled_qubits_match_lindblad_oracle(fields):
     problem = encode_problem(IsingProblem(2, {0: h0, 1: h1}), "U", ALPHA)
     traj = evolve_open(problem, schedule_linear(A0, T_F_US), bath, rtol=1e-6, snapshots=2)
     hz = ALPHA * (h0 * np.kron(SZ, I2) + h1 * np.kron(I2, SZ))
-    assert np.abs(traj.final.data - _oracle_final(oracle_initial_states()[0], bath, hz)).max() < 1e-5
+    assert np.abs(traj.final.data - _oracle_final(transverse_ground_density(2), bath, hz)).max() < 1e-5
 
 
 def test_c_chain_matches_permuted_oracle_product(u_oracle_runs):
@@ -328,13 +351,13 @@ def test_c_chain_matches_permuted_oracle_product(u_oracle_runs):
 
 
 def test_c_chain_whole_space_matches_factored():
-    # a given initial state anneals the whole 64-dimensional space
+    # the split-operator integrator run on the whole 64-dimensional space
     problem = encode_problem(make_af_chain(2), "C", ALPHA)
-    schedule, bath = schedule_linear(A0, T_F_US), BathSpec(0.0)
-    whole = evolve_open(problem, schedule, bath, initial=QuantumState.transverse_ground(6), rtol=1e-7, snapshots=3)
-    factored = evolve_open(problem, schedule, bath, rtol=1e-7, snapshots=3)
-    for a, b in zip(whole.states, factored.states, strict=True):
-        assert np.abs(a.data - b.data).max() < 1e-7
+    schedule = schedule_linear(A0, T_F_US)
+    _, whole, _ = _integrator.split_operator_run(problem.physical, schedule, transverse_ground(6), 3, 1e-7)
+    factored = evolve_open(problem, schedule, BathSpec(0.0), rtol=1e-7, snapshots=3)
+    for psi, b in zip(whole, factored.states, strict=True):
+        assert np.abs(np.outer(psi, psi.conj()) - b.data).max() < 1e-7
 
 
 @pytest.mark.parametrize("kappa", [None, 1e-3])
