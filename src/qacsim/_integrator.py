@@ -38,10 +38,10 @@ There are two:
   follow each level through crossings, and near-degenerate clusters are
   rotated onto the previous node's gauge.
 
-Both integrators take an :class:`~qacsim.problem.IsingProblem` and start
-from the ground state of the transverse field, and
-:func:`anneal_components` runs them once per distinct connected component
-of a problem: components share no coupling and each qubit has its own bath,
+Both integrators take an :class:`~qacsim.problem.IsingProblem` and make
+their own start, :func:`transverse_ground`, the ground state of the
+transverse field, and :func:`anneal_components` runs them once per distinct
+connected component of a problem: components share no coupling and each qubit has its own bath,
 so from that product start the state stays the product of the components'
 states.  U, EP and QAC are one component; C's uncoupled copies anneal as
 one U copy.  Components run untruncated; a factored run's report adds up
@@ -93,6 +93,13 @@ def pauli_x_sum(num_qubits: int) -> np.ndarray:
     out = np.zeros((dim, dim))
     out[np.arange(dim), flip_indices(num_qubits)] = 1.0
     return out
+
+
+def transverse_ground(num_qubits: int) -> np.ndarray:
+    """Ground state of +sum sigma^x, where every anneal starts: the
+    alternating-sign uniform superposition 2^(-n/2) sum_x (-1)^popcount(x) |x>."""
+    dim = 1 << num_qubits
+    return config_from_index(np.arange(dim)[:, None], num_qubits).prod(axis=1) / np.sqrt(dim)
 
 
 def annealing_hamiltonian(X: np.ndarray, Ez: np.ndarray, A: float, B: float) -> np.ndarray:
@@ -255,8 +262,9 @@ def anneal_components(problem: IsingProblem, run):
 
     The components are those of :func:`connected_components`, and
     ``run(component) -> (s values, states, IntegratorReport)`` is called once
-    for each distinct one, and anneals it from its own transverse-field
-    ground state, so the whole start is their product.  A snapshot is the
+    for each distinct one.  Each integrator starts a component in its own
+    :func:`transverse_ground`, so the whole start is their product, the
+    problem's transverse ground state.  A snapshot is the
     tensor product of the components' states at it (vectors, or density
     matrices when 2-d), permuted to the problem's qubit order.  A problem of
     one component is handed to ``run`` as it is, and its result returned
@@ -293,11 +301,11 @@ _TRIPLE_JUMP = np.array([_W, 1.0 - 2.0 * _W, _W])
 _TRIPLE_JUMP_MIDPOINTS = np.cumsum(_TRIPLE_JUMP) - 0.5 * _TRIPLE_JUMP
 
 
-def split_operator_run(problem: IsingProblem, schedule, psi0, snapshots, rtol):
+def split_operator_run(problem: IsingProblem, schedule, snapshots, rtol):
     """Unitary fourth-order splitting of H(s) = A(s) * sum_q sigma^x_q + B(s) * diag(E_z),
     with E_z the energies of ``problem``.
 
-    Evolves the state vector psi0.  A Strang step over
+    Evolves the state vector from :func:`transverse_ground`.  A Strang step over
     [t, t+h] takes A and B at its midpoint and applies exp(-i h/2 B E_z),
     then exp(-i h A sigma^x_q) for every qubit q, then exp(-i h/2 B E_z)
     again; three Strang steps make a triple-jump step.  Step doubling
@@ -326,7 +334,8 @@ def split_operator_run(problem: IsingProblem, schedule, psi0, snapshots, rtol):
         halves = fourth_order(fourth_order(psi, t, 0.5 * h), t + 0.5 * h, 0.5 * h)
         return halves, float(np.linalg.norm(full - halves)) / (15.0 * (_ATOL + rtol))
 
-    return adaptive_run(step, psi0.astype(complex), schedule, snapshots, 5, lambda psi: psi)
+    psi0 = transverse_ground(problem.num_spins).astype(complex)
+    return adaptive_run(step, psi0, schedule, snapshots, 5, lambda psi: psi)
 
 
 @dataclass
@@ -408,10 +417,10 @@ def _sector_eigh(H: np.ndarray, signs, keep: int, where: str):
     return np.stack(e, axis=-2), np.stack(u, axis=-3)
 
 
-def frame_run(problem: IsingProblem, schedule, bath, psi0, levels, snapshots, rtol):
-    """Adiabatic master equation (kappa > 0) of ``problem`` from the pure
-    state psi0, the ground state of the transverse field, tracking the
-    lowest ``levels`` instantaneous levels (all when None).
+def frame_run(problem: IsingProblem, schedule, bath, levels, snapshots, rtol):
+    """Adiabatic master equation (kappa > 0) of ``problem`` from
+    :func:`transverse_ground`, tracking the lowest ``levels`` instantaneous
+    levels (all when None).
 
     The frame is built in the sectors of :func:`sector_blocks`: the two
     sectors σ = ±1 of dimension 2^(n-1) when E_z is flip-symmetric, with
@@ -449,6 +458,7 @@ def frame_run(problem: IsingProblem, schedule, bath, psi0, levels, snapshots, rt
     node_builds = 0
     margin = None if per == d else np.inf
     layout = _layout(signs, per)
+    psi0 = transverse_ground(n).astype(complex)
 
     def lift(node: _Node) -> np.ndarray:
         """Each sector's frame columns in the computational basis, (sectors, 2^n, levels per sector)."""
@@ -470,7 +480,6 @@ def frame_run(problem: IsingProblem, schedule, bath, psi0, levels, snapshots, rt
         e, u = e[:, :per], u[:, :, :per]
         scale = max(1.0, float(np.abs(e).max()))
         M_dot = u.swapaxes(1, 2) @ (float(dA) * (X_sectors @ u) + float(dB) * (Ez_sector[:, None] * u)) / t_f
-        eps, U = np.empty((sectors, per)), np.empty((sectors, d, per))
         for k in range(sectors):
             uk, Mk = u[k], M_dot[k]
             # Within each (near-)degenerate cluster the eigensolver basis is
@@ -483,7 +492,9 @@ def frame_run(problem: IsingProblem, schedule, bath, psi0, levels, snapshots, rt
                 uk[:, cluster] = uk[:, cluster] @ rot
                 Mk[cluster, :] = rot.T @ Mk[cluster, :]
                 Mk[:, cluster] = Mk[:, cluster] @ rot
-            eps[k], U[k], M_dot[k] = _align(None if prev is None else prev.U[k], e[k], uk, Mk)
+            if prev is not None:  # the first node keeps the eigensolver's gauge
+                e[k], u[k], M_dot[k] = _align(prev.U[k], e[k], uk, Mk)
+        eps, U = np.ascontiguousarray(e), np.ascontiguousarray(u)
         guard = 1e-9 * scale
         denom = eps[:, None, :] - eps[:, :, None]
         K = M_dot / np.where(np.abs(denom) > guard, denom, np.inf)
@@ -543,19 +554,10 @@ def frame_run(problem: IsingProblem, schedule, bath, psi0, levels, snapshots, rt
     return s_points, rhos, replace(report, node_builds=node_builds, truncation_margin=margin)
 
 
-def _align(prev_U: np.ndarray | None, eps: np.ndarray, U: np.ndarray, M_dot: np.ndarray):
+def _align(prev_U: np.ndarray, eps: np.ndarray, U: np.ndarray, M_dot: np.ndarray):
     """Follow the previous node's levels within one sector: permute columns
     by overlap with ``prev_U``, fix each level's sign, and rotate clusters
-    where both the energy and its slope coincide onto the previous gauge.
-    At the first node, make each column's largest component positive."""
-    m = len(eps)
-    if prev_U is None:
-        lead = np.argmax(np.abs(U), axis=0)
-        signs = np.sign(U[lead, np.arange(m)])
-        signs[signs == 0] = 1.0
-        U = U * signs
-        M_dot = signs[:, None] * M_dot * signs[None, :]
-        return eps, U, M_dot
+    where both the energy and its slope coincide onto the previous gauge."""
     overlap = prev_U.T @ U
     perm = linear_sum_assignment(np.abs(overlap), maximize=True)[1]
     eps = eps[perm]

@@ -46,6 +46,7 @@ from ._integrator import (
     sector_blocks,
     split_operator_run,
     tracked_levels,
+    transverse_ground,
 )
 from .decode import SampleRecord, SampleSet, decodable_mask, ground_indices
 from .errors import NumericalError, ResourceLimitError, ValidationError
@@ -138,10 +139,9 @@ class QuantumState:
 
     @classmethod
     def transverse_ground(cls, num_qubits: int) -> "QuantumState":
-        """Ground state of +sum sigma^x: the alternating-sign uniform superposition."""
-        dim = 1 << num_qubits
-        signs = config_from_index(np.arange(dim)[:, None], num_qubits).prod(axis=1)
-        return cls.pure(signs / np.sqrt(dim))
+        """Ground state of +sum sigma^x, where every anneal starts (see
+        :func:`qacsim._integrator.transverse_ground`)."""
+        return cls.pure(transverse_ground(num_qubits))
 
     @property
     def num_qubits(self) -> int:
@@ -280,8 +280,8 @@ def evolve_closed(
     if not 0.0 <= rtol < np.inf:
         raise ValidationError(f"rtol must be finite and >= 0, got {rtol}")
     tracked_levels(levels, n)
-    s_points, raw, report = anneal_components(problem.physical, lambda part: split_operator_run(
-        part, schedule, QuantumState.transverse_ground(part.num_spins).data, snapshots, rtol))
+    s_points, raw, report = anneal_components(problem.physical,
+                                              lambda part: split_operator_run(part, schedule, snapshots, rtol))
     for vec in raw:
         norm = np.linalg.norm(vec)
         if abs(norm - 1.0) > QuantumState.PURE_NORM_TOL:

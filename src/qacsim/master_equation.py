@@ -142,12 +142,10 @@ def evolve_open(
     def run(physical):
         """Anneal ``physical`` from its transverse-field ground state: state
         vectors at kappa = 0, else density matrices."""
-        psi0 = QuantumState.transverse_ground(physical.num_spins).data
         if bath.kappa > 0.0:
             # a component narrower than the problem keeps every level
-            return frame_run(physical, schedule, bath, psi0, levels if physical.num_spins == n else None,
-                             snapshots, rtol)
-        return split_operator_run(physical, schedule, psi0, snapshots, rtol)
+            return frame_run(physical, schedule, bath, levels if physical.num_spins == n else None, snapshots, rtol)
+        return split_operator_run(physical, schedule, snapshots, rtol)
 
     s_points, raw, report = anneal_components(problem.physical, run)
     if bath.kappa == 0.0:

@@ -202,8 +202,8 @@ def test_evolve_closed_schroedinger_reference(problem, schedule):
 
 
 def test_evolve_closed_norm_drift_is_a_numerical_error(monkeypatch):
-    def drifted(problem, schedule, W0, *rest):
-        return [0.0, 1.0], [(1.0 + 5e-9) * W0] * 2, None
+    def drifted(problem, schedule, *rest):
+        return [0.0, 1.0], [(1.0 + 5e-9) * QuantumState.transverse_ground(problem.num_spins).data] * 2, None
 
     monkeypatch.setattr("qacsim.dynamics.split_operator_run", drifted)
     with pytest.raises(NumericalError):

@@ -106,8 +106,8 @@ def test_anneals_take_numpy_integers():
 
 
 def test_open_anneal_trace_drift_is_a_numerical_error(monkeypatch):
-    def drifted(problem, schedule, bath, psi0, *rest):
-        return [0.0, 1.0], [(1.0 + 5e-9) * np.outer(psi0, psi0.conj())] * 2, None
+    def drifted(problem, schedule, bath, *rest):
+        return [0.0, 1.0], [(1.0 + 5e-9) * transverse_ground_density(problem.num_spins)] * 2, None
 
     monkeypatch.setattr("qacsim.master_equation.frame_run", drifted)
     problem = encode_problem(make_af_chain(2), "U", 0.4)
@@ -354,7 +354,7 @@ def test_c_chain_whole_space_matches_factored():
     # the split-operator integrator run on the whole 64-dimensional space
     problem = encode_problem(make_af_chain(2), "C", ALPHA)
     schedule = schedule_linear(A0, T_F_US)
-    _, whole, _ = _integrator.split_operator_run(problem.physical, schedule, transverse_ground(6), 3, 1e-7)
+    _, whole, _ = _integrator.split_operator_run(problem.physical, schedule, 3, 1e-7)
     factored = evolve_open(problem, schedule, BathSpec(0.0), rtol=1e-7, snapshots=3)
     for psi, b in zip(whole, factored.states, strict=True):
         assert np.abs(np.outer(psi, psi.conj()) - b.data).max() < 1e-7
