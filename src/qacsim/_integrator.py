@@ -432,9 +432,10 @@ def frame_run(problem: IsingProblem, schedule, bath, levels, snapshots, rtol):
     sectors are solved in one stacked eigensolve.
 
     The frame density matrix y is carried as a stack of its blocks, one per
-    sector.  psi0 is level 0 of the frame at s = 0, where H = A(0) sum_q
-    sigma^x_q with A(0) > 0, so it keeps all its weight under any
-    truncation.  It commutes with the global flip, and so does rho(t): the
+    sector.  It starts as the projector on the lowest level of the s = 0
+    node: H = A(0) sum_q sigma^x_q with A(0) > 0 there, whose unique ground
+    state is :func:`transverse_ground`, and no truncation drops it.  That
+    start commutes with the global flip, and so does rho(t): the
     Lindbladian keeps that symmetry, since every sigma^z jump maps sector
     block (σ, σ') to (-σ, -σ'), so the blocks between the two ±1 sectors
     stay zero.  The coherent propagators, the dissipator, the error norms
@@ -458,14 +459,6 @@ def frame_run(problem: IsingProblem, schedule, bath, levels, snapshots, rtol):
     node_builds = 0
     margin = None if per == d else np.inf
     layout = _layout(signs, per)
-    psi0 = transverse_ground(n).astype(complex)
-
-    def lift(node: _Node) -> np.ndarray:
-        """Each sector's frame columns in the computational basis, (sectors, 2^n, levels per sector)."""
-        V = np.zeros((sectors, dim, per))
-        V[:, :d] = node.U
-        V[:, dim - d:] += np.reshape(signs, (-1, 1, 1)) * node.U[:, ::-1]
-        return V / np.sqrt(1.0 + signs[0] ** 2)
 
     def build_node(t: float, prev: _Node | None) -> _Node:
         nonlocal node_builds, margin
@@ -508,10 +501,11 @@ def frame_run(problem: IsingProblem, schedule, bath, levels, snapshots, rtol):
                      _build_dissipator(eps, U, zdiags, bath, layout, eps_dot if s == 0.0 else None))
 
     def start():
-        """The state at s = 0: its node, and psi0's sector blocks in that node's frame."""
+        """The state at s = 0: its node, and the projector on its lowest level."""
         node = build_node(0.0, None)
-        V = lift(node)
-        return node, V.swapaxes(1, 2) @ np.outer(psi0, psi0.conj()) @ V
+        y = np.zeros((sectors, per, per), dtype=complex)
+        y[np.argmin(node.eps[:, 0]), 0, 0] = 1.0
+        return node, y
 
     def step(state, t: float, h: float):
         """One attempt from ``state`` = (node, sector blocks of the frame
@@ -544,9 +538,14 @@ def frame_run(problem: IsingProblem, schedule, bath, levels, snapshots, rtol):
 
     def record(state):
         """The density matrix in the computational basis: the sum of the
-        lifted blocks, as one product of the blocks side by side."""
-        V = lift(state[0])
-        return np.concatenate(V @ state[1], axis=1) @ np.concatenate(V, axis=1).T
+        blocks lifted by each sector's frame columns V (2^n, levels per
+        sector), as one product of the blocks side by side."""
+        node, y = state
+        V = np.zeros((sectors, dim, per))
+        V[:, :d] = node.U
+        V[:, dim - d:] += np.reshape(signs, (-1, 1, 1)) * node.U[:, ::-1]
+        V /= np.sqrt(1.0 + signs[0] ** 2)
+        return np.concatenate(V @ y, axis=1) @ np.concatenate(V, axis=1).T
 
     # no local holds the start state: its node, at the most degenerate
     # point, has the largest dissipator program and is freed after one step
