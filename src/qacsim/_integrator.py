@@ -494,11 +494,7 @@ def frame_run(problem: IsingProblem, schedule, bath, levels, snapshots, rtol):
         diag = np.arange(per)
         K[:, diag, diag] = 0.0
         eps_dot = M_dot[:, diag, diag]
-        # at s = 0 the transverse field's multiplets make Bohr frequencies
-        # coincide that part as soon as s > 0: the start node, which the
-        # first step weighs as much as any, takes the bins of s -> 0+
-        return _Node(t, eps, U, eps_dot, K,
-                     _build_dissipator(eps, U, zdiags, bath, layout, eps_dot if s == 0.0 else None))
+        return _Node(t, eps, U, eps_dot, K, _build_dissipator(eps, U, zdiags, bath, layout, eps_dot))
 
     def start():
         """The state at s = 0: its node, and the projector on its lowest level."""
@@ -581,7 +577,7 @@ def _align(prev_U: np.ndarray, eps: np.ndarray, U: np.ndarray, M_dot: np.ndarray
 
 
 def _build_dissipator(eps: np.ndarray, U: np.ndarray, zdiags: np.ndarray, bath, layout: _Layout,
-                      slopes: np.ndarray | None = None) -> _DissipatorProgram:
+                      slopes: np.ndarray) -> _DissipatorProgram:
     """The dissipator in the frame of the sectors' eigenvectors ``U``
     (sectors, d, levels per sector), with energies ``eps`` (sectors, levels
     per sector), for sigma^z couplings with the (qubits, d) diagonals
@@ -595,9 +591,11 @@ def _build_dissipator(eps: np.ndarray, U: np.ndarray, zdiags: np.ndarray, bath, 
     the whole-space sector it is U^T diag(z_q) U.  So a jump term maps block
     (σ, σ') to block (-σ, -σ').
 
-    Bohr frequencies within _BIN_TOL share a Lindblad operator.  Given the
-    levels' ``slopes`` d(eps)/dt, frequencies whose slopes differ by more
-    than _BIN_TOL per ns do not: they coincide only at this instant.  Each
+    Bohr frequencies share a Lindblad operator when they lie within
+    _BIN_TOL and so do their slopes, taken from the levels' ``slopes``
+    d(eps)/dt, per ns: the adiabatic master equation pairs frequencies equal
+    as functions of time, and two that coincide only at this instant, as the
+    transverse field's multiplets do at s = 0, part in the step.  Each
     bin's transitions are grouped by sector, and the terms between the
     groups, which read and write the blocks between the two ±1 sectors that
     stay zero, are left out.
@@ -611,8 +609,7 @@ def _build_dissipator(eps: np.ndarray, U: np.ndarray, zdiags: np.ndarray, bath, 
     gaps = levels[layout.pair_b] - levels[layout.pair_a]
     keys = np.zeros((3, len(gaps)), dtype=np.int64)  # sort by frequency, then slope difference, then sector
     keys[0] = layout.split
-    if slopes is not None:
-        keys[1] = np.rint((slopes.ravel()[layout.pair_b] - slopes.ravel()[layout.pair_a]) / _BIN_TOL)
+    keys[1] = np.rint((slopes.ravel()[layout.pair_b] - slopes.ravel()[layout.pair_a]) / _BIN_TOL)
     keys[2] = np.rint(gaps / _BIN_TOL)
     order = np.lexsort(keys)
     ordered = keys[:, order]

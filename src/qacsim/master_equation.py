@@ -2,9 +2,9 @@
 
 Each physical qubit couples through sigma^z to its own Ohmic oscillator bath.
 The time-dependent Lindblad operators are built from the instantaneous
-eigenbasis of H(s), grouping transition frequencies that agree within a
-binning tolerance (exact Kronecker-delta matching is meaningless in floating
-point).  Rates are
+eigenbasis of H(s), grouping transition frequencies that agree, and whose
+slopes in time agree, within a binning tolerance (exact Kronecker-delta
+matching is meaningless in floating point).  Rates are
 
     gamma(omega) = 2 pi kappa omega exp(-omega/omega_c) / (1 - exp(-omega/T))
 

@@ -161,13 +161,18 @@ ORACLE_KAPPAS = (1e-3, 8e-3, 0.0)
 ORACLE_RTOL = 1e-6
 
 
-def binned_lindblad_operators(eps, z_eigen):
+def binned_lindblad_operators(eps, z_eigen, slopes=None):
     """For levels ``eps`` and the (qubit, a, b) elements <a|Z_q|b> in their
     eigenbasis: the Lindblad operators L = sum <a|Z_q|b> |a><b| of every Bohr
     frequency omega = eps_b - eps_a (binned to BIN_TOL) and qubit q, as
-    (bins, qubits, levels, levels), and each bin's omega."""
+    (bins, qubits, levels, levels), and each bin's omega.  Given the levels'
+    ``slopes``, a bin also holds one slope eps_b' - eps_a' (binned to BIN_TOL
+    per ns)."""
     omega = eps[None, :] - eps[:, None]
-    bins, first, inverse = np.unique(np.rint(omega / BIN_TOL), return_index=True, return_inverse=True)
+    keys = [np.rint(omega / BIN_TOL).ravel()]
+    if slopes is not None:
+        keys.append(np.rint((slopes[None, :] - slopes[:, None]) / BIN_TOL).ravel())
+    bins, first, inverse = np.unique(np.stack(keys, axis=1), axis=0, return_index=True, return_inverse=True)
     in_bin = inverse.reshape(omega.shape) == np.arange(len(bins))[:, None, None]
     return in_bin[:, None] * z_eigen, omega.ravel()[first]
 
@@ -189,7 +194,10 @@ def lindblad_rhs(t, y, baths, hz=HZ):
 
     H(s) is diagonalized at every call; for each qubit q and each Bohr
     frequency omega = E_b - E_a (binned to BIN_TOL) the Lindblad operator
-    L = sum <a|Z_q|b> |a><b| enters with weight bath_rate(omega).
+    L = sum <a|Z_q|b> |a><b| enters with weight bath_rate(omega).  The bins
+    ignore slopes, which the eigensolver's arbitrary basis of a degenerate
+    level would set; frequencies that coincide with different slopes do so
+    only at isolated instants.
     """
     dim = len(hz)
     hx, zs = spin_operators(dim.bit_length() - 1)
@@ -281,20 +289,26 @@ def test_truncated_whole_space_frame_keeps_the_start(levels):
     assert traj.report.truncation_margin is not None
 
 
+@pytest.mark.parametrize("s", [0.0, 0.4])
 @pytest.mark.parametrize("case", ["flip-symmetric, diagonal blocks", "field, one block"])
-def test_dissipator_program_matches_dense_lindblad_operators(case):
-    # one frame node at s = 0.4: the program acting on the sector blocks
-    # of a random Hermitian frame density matrix, against the dense
-    # dissipator of explicit L operators in the frame of all levels
+def test_dissipator_program_matches_dense_lindblad_operators(case, s):
+    # one frame node: the program acting on the sector blocks of a random
+    # Hermitian frame density matrix, against the dense dissipator of
+    # explicit L operators in the frame of all levels, binned on frequency
+    # and slope; at s = 0 the transverse field's multiplets give equal
+    # frequencies of different slopes
     field = {0: FIELD} if case.startswith("field") else {}
     problem = encode_problem(IsingProblem(2, field, {(0, 1): 1.0}), "U", ALPHA).physical
     signs, X, Ez = _integrator.sector_blocks(problem)
-    s, bath = 0.4, BathSpec(8e-3)
+    bath = BathSpec(8e-3)
     eps, U = np.linalg.eigh(_integrator.annealing_hamiltonian(X, Ez, 2.0 * A0 * (1.0 - s), 2.0 * A0 * s))
+    # the levels' slopes d(eps)/dt = <a|dH/dt|a>, dH/dt = 2 A0 (diag(E_z) - X) / t_f
+    H_dot = 2.0 * A0 * (_integrator.annealing_hamiltonian(-X, Ez, 1.0, 1.0)) / (T_F_US * 1e3)
+    slopes = np.einsum("kia,kij,kja->ka", U, H_dot, U)
     sectors, d = eps.shape
     per, m = d, 4
     layout = _integrator._layout(signs, per)
-    program = _integrator._build_dissipator(eps, U, ZS[:, :d], bath, layout)
+    program = _integrator._build_dissipator(eps, U, ZS[:, :d], bath, layout, slopes)
 
     # frame columns (|x> + sign |x'>) / sqrt(1 + sign^2), x' = 3 - x, sector by sector
     V = np.zeros((4, m))
@@ -307,7 +321,7 @@ def test_dissipator_program_matches_dense_lindblad_operators(case):
     rho = rho + rho.conj().T
     if sectors == 2:
         rho[:per, per:] = rho[per:, :per] = 0.0
-    L, omega = binned_lindblad_operators(eps.ravel(), V.T @ (ZS[:, :, None] * V))
+    L, omega = binned_lindblad_operators(eps.ravel(), V.T @ (ZS[:, :, None] * V), slopes.ravel())
     expected = dense_dissipator(L, bath_rate(omega, bath), rho)
 
     def block(a, b):
