@@ -276,6 +276,58 @@ def test_open_anneal_sector_frames_match_lindblad_oracle(case):
     _check_counts(traj.report)
 
 
+# (logical chain, strategy, beta, levels) of frame anneals at kappa = 1e-3
+FRAME_CASES = {
+    "U two-spin, +1 sector": (make_af_chain(2), "U", 0.0, None),
+    "U three-spin, -1 sector": (make_af_chain(3), "U", 0.0, None),
+    "field, whole space, 1 level": (IsingProblem(2, {0: FIELD}, {(0, 1): 1.0}), "U", 0.0, 1),
+    "field, whole space, 3 levels": (IsingProblem(2, {0: FIELD}, {(0, 1): 1.0}), "U", 0.0, 3),
+    "EP, 8 levels": (make_af_chain(2), "EP", 0.2, 8),
+}
+
+
+def _frame_anneal(case, snapshots=3):
+    logical, strategy, beta, levels = FRAME_CASES[case]
+    problem = encode_problem(logical, strategy, ALPHA, beta)
+    return evolve_open(problem, schedule_linear(A0, T_F_US), BathSpec(1e-3), levels=levels, rtol=1e-4,
+                       snapshots=snapshots)
+
+
+@pytest.mark.parametrize("case", ["U two-spin, +1 sector", "U three-spin, -1 sector",
+                                  "field, whole space, 1 level", "EP, 8 levels"])
+def test_frame_starts_in_the_transverse_ground_state(case):
+    # the frame starts as the projector on the lowest level of its s = 0 node
+    traj = _frame_anneal(case, snapshots=2)
+    psi = transverse_ground(traj.states[0].num_qubits)
+    assert np.abs(traj.states[0].data - np.outer(psi, psi)).max() < 1e-14
+
+
+@pytest.mark.parametrize("case", ["U two-spin, +1 sector", "EP, 8 levels", "field, whole space, 3 levels"])
+def test_frame_ignores_eigenvector_signs(monkeypatch, case):
+    # every eigensolve's columns carry an arbitrary sign, the first node's
+    # too: negating every other one changes no snapshot and no report.  EP
+    # is held to its rtol of 1e-4 instead: its degenerate clusters are
+    # rotated by eigensolves and SVDs of sign-flipped blocks, which round
+    # differently, and near s = 1 that can change the step sequence
+    plain = _frame_anneal(case)
+
+    def negating(real):
+        def eigh(*args, **kwargs):
+            values, vectors = real(*args, **kwargs)
+            vectors = vectors.copy()
+            vectors[..., 1::2] *= -1.0
+            return values, vectors
+        return eigh
+
+    monkeypatch.setattr(np.linalg, "eigh", negating(np.linalg.eigh))
+    monkeypatch.setattr(scipy.linalg, "eigh", negating(scipy.linalg.eigh))
+    negated = _frame_anneal(case)
+    exact = not case.startswith("EP")
+    assert negated.report == plain.report or not exact
+    for a, b in zip(negated.states, plain.states, strict=True):
+        assert np.array_equal(a.data, b.data) if exact else np.abs(a.data - b.data).max() < 1e-4
+
+
 @pytest.mark.parametrize("levels", [1, 3])
 def test_truncated_whole_space_frame_keeps_the_start(levels):
     # a local field leaves the one whole-space sector, cut here to 1 or 3
