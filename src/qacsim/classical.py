@@ -12,6 +12,7 @@ exact Gibbs weight of the two degenerate ground states.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,8 +51,8 @@ def flip_probability(model: KinkModel) -> float:
 
 def no_kink_probability(model: KinkModel, N: int) -> float:
     """Probability of a kink-free chain of N spins: (1-p)^(N-1)."""
-    if N < 1:
-        raise ValidationError("N must be >= 1")
+    if not isinstance(N, numbers.Integral) or N < 1:
+        raise ValidationError(f"N must be an integer >= 1, got {N!r}")
     return float((1.0 / (1.0 + np.exp(-2.0 * model.alpha / model.temperature))) ** (N - 1))
 
 
@@ -82,12 +83,12 @@ class ExponentialFit(FitResult):
 
 
 def _validate_curve(data):
-    data = [(int(n), float(prob)) for n, prob in data]
+    data = [(n, float(prob)) for n, prob in data]
     if len(data) < 3:
         raise ValidationError("need at least 3 points to fit")
     for n, prob in data:
-        if n < 1:
-            raise ValidationError(f"chain length N={n} below 1")
+        if not isinstance(n, numbers.Integral) or n < 1:
+            raise ValidationError(f"chain length N={n!r} must be an integer >= 1")
         if not 0.0 < prob <= 1.0:
             raise ValidationError(f"probability {prob} at N={n} outside (0, 1]")
     ns = np.array([n for n, _ in data], dtype=float)

@@ -17,6 +17,7 @@ operations over all blocks (and rows) at once.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,8 +59,8 @@ class SampleRecord:
     embedding_id: int = 0
 
     def __post_init__(self) -> None:
-        if self.count < 1:
-            raise ValidationError("sample count must be >= 1")
+        if not isinstance(self.count, numbers.Integral) or self.count < 1:
+            raise ValidationError(f"sample count must be an integer >= 1, got {self.count!r}")
         if any(b not in (-1, 1) for b in self.bits):
             raise ValidationError("sample bits must be +-1")
 

@@ -32,6 +32,7 @@ set by the components.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import reduce
 
@@ -109,19 +110,20 @@ class QuantumState:
     EIG_FLOOR = -1e-7
 
     def __post_init__(self) -> None:
+        # every check is written so that NaN fails it
         if self.kind == "pure":
             if self.data.ndim != 1:
                 raise ValidationError("pure state data must be a vector")
-            if abs(np.linalg.norm(self.data) - 1.0) > self.PURE_NORM_TOL:
+            if not abs(np.linalg.norm(self.data) - 1.0) <= self.PURE_NORM_TOL:
                 raise ValidationError("pure state is not normalized")
         elif self.kind == "density":
             if self.data.ndim != 2 or self.data.shape[0] != self.data.shape[1]:
                 raise ValidationError("density matrix must be square")
-            if np.linalg.norm(self.data - self.data.conj().T) > 1e-9 * max(1.0, np.linalg.norm(self.data)):
+            if not np.linalg.norm(self.data - self.data.conj().T) <= 1e-9 * max(1.0, np.linalg.norm(self.data)):
                 raise ValidationError("density matrix is not Hermitian")
-            if abs(np.trace(self.data).real - 1.0) > self.TRACE_TOL:
+            if not abs(np.trace(self.data).real - 1.0) <= self.TRACE_TOL:
                 raise ValidationError("density matrix trace differs from 1")
-            if np.linalg.eigvalsh(self.data).min() < self.EIG_FLOOR:
+            if not np.linalg.eigvalsh(self.data).min() >= self.EIG_FLOOR:
                 raise ValidationError("density matrix has a significantly negative eigenvalue")
         else:
             raise ValidationError(f"unknown state kind {self.kind!r}")
@@ -206,8 +208,8 @@ def gap_profile(
     n = problem.num_physical
     if n > DEFAULT_QUBIT_CAP:
         raise ResourceLimitError(f"{n} qubits exceeds the dense-operator cap of {DEFAULT_QUBIT_CAP}")
-    if grid_points < 2:
-        raise ValidationError("grid_points must be >= 2")
+    if not isinstance(grid_points, numbers.Integral) or grid_points < 2:
+        raise ValidationError(f"grid_points must be an integer >= 2, got {grid_points!r}")
     k = relevant_level_index(problem, schedule)
     if k >= 1 << n:
         raise ValidationError(f"all {1 << n} levels end in the ground manifold: no gap to profile")
@@ -284,7 +286,7 @@ def evolve_closed(
                                               lambda part: split_operator_run(part, schedule, snapshots, rtol))
     for vec in raw:
         norm = np.linalg.norm(vec)
-        if abs(norm - 1.0) > QuantumState.PURE_NORM_TOL:
+        if not abs(norm - 1.0) <= QuantumState.PURE_NORM_TOL:
             raise NumericalError(f"norm drifted to {norm}; tighten rtol")
     states = [QuantumState.pure(vec) for vec in raw]
     return Trajectory(np.asarray(s_points), tuple(states), report)
@@ -313,8 +315,8 @@ def success_probabilities(final: QuantumState, problem: EncodedProblem) -> tuple
 
 def sample_readout(final: QuantumState, shots: int, rng_seed: int = 0):
     """Draw seeded i.i.d. computational-basis samples from the final state."""
-    if shots < 1:
-        raise ValidationError("shots must be >= 1")
+    if not isinstance(shots, numbers.Integral) or shots < 1:
+        raise ValidationError(f"shots must be an integer >= 1, got {shots!r}")
     pops = final.populations().clip(min=0.0)
     pops = pops / pops.sum()
     rng = np.random.default_rng(rng_seed)

@@ -154,7 +154,7 @@ def evolve_open(
     for rho in raw:
         rho = 0.5 * (rho + rho.conj().T)
         trace = float(np.real(np.trace(rho)))
-        if abs(trace - 1.0) > QuantumState.TRACE_TOL:
+        if not abs(trace - 1.0) <= QuantumState.TRACE_TOL:
             raise NumericalError(f"trace drifted to {trace}; tighten rtol or raise levels")
         states.append(QuantumState.density(rho))
     return Trajectory(np.asarray(s_points), tuple(states), report)

@@ -20,6 +20,7 @@ Spin and basis-index conventions used throughout the package:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,8 +67,8 @@ class IsingProblem:
     couplings: dict[tuple[int, int], float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.num_spins < 1:
-            raise ValidationError("num_spins must be >= 1")
+        if not isinstance(self.num_spins, numbers.Integral) or self.num_spins < 1:
+            raise ValidationError(f"num_spins must be an integer >= 1, got {self.num_spins!r}")
         for i, h in self.local_fields.items():
             if not 0 <= i < self.num_spins:
                 raise ValidationError(f"field index {i} out of range")
@@ -89,8 +90,8 @@ class IsingProblem:
 
 def make_af_chain(length: int) -> IsingProblem:
     """Antiferromagnetic chain: J_{i,i+1} = +1, no local fields."""
-    if length < 2:
-        raise ValidationError("chain length must be >= 2")
+    if not isinstance(length, numbers.Integral) or length < 2:
+        raise ValidationError(f"chain length must be an integer >= 2, got {length!r}")
     return IsingProblem(length, {}, {(i, i + 1): 1.0 for i in range(length - 1)})
 
 

@@ -24,6 +24,7 @@ logical edges.
 from __future__ import annotations
 
 import itertools
+import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -54,8 +55,8 @@ def _chimera_couplers(rows: int, cols: int, cell_size: int) -> list[tuple[int, i
     """Every coupler (a, b), a < b, of the defect-free Chimera graph: the
     complete bipartite graph inside each cell, shore 0 to the same index in
     the cell below and shore 1 to the same index in the cell to the right."""
-    if rows < 1 or cols < 1 or cell_size < 1:
-        raise ValidationError("rows, cols and cell_size must all be >= 1")
+    if not all(isinstance(v, numbers.Integral) and v >= 1 for v in (rows, cols, cell_size)):
+        raise ValidationError(f"rows, cols and cell_size must all be integers >= 1, got {(rows, cols, cell_size)}")
     ids = np.arange(2 * cell_size * rows * cols).reshape(rows, cols, 2, cell_size)
     vertical, horizontal = ids[:, :, 0], ids[:, :, 1]
     pairs = [
@@ -293,10 +294,10 @@ def embed_chain(
     24 usable nodes); otherwise raises
     :class:`ResourceLimitError` when the randomized budget is exhausted.
     """
-    if length < 2:
-        raise ValidationError("chain length must be >= 2")
-    if count < 1:
-        raise ValidationError("embedding count must be >= 1")
+    if not isinstance(length, numbers.Integral) or length < 2:
+        raise ValidationError(f"chain length must be an integer >= 2, got {length!r}")
+    if not isinstance(count, numbers.Integral) or count < 1:
+        raise ValidationError(f"embedding count must be an integer >= 1, got {count!r}")
     adj = eg.adjacency(complete_only=True)
     if length > len(adj):
         return []

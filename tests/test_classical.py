@@ -70,3 +70,17 @@ def test_no_kink_probability_rejects_empty_chain():
 def test_fits_reject_bad_curves(fit, data):
     with pytest.raises(ValidationError):
         fit(data)
+
+
+@pytest.mark.parametrize("fit", [exponential_fit, lorentzian_fit])
+def test_fits_reject_non_integer_lengths(fit):
+    # N = 2.5 used to be truncated to 2
+    with pytest.raises(ValidationError, match="integer"):
+        fit([(2, 0.9), (2.5, 0.8), (4, 0.7)])
+
+
+def test_no_kink_probability_rejects_non_integer_length():
+    # N = 2.5 used to give (1 - p)^1.5
+    with pytest.raises(ValidationError, match="integer"):
+        no_kink_probability(KinkModel(1.0, 1.0), 2.5)
+    assert no_kink_probability(KinkModel(1.0, 1.0), np.int64(3)) == no_kink_probability(KinkModel(1.0, 1.0), 3)

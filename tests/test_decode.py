@@ -274,3 +274,14 @@ def test_empirical_success_against_loop(strategy, encoding):
     n_s = sum(rec.count for rec in samples.records if tuple(naive_vote(rec.bits, problem.encoding)[0]) in grounds)
     assert 0 < n_gs <= n_s < total
     assert empirical_success(samples, problem) == (n_gs / total, n_s / total)
+
+
+@pytest.mark.parametrize("count", [np.nan, 2.5, 0])
+def test_sample_record_count_must_be_a_positive_integer(count):
+    # a NaN count used to give empirical_success (nan, nan)
+    with pytest.raises(ValidationError, match="count"):
+        SampleRecord((1, -1), count)
+
+
+def test_sample_record_takes_numpy_integers():
+    assert SampleRecord((1, -1), np.int64(3)).count == 3

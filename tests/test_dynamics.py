@@ -91,6 +91,27 @@ def schroedinger_reference(problem, schedule, s_values):
     return [states[s] for s in s_values]
 
 
+@pytest.mark.parametrize("kind, data, match", [
+    ("pure", np.full((2, 2), 0.5), "vector"),
+    ("pure", [1.0, 1.0, 0.0, 0.0], "normalized"),
+    ("pure", [np.nan, 0.0, 0.0, 0.0], "normalized"),
+    ("pure", [1.0, 0.0, 0.0], "power of two"),
+    ("density", np.full((2, 4), 0.25), "square"),
+    ("density", [[0.5, 0.5], [0.0, 0.5]], "Hermitian"),
+    ("density", np.diag([np.nan, 1.0, 0.0, 0.0]), "Hermitian"),
+    ("density", np.diag([0.5, 0.4]), "trace"),
+    ("density", [[0.5, 0.6], [0.6, 0.5]], "negative eigenvalue"),
+    ("density", np.diag([1.0, 0.0, 0.0]), "power of two"),
+    ("mixed", [1.0, 0.0], "unknown state kind"),
+], ids=["not a vector", "not normalized", "NaN amplitude", "pure dimension 3", "not square", "not Hermitian",
+        "NaN population", "trace off 1", "negative eigenvalue", "density dimension 3", "unknown kind"])
+def test_quantum_state_rejects_bad_data(kind, data, match):
+    # NaN passed every check written as abs(x - 1) > tol, so success
+    # probabilities came out (0, 0) or (1, 1)
+    with pytest.raises(ValidationError, match=match):
+        QuantumState(kind, np.asarray(data, dtype=complex))
+
+
 @pytest.mark.parametrize("num_qubits", range(1, 9))
 def test_transverse_ground_popcount(num_qubits):
     dim = 1 << num_qubits
@@ -201,9 +222,10 @@ def test_evolve_closed_schroedinger_reference(problem, schedule):
         assert abs(np.vdot(want, state.data)) ** 2 >= 1.0 - 1e-6
 
 
-def test_evolve_closed_norm_drift_is_a_numerical_error(monkeypatch):
+@pytest.mark.parametrize("factor", [1.0 + 5e-9, np.nan])
+def test_evolve_closed_norm_drift_is_a_numerical_error(monkeypatch, factor):
     def drifted(problem, schedule, *rest):
-        return [0.0, 1.0], [(1.0 + 5e-9) * QuantumState.transverse_ground(problem.num_spins).data] * 2, None
+        return [0.0, 1.0], [factor * QuantumState.transverse_ground(problem.num_spins).data] * 2, None
 
     monkeypatch.setattr("qacsim.dynamics.split_operator_run", drifted)
     with pytest.raises(NumericalError):
@@ -217,3 +239,15 @@ def test_evolve_closed_levels_checked_then_ignored():
             evolve_closed(problem, SCHEDULE, levels=bad)
     full = evolve_closed(problem, SCHEDULE, rtol=1e-6).final.data
     assert np.array_equal(evolve_closed(problem, SCHEDULE, rtol=1e-6, levels=8).final.data, full)
+
+
+def test_readout_and_profile_counts_must_be_integers():
+    # 2.5 shots used to draw 2; 2.5 grid points raised a bare TypeError
+    state = QuantumState.transverse_ground(2)
+    with pytest.raises(ValidationError, match="integer"):
+        sample_readout(state, 2.5)
+    with pytest.raises(ValidationError, match="integer"):
+        gap_profile(encoded("U"), SCHEDULE, grid_points=2.5)
+    assert sample_readout(state, np.int64(5)) == sample_readout(state, 5)
+    assert np.array_equal(gap_profile(encoded("U"), SCHEDULE, grid_points=np.int64(5)).gap,
+                          gap_profile(encoded("U"), SCHEDULE, grid_points=5).gap)

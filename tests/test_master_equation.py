@@ -105,9 +105,10 @@ def test_anneals_take_numpy_integers():
     assert len(closed.states) == 3
 
 
-def test_open_anneal_trace_drift_is_a_numerical_error(monkeypatch):
+@pytest.mark.parametrize("factor", [1.0 + 5e-9, np.nan])
+def test_open_anneal_trace_drift_is_a_numerical_error(monkeypatch, factor):
     def drifted(problem, schedule, bath, *rest):
-        return [0.0, 1.0], [(1.0 + 5e-9) * transverse_ground_density(problem.num_spins)] * 2, None
+        return [0.0, 1.0], [factor * transverse_ground_density(problem.num_spins)] * 2, None
 
     monkeypatch.setattr("qacsim.master_equation.frame_run", drifted)
     problem = encode_problem(make_af_chain(2), "U", 0.4)

@@ -263,3 +263,15 @@ class TestSchedules:
     def test_rejects_bad_schedules(self, t_f_us, s, A, B):
         with pytest.raises(ValidationError):
             AnnealSchedule(t_f_us, s, A, B)
+
+
+@pytest.mark.parametrize("call", [lambda: IsingProblem(2.5), lambda: make_af_chain(2.5)],
+                         ids=["spins", "chain length"])
+def test_sizes_must_be_integers(call):
+    with pytest.raises(ValidationError, match="integer"):
+        call()
+
+
+def test_sizes_take_numpy_integers():
+    assert make_af_chain(np.int64(3)) == make_af_chain(3)
+    assert IsingProblem(np.int32(2)).num_spins == 2
