@@ -92,13 +92,6 @@ class SampleSet:
 # decoding primitives
 
 
-def _layout(encoding: LogicalEncoding) -> tuple[np.ndarray, np.ndarray]:
-    """(problem qubits per block, penalty qubit per block or -1)."""
-    problem_ids = np.array([blk.problem_ids for blk in encoding.blocks], dtype=np.intp).reshape(-1, encoding.n)
-    penalty_ids = np.array([-1 if blk.penalty_id is None else blk.penalty_id for blk in encoding.blocks], dtype=np.intp)
-    return problem_ids, penalty_ids
-
-
 def _vote(samples: np.ndarray, layout) -> np.ndarray:
     return np.where(samples[..., layout[0]].sum(axis=-1) > 0, 1, -1)
 
@@ -121,9 +114,8 @@ def majority_decode(sample, encoding: LogicalEncoding):
     ``(rows, qubits)`` array of readouts gives one row of each per readout.
     """
     sample = np.asarray(sample)
-    layout = _layout(encoding)
-    logical = _vote(sample, layout)
-    return (logical, *_disagreements(sample, layout, logical))
+    logical = _vote(sample, encoding.layout)
+    return (logical, *_disagreements(sample, encoding.layout, logical))
 
 
 def ground_reference(problem: IsingProblem) -> tuple[tuple[int, ...], ...]:
@@ -185,10 +177,9 @@ def decode_record(sample, problem: EncodedProblem, ground_set=None) -> DecodedRe
         raise ValidationError("sample length does not match the problem")
     if ground_set is None:
         ground_set = ground_reference(problem.logical)
-    layout = _layout(problem.encoding)
-    logical = _vote(sample, layout)
+    logical = _vote(sample, problem.encoding.layout)
     matched, d_logical = align_and_distance(logical, ground_set)
-    weights, flags = _disagreements(sample, layout, np.asarray(matched))
+    weights, flags = _disagreements(sample, problem.encoding.layout, np.asarray(matched))
     return DecodedRecord(
         logical_config=tuple(logical.tolist()),
         per_block_error_weight=tuple(weights.tolist()),

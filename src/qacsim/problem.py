@@ -222,15 +222,16 @@ class EncodedProblem:
         return self.physical.num_spins
 
     def code_config(self, logical_config) -> np.ndarray:
-        """Embed a logical +-1 configuration as the matching code state."""
-        logical_config = np.asarray(logical_config)
+        """Embed a logical +-1 configuration, one value per block, as the
+        matching code state."""
+        values = np.asarray(logical_config)
+        problem_ids, penalty_ids = self.encoding.layout
+        if values.shape != (len(problem_ids),):
+            raise ValidationError(f"logical config of shape {values.shape} for {len(problem_ids)} blocks")
         out = np.empty(self.num_physical, dtype=int)
-        for blk in self.encoding.blocks:
-            val = logical_config[blk.logical_id]
-            for q in blk.problem_ids:
-                out[q] = val
-            if blk.penalty_id is not None:
-                out[blk.penalty_id] = val
+        out[problem_ids] = values[:, None]
+        has_penalty = penalty_ids >= 0
+        out[penalty_ids[has_penalty]] = values[has_penalty]
         return out
 
 

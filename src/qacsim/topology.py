@@ -27,6 +27,7 @@ import itertools
 import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -177,6 +178,15 @@ class LogicalEncoding:
     @property
     def num_physical(self) -> int:
         return sum(len(b.problem_ids) + (b.penalty_id is not None) for b in self.blocks)
+
+    @cached_property
+    def layout(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (problem qubits per block, penalty qubit per block or
+        -1), blocks in order; built on first use, once per encoding."""
+        problem_ids = np.array([blk.problem_ids for blk in self.blocks], dtype=np.intp).reshape(-1, self.n)
+        penalty_ids = np.array([-1 if blk.penalty_id is None else blk.penalty_id for blk in self.blocks], dtype=np.intp)
+        problem_ids.flags.writeable = penalty_ids.flags.writeable = False
+        return problem_ids, penalty_ids
 
     def block_by_id(self, logical_id: int) -> LogicalBlock:
         for blk in self.blocks:

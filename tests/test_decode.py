@@ -285,3 +285,14 @@ def test_sample_record_count_must_be_a_positive_integer(count):
 
 def test_sample_record_takes_numpy_integers():
     assert SampleRecord((1, -1), np.int64(3)).count == 3
+
+
+def test_encoding_layout_is_built_once_and_read_only():
+    # the decoder and code_config read one layout per encoding, not one per record
+    encoding = encode_problem(make_af_chain(3), "EP", 0.3, 0.2, dense_encoding(3, incomplete={1})).encoding
+    problem_ids, penalty_ids = encoding.layout
+    assert encoding.layout is encoding.layout
+    assert problem_ids.tolist() == [list(blk.problem_ids) for blk in encoding.blocks]
+    assert penalty_ids.tolist() == [-1 if blk.penalty_id is None else blk.penalty_id for blk in encoding.blocks]
+    with pytest.raises(ValueError):
+        problem_ids[0, 0] = 5

@@ -275,3 +275,10 @@ def test_sizes_must_be_integers(call):
 def test_sizes_take_numpy_integers():
     assert make_af_chain(np.int64(3)) == make_af_chain(3)
     assert IsingProblem(np.int32(2)).num_spins == 2
+
+
+@pytest.mark.parametrize("logical_config", [[1], [1, -1, 1]])
+def test_code_config_needs_one_value_per_block(logical_config):
+    # a longer config used to be cut silently
+    with pytest.raises(ValidationError, match="blocks"):
+        encode_problem(make_af_chain(2), "EP", 0.3, 0.2).code_config(logical_config)
