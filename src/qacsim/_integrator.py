@@ -28,10 +28,11 @@ There are two:
   steps are never limited by the fastest Bohr frequency.  K keeps the
   sector, so each sector's W is exponentiated on its own, and a step's
   three propagators in one stacked eigensolve.  The dissipator,
-  non-oscillatory in this frame because its terms pair equal Bohr
-  frequencies, runs as classical RK4 in the interaction picture of P on the
-  step's start, midpoint and end nodes, with Kutta's third-order rule as the
-  embedded estimate, so a step builds two nodes.  The step keeps its two
+  non-oscillatory in this frame because its terms pair Bohr frequencies
+  that agree in value and slope at every node, runs as classical RK4 in
+  the interaction picture of P on the step's start, midpoint and end
+  nodes, with Kutta's third-order rule as the embedded estimate, so a step
+  builds two nodes.  The step keeps its two
   half-step propagators; the one-step propagator only gives a Richardson
   estimate of the coherent error.  Overlap matching keeps the eigenbasis
   continuous from node to node, within each sector: columns are permuted to
@@ -40,13 +41,14 @@ There are two:
 
 Both integrators take an :class:`~qacsim.problem.IsingProblem` and make
 their own start, :func:`transverse_ground`, the ground state of the
-transverse field, and :func:`anneal_components` runs them once per distinct
-connected component of a problem: components share no coupling and each qubit has its own bath,
-so from that product start the state stays the product of the components'
-states.  U, EP and QAC are one component; C's uncoupled copies anneal as
-one U copy.  Components run untruncated; a factored run's report adds up
-its runs' counts (see :func:`anneal_components`), and the callers' qubit
-caps bound the returned 2^n state, not the components.
+transverse field, and :func:`anneal_components` runs them once per
+distinct connected component of a problem: components share no coupling
+and each qubit has its own bath, so from that product start the state
+stays the product of the components' states.  U, EP and QAC are one
+component; C's uncoupled copies anneal as one U copy.  Components run
+untruncated; a factored run's report adds up its runs' counts (see
+:func:`anneal_components`), and the callers' qubit caps bound the returned
+2^n state, not the components.
 
 Two splittings of H(s) are defined here once each, for every user:
 
