@@ -32,12 +32,12 @@ There are two:
   that agree in value and slope at every node, runs as classical RK4 in
   the interaction picture of P on the step's start, midpoint and end
   nodes, with Kutta's third-order rule as the embedded estimate, so a step
-  builds two nodes.  The step keeps its two
-  half-step propagators; the one-step propagator only gives a Richardson
-  estimate of the coherent error.  Overlap matching keeps the eigenbasis
-  continuous from node to node, within each sector: columns are permuted to
-  follow each level through crossings, and near-degenerate clusters are
-  rotated onto the previous node's gauge.
+  builds two nodes.  The step keeps its two half-step propagators; the
+  one-step propagator only gives a Richardson estimate of the coherent
+  error.  Overlap matching keeps the eigenbasis continuous from node to
+  node, within each sector: columns are permuted to follow each level
+  through crossings, and near-degenerate clusters are rotated onto the
+  previous node's gauge.
 
 Both integrators take an :class:`~qacsim.problem.IsingProblem` and make
 their own start, :func:`transverse_ground`, the ground state of the
@@ -266,14 +266,14 @@ def anneal_components(problem: IsingProblem, run):
     ``run(component) -> (s values, states, IntegratorReport)`` is called once
     for each distinct one.  Each integrator starts a component in its own
     :func:`transverse_ground`, so the whole start is their product, the
-    problem's transverse ground state.  A snapshot is the
-    tensor product of the components' states at it (vectors, or density
-    matrices when 2-d), permuted to the problem's qubit order.  A problem of
-    one component is handed to ``run`` as it is, and its result returned
-    unchanged.  The report of a factored run adds up the runs' steps and
-    node builds and keeps their smallest ``min_step_ns``, so it is the one
-    run's report when every component is equal; its margin is None, since
-    the callers run every component untruncated.
+    problem's transverse ground state.  A snapshot is the tensor product of
+    the components' states at it (vectors, or density matrices when 2-d),
+    permuted to the problem's qubit order.  A problem of one component is
+    handed to ``run`` as it is, and its result returned unchanged.  The
+    report of a factored run adds up the runs' steps and node builds and
+    keeps their smallest ``min_step_ns``, so it is the one run's report
+    when every component is equal; its margin is None, since the callers
+    run every component untruncated.
     """
     parts, distinct, which = connected_components(problem)
     if len(parts) == 1:
@@ -307,8 +307,8 @@ def split_operator_run(problem: IsingProblem, schedule, snapshots, rtol):
     """Unitary fourth-order splitting of H(s) = A(s) * sum_q sigma^x_q + B(s) * diag(E_z),
     with E_z the energies of ``problem``.
 
-    Evolves the state vector from :func:`transverse_ground`.  A Strang step over
-    [t, t+h] takes A and B at its midpoint and applies exp(-i h/2 B E_z),
+    Evolves the state vector from :func:`transverse_ground`.  A Strang
+    step over [t, t+h] takes A and B at its midpoint and applies exp(-i h/2 B E_z),
     then exp(-i h A sigma^x_q) for every qubit q, then exp(-i h/2 B E_z)
     again; three Strang steps make a triple-jump step.  Step doubling
     estimates the error as |full - halves| / 15 (Frobenius norm), which must
@@ -489,6 +489,7 @@ def frame_run(problem: IsingProblem, schedule, bath, levels, snapshots, rtol):
                 Mk[:, cluster] = Mk[:, cluster] @ rot
             if prev is not None:  # the first node keeps the eigensolver's gauge
                 e[k], u[k], M_dot[k] = _align(prev.U[k], e[k], uk, Mk)
+        # contiguous copies of the kept levels: products of strided views round differently
         eps, U = np.ascontiguousarray(e), np.ascontiguousarray(u)
         guard = 1e-9 * scale
         denom = eps[:, None, :] - eps[:, :, None]

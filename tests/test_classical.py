@@ -65,18 +65,12 @@ def test_no_kink_probability_rejects_empty_chain():
         [(2, 0.9), (3, 1.2), (4, 0.7)],  # probability above 1
         [(2, 0.9), (3, -0.1), (4, 0.7)],
         [(0, 0.9), (3, 0.8), (4, 0.7)],  # no chain
+        [(2, 0.9), (2.5, 0.8), (4, 0.7)],  # not a chain length; used to be truncated to 2
     ],
 )
 def test_fits_reject_bad_curves(fit, data):
     with pytest.raises(ValidationError):
         fit(data)
-
-
-@pytest.mark.parametrize("fit", [exponential_fit, lorentzian_fit])
-def test_fits_reject_non_integer_lengths(fit):
-    # N = 2.5 used to be truncated to 2
-    with pytest.raises(ValidationError, match="integer"):
-        fit([(2, 0.9), (2.5, 0.8), (4, 0.7)])
 
 
 def test_no_kink_probability_rejects_non_integer_length():

@@ -222,14 +222,14 @@ def test_evolve_closed_schroedinger_reference(problem, schedule):
         assert abs(np.vdot(want, state.data)) ** 2 >= 1.0 - 1e-6
 
 
-@pytest.mark.parametrize("factor", [1.0 + 5e-9, np.nan])
-def test_evolve_closed_norm_drift_is_a_numerical_error(monkeypatch, factor):
-    def drifted(problem, schedule, *rest):
-        return [0.0, 1.0], [factor * QuantumState.transverse_ground(problem.num_spins).data] * 2, None
+def test_evolve_closed_norm_drift_is_a_numerical_error(monkeypatch):
+    for factor in (1.0 + 5e-9, np.nan):
+        def drifted(problem, schedule, *rest):
+            return [0.0, 1.0], [factor * QuantumState.transverse_ground(problem.num_spins).data] * 2, None
 
-    monkeypatch.setattr("qacsim.dynamics.split_operator_run", drifted)
-    with pytest.raises(NumericalError):
-        evolve_closed(encoded("U"), SCHEDULE)
+        monkeypatch.setattr("qacsim.dynamics.split_operator_run", drifted)
+        with pytest.raises(NumericalError):
+            evolve_closed(encoded("U"), SCHEDULE)
 
 
 def test_evolve_closed_levels_checked_then_ignored():

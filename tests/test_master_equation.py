@@ -105,15 +105,15 @@ def test_anneals_take_numpy_integers():
     assert len(closed.states) == 3
 
 
-@pytest.mark.parametrize("factor", [1.0 + 5e-9, np.nan])
-def test_open_anneal_trace_drift_is_a_numerical_error(monkeypatch, factor):
-    def drifted(problem, schedule, bath, *rest):
-        return [0.0, 1.0], [factor * transverse_ground_density(problem.num_spins)] * 2, None
-
-    monkeypatch.setattr("qacsim.master_equation.frame_run", drifted)
+def test_open_anneal_trace_drift_is_a_numerical_error(monkeypatch):
     problem = encode_problem(make_af_chain(2), "U", 0.4)
-    with pytest.raises(NumericalError):
-        evolve_open(problem, schedule_linear(2.0 * np.pi, 0.01), BathSpec(kappa=1e-3))
+    for factor in (1.0 + 5e-9, np.nan):
+        def drifted(problem, schedule, bath, *rest):
+            return [0.0, 1.0], [factor * transverse_ground_density(problem.num_spins)] * 2, None
+
+        monkeypatch.setattr("qacsim.master_equation.frame_run", drifted)
+        with pytest.raises(NumericalError):
+            evolve_open(problem, schedule_linear(2.0 * np.pi, 0.01), BathSpec(kappa=1e-3))
 
 
 def test_open_anneal_without_coupling_matches_closed():
@@ -342,18 +342,18 @@ def test_truncated_whole_space_frame_keeps_the_start(levels):
     assert traj.report.truncation_margin is not None
 
 
-@pytest.mark.parametrize("s", [0.0, 0.4])
-@pytest.mark.parametrize("case", ["flip-symmetric, diagonal blocks", "field, one block"])
-def test_dissipator_program_matches_dense_lindblad_operators(case, s):
-    # one frame node: the program acting on the sector blocks of a random
-    # Hermitian frame density matrix, against the dense dissipator of
-    # explicit L operators in the frame of all levels, binned on frequency
-    # and slope; at s = 0 the transverse field's multiplets give equal
-    # frequencies of different slopes
+@pytest.mark.parametrize("case", ["flip-symmetric, diagonal blocks", "field, one block",
+                                  "flip-symmetric, diagonal blocks, s = 0", "field, one block, s = 0"])
+def test_dissipator_program_matches_dense_lindblad_operators(case):
+    # one frame node at s = 0.4 or 0: the program acting on the sector
+    # blocks of a random Hermitian frame density matrix, against the dense
+    # dissipator of explicit L operators in the frame of all levels, binned
+    # on frequency and slope; at s = 0 the transverse field's multiplets
+    # give equal frequencies of different slopes
     field = {0: FIELD} if case.startswith("field") else {}
     problem = encode_problem(IsingProblem(2, field, {(0, 1): 1.0}), "U", ALPHA).physical
     signs, X, Ez = _integrator.sector_blocks(problem)
-    bath = BathSpec(8e-3)
+    s, bath = (0.0 if case.endswith("s = 0") else 0.4), BathSpec(8e-3)
     eps, U = np.linalg.eigh(_integrator.annealing_hamiltonian(X, Ez, 2.0 * A0 * (1.0 - s), 2.0 * A0 * s))
     # the levels' slopes d(eps)/dt = <a|dH/dt|a>, dH/dt = 2 A0 (diag(E_z) - X) / t_f
     H_dot = 2.0 * A0 * (_integrator.annealing_hamiltonian(-X, Ez, 1.0, 1.0)) / (T_F_US * 1e3)
