@@ -324,7 +324,8 @@ def test_frame_ignores_eigenvector_signs(monkeypatch, case):
     monkeypatch.setattr(scipy.linalg, "eigh", negating(scipy.linalg.eigh))
     negated = _frame_anneal(case)
     exact = not case.startswith("EP")
-    assert negated.report == plain.report or not exact
+    if exact:
+        assert negated.report == plain.report
     for a, b in zip(negated.states, plain.states, strict=True):
         assert np.array_equal(a.data, b.data) if exact else np.abs(a.data - b.data).max() < 1e-4
 
@@ -356,7 +357,7 @@ def test_dissipator_program_matches_dense_lindblad_operators(case):
     s, bath = (0.0 if case.endswith("s = 0") else 0.4), BathSpec(8e-3)
     eps, U = np.linalg.eigh(_integrator.annealing_hamiltonian(X, Ez, 2.0 * A0 * (1.0 - s), 2.0 * A0 * s))
     # the levels' slopes d(eps)/dt = <a|dH/dt|a>, dH/dt = 2 A0 (diag(E_z) - X) / t_f
-    H_dot = 2.0 * A0 * (_integrator.annealing_hamiltonian(-X, Ez, 1.0, 1.0)) / (T_F_US * 1e3)
+    H_dot = 2.0 * A0 * _integrator.annealing_hamiltonian(-X, Ez, 1.0, 1.0) / (T_F_US * 1e3)
     slopes = np.einsum("kia,kij,kja->ka", U, H_dot, U)
     sectors, d = eps.shape
     per, m = d, 4
