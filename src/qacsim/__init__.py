@@ -3,7 +3,7 @@ quantum annealing on Chimera-topology graphs.
 
 Subpackages cover the hardware/logical topology, Ising problem encodings and
 annealing schedules, closed- and open-system annealing dynamics, majority-vote
-decoding and error statistics, a classical thermal kink model, and closed-form
+decoding and error statistics, success-curve fits, and closed-form
 perturbative gap analytics.
 """
 

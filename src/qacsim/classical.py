@@ -1,13 +1,9 @@
-"""Thermal independent-kink model for antiferromagnetic chains and
-success-vs-length curve fits.
+"""Fits of success probability against chain length.
 
-For an N-spin chain at coupling scale alpha and temperature T (same units),
-a kink is one violated nearest-neighbour bond, costing 2*alpha.  With N-1
-independent bond variables the partition function is
-(2*cosh(alpha/T))^(N-1), the per-bond kink probability is
-p = 1/(1 + exp(2*alpha/T)), and the no-kink probability is (1-p)^(N-1).
-These forms satisfy p -> 0 and P_N(0) -> 1 as T -> 0 and coincide with the
-exact Gibbs weight of the two degenerate ground states.
+A success curve is a list of (N, P(N)) points, N the chain length and P(N)
+its success probability.  :func:`lorentzian_fit` fits
+P(N) = 1/(1 + p N^2) and :func:`exponential_fit` the independent-errors
+form P(N) = (1-p)^(N-1), both by least squares in probability space.
 """
 
 from __future__ import annotations
@@ -21,43 +17,12 @@ from scipy.optimize import minimize_scalar
 from .errors import ValidationError
 
 __all__ = [
-    "KinkModel",
-    "flip_probability",
-    "no_kink_probability",
     "FitResult",
     "LorentzianFit",
     "ExponentialFit",
     "lorentzian_fit",
     "exponential_fit",
 ]
-
-
-@dataclass(frozen=True)
-class KinkModel:
-    alpha: float
-    temperature: float
-
-    def __post_init__(self) -> None:
-        if not -np.inf < self.alpha < np.inf:
-            raise ValidationError("alpha must be finite")
-        if not 0 < self.temperature < np.inf:
-            raise ValidationError("temperature must be finite and positive")
-
-
-def flip_probability(model: KinkModel) -> float:
-    """Thermal probability of a single bond hosting a kink."""
-    return 1.0 / (1.0 + np.exp(2.0 * model.alpha / model.temperature))
-
-
-def no_kink_probability(model: KinkModel, N: int) -> float:
-    """Probability of a kink-free chain of N spins: (1-p)^(N-1)."""
-    if not isinstance(N, numbers.Integral) or N < 1:
-        raise ValidationError(f"N must be an integer >= 1, got {N!r}")
-    return float((1.0 / (1.0 + np.exp(-2.0 * model.alpha / model.temperature))) ** (N - 1))
-
-
-# ---------------------------------------------------------------------------
-# success-curve fits
 
 
 @dataclass(frozen=True)

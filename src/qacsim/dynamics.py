@@ -10,9 +10,8 @@ convention.
 The annealing Hamiltonian is ``H(s) = A(s) * sum_i sigma^x_i + B(s) * H_z``
 with ``H_z`` the diagonal physical Ising operator of an encoded problem
 (problem scale alpha and penalty scale beta are already folded into the
-physical couplings).  :func:`hamiltonian_at` is dense.  Gap profiles and
-unitary evolution both work on the connected components of the physical
-problem, split by the one rule of
+physical couplings).  Gap profiles and unitary evolution both work on the
+connected components of the physical problem, split by the one rule of
 :func:`qacsim._integrator.connected_components`:
 
 * :func:`gap_profile` diagonalizes each distinct component densely in the
@@ -37,6 +36,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
+import scipy.linalg
 
 from ._integrator import (
     IntegratorReport,
@@ -59,7 +59,6 @@ __all__ = [
     "GapProfile",
     "pauli_x_sum",
     "ising_diagonal",
-    "hamiltonian_at",
     "gap_profile",
     "relevant_level_index",
     "evolve_closed",
@@ -78,20 +77,6 @@ DEFAULT_QUBIT_CAP = 12
 def ising_diagonal(problem: EncodedProblem) -> np.ndarray:
     """Diagonal of the physical Ising operator over the computational basis."""
     return all_config_energies(problem.physical)
-
-
-def hamiltonian_at(
-    problem: EncodedProblem,
-    schedule: AnnealSchedule,
-    s: float,
-) -> np.ndarray:
-    """Dense annealing Hamiltonian A(s)*H_X + B(s)*H_z at one anneal fraction."""
-    n = problem.num_physical
-    if n > DEFAULT_QUBIT_CAP:
-        raise ResourceLimitError(f"{n} qubits exceeds the dense-operator cap of {DEFAULT_QUBIT_CAP}")
-    if not 0.0 <= s <= 1.0:
-        raise ValidationError("s must lie in [0, 1]")
-    return annealing_hamiltonian(pauli_x_sum(n), ising_diagonal(problem), schedule.A_of(s), schedule.B_of(s)).astype(complex)
 
 
 # ---------------------------------------------------------------------------
@@ -123,8 +108,15 @@ class QuantumState:
                 raise ValidationError("density matrix is not Hermitian")
             if not abs(np.trace(self.data).real - 1.0) <= self.TRACE_TOL:
                 raise ValidationError("density matrix trace differs from 1")
-            if not np.linalg.eigvalsh(self.data).min() >= self.EIG_FLOOR:
-                raise ValidationError("density matrix has a significantly negative eigenvalue")
+            # the factorization exists exactly when every eigenvalue exceeds
+            # EIG_FLOOR (the Hermiticity check has already rejected NaN); it
+            # runs in place on one copy of the matrix
+            shifted = np.array(self.data, dtype=complex, order="F")
+            shifted.flat[:: len(shifted) + 1] -= self.EIG_FLOOR
+            try:
+                scipy.linalg.cholesky(shifted, lower=True, overwrite_a=True, check_finite=False)
+            except np.linalg.LinAlgError:
+                raise ValidationError("density matrix has a significantly negative eigenvalue") from None
         else:
             raise ValidationError(f"unknown state kind {self.kind!r}")
         dim = self.data.shape[0]

@@ -42,7 +42,6 @@ __all__ = [
     "classical_excitation_gaps",
     "schedule_linear",
     "config_from_index",
-    "index_from_config",
 ]
 
 STRATEGIES = ("U", "C", "EP", "QAC")
@@ -133,12 +132,6 @@ def config_from_index(x, num_spins: int) -> np.ndarray:
     indices gives one configuration per row."""
     bits = (x >> _bit_position(np.arange(num_spins), num_spins)) & 1
     return 1 - 2 * bits
-
-
-def index_from_config(config) -> int:
-    config = np.asarray(config)
-    bits = (1 - config) // 2
-    return int(np.sum(bits << _bit_position(np.arange(len(config)), len(config))))
 
 
 def all_config_energies(problem: IsingProblem) -> np.ndarray:

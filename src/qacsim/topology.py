@@ -1,4 +1,4 @@
-"""Chimera hardware graphs, logical repetition-code blocks, and graph analyses.
+"""Chimera hardware graphs, logical repetition-code blocks and chain embeddings.
 
 Qubit id convention (fixed): a Chimera graph with R x C unit cells and
 `cell_size` qubits per bipartite shore numbers qubits as
@@ -23,7 +23,6 @@ logical edges.
 
 from __future__ import annotations
 
-import itertools
 import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -39,12 +38,9 @@ __all__ = [
     "LogicalBlock",
     "LogicalEncoding",
     "EncodedGraph",
-    "K33Certificate",
     "build_chimera",
     "build_encoding",
     "embed_chain",
-    "contains_k33_subdivision",
-    "validate_k33_certificate",
 ]
 
 
@@ -228,8 +224,10 @@ class EncodedGraph:
     def blocks(self) -> tuple[LogicalBlock, ...]:
         return self.encoding.blocks
 
-    def adjacency(self, complete_only: bool = False) -> dict[int, set[int]]:
-        ok = {b.logical_id for b in self.blocks if b.complete or not complete_only}
+    def adjacency(self) -> dict[int, set[int]]:
+        """Logical graph over the complete blocks, {logical id: neighbours}:
+        a block without its penalty qubit, and its edges, are left out."""
+        ok = {b.logical_id for b in self.blocks if b.complete}
         adj: dict[int, set[int]] = {v: set() for v in ok}
         for (i, j) in self.logical_edges:
             if i in ok and j in ok:
@@ -308,7 +306,7 @@ def embed_chain(
         raise ValidationError(f"chain length must be an integer >= 2, got {length!r}")
     if not isinstance(count, numbers.Integral) or count < 1:
         raise ValidationError(f"embedding count must be an integer >= 1, got {count!r}")
-    adj = eg.adjacency(complete_only=True)
+    adj = eg.adjacency()
     if length > len(adj):
         return []
 
@@ -359,7 +357,7 @@ def embed_chain(
     if len(adj) <= _EMBED_EXHAUSTIVE_NODES:
         found.clear()
         for start in sorted(adj):
-            for path in _simple_paths(adj, [start], lambda p: len(p) == length, {start}):
+            for path in _simple_paths(adj, [start], length):
                 found.setdefault(canonical(path), path)
                 if len(found) >= count:
                     return list(found.values())
@@ -369,192 +367,15 @@ def embed_chain(
     )
 
 
-def _simple_paths(adj, path, done, blocked):
-    """Yield each simple path through ``adj`` that extends ``path`` and ends
-    where ``done(path)`` first holds, trying neighbours in sorted order.
-    ``blocked``, the vertices the path may not enter, includes the path's
-    own: it is the on-path set, grown and restored as the search goes."""
-    if done(path):
+def _simple_paths(adj, path, length):
+    """Yield each simple path of ``length`` vertices through ``adj`` that
+    extends ``path``, trying neighbours in sorted order.  ``path`` is grown
+    and restored in place as the search goes."""
+    if len(path) == length:
         yield tuple(path)
         return
     for nxt in sorted(adj[path[-1]]):
-        if nxt in blocked:
-            continue
-        path.append(nxt)
-        blocked.add(nxt)
-        yield from _simple_paths(adj, path, done, blocked)
-        path.pop()
-        blocked.discard(nxt)
-
-
-# ---------------------------------------------------------------------------
-# K3,3 subdivision search
-
-_K33_RESTARTS = 600  # random branch sextets tried on large graphs
-_K33_EXHAUSTIVE_CORE = 11  # largest 2-core searched exhaustively
-
-
-@dataclass(frozen=True)
-class K33Certificate:
-    """Six branch vertices plus nine internally disjoint connecting paths."""
-
-    left: tuple[int, int, int]
-    right: tuple[int, int, int]
-    paths: dict[tuple[int, int], tuple[int, ...]]
-
-
-def validate_k33_certificate(adj: dict[int, set[int]], cert: K33Certificate) -> bool:
-    """Independent soundness check of a subdivision certificate."""
-    branch = set(cert.left) | set(cert.right)
-    if len(branch) != 6 or len(set(cert.left)) != 3 or len(set(cert.right)) != 3:
-        return False
-    if set(cert.paths) != {(l, r) for l in cert.left for r in cert.right}:
-        return False
-    interior_seen: set[int] = set()
-    for (l, r), path in cert.paths.items():
-        if len(path) < 2 or path[0] != l or path[-1] != r:
-            return False
-        if len(set(path)) != len(path):
-            return False
-        for a, b in zip(path, path[1:]):
-            if a not in adj or b not in adj[a]:
-                return False
-        interior = set(path[1:-1])
-        if interior & branch or interior & interior_seen:
-            return False
-        interior_seen |= interior
-    return True
-
-
-def _normalize_adjacency(graph) -> dict[int, set[int]]:
-    """Symmetric, loop-free copy of a dict adjacency {vertex: neighbours}."""
-    if not isinstance(graph, dict):
-        raise ValidationError(f"graph must be a dict adjacency, got {type(graph).__name__}")
-    adj: dict[int, set[int]] = {}
-    for v, nbrs in graph.items():
-        adj.setdefault(v, set()).update(nbrs)
-        for u in nbrs:
-            adj.setdefault(u, set()).add(v)
-    for v in adj:
-        adj[v].discard(v)
-    return adj
-
-
-def _two_core(adj: dict[int, set[int]]) -> dict[int, set[int]]:
-    core = {v: set(n) for v, n in adj.items()}
-    queue = [v for v, n in core.items() if len(n) < 2]
-    while queue:
-        v = queue.pop()
-        if v not in core:
-            continue
-        for u in core.pop(v):
-            core[u].discard(v)
-            if len(core[u]) < 2:
-                queue.append(u)
-    return core
-
-
-def _route_disjoint(adj, pairs, branch, rng, exhaustive: bool):
-    """Route each (l, r) pair through mutually disjoint interiors.
-
-    Randomized mode uses one BFS per pair (shuffled neighbor order);
-    exhaustive mode backtracks over all simple paths, so it is complete but
-    only viable for small graphs.
-    """
-    used: set[int] = set()
-    paths: dict[tuple[int, int], tuple[int, ...]] = {}
-
-    def bfs(l, r):
-        blocked = (branch - {l, r}) | used
-        prev = {l: None}
-        frontier = [l]
-        while frontier:
-            nxt_frontier = []
-            for v in frontier:
-                nbrs = list(adj[v])
-                rng.shuffle(nbrs)
-                for u in nbrs:
-                    if u in prev or u in blocked:
-                        continue
-                    prev[u] = v
-                    if u == r:
-                        path = [u]
-                        while path[-1] is not None:
-                            path.append(prev[path[-1]])
-                        return tuple(path[-2::-1])
-                    nxt_frontier.append(u)
-            frontier = nxt_frontier
-        return None
-
-    def solve(k: int) -> bool:
-        if k == len(pairs):
-            return True
-        l, r = pairs[k]
-        if exhaustive:
-            routes = _simple_paths(adj, [l], lambda p: p[-1] == r, (branch - {r}) | used)
-        else:
-            route = bfs(l, r)
-            routes = [] if route is None else [route]
-        for path in routes:
-            interior = set(path[1:-1])
-            used.update(interior)
-            paths[(l, r)] = path
-            if solve(k + 1):
-                return True
-            used.difference_update(interior)
-            del paths[(l, r)]
-        return False
-
-    return paths if solve(0) else None
-
-
-def contains_k33_subdivision(
-    graph,
-    rng_seed: int = 0,
-) -> K33Certificate | None:
-    """Search a dict adjacency {vertex: neighbours} for a K3,3 subdivision;
-    certificates are always validated.
-
-    Graphs whose 2-core has at most 11 vertices are searched
-    exhaustively (a None answer is then a proof of absence).  Larger graphs
-    use a seeded randomized search with restarts: a returned certificate is
-    sound, but None only means nothing was found within the budget.
-    """
-    adj = _normalize_adjacency(graph)
-    core = _two_core(adj)
-    candidates = sorted(v for v, n in core.items() if len(n) >= 3)
-    num_edges = sum(len(n) for n in core.values()) // 2
-    if len(candidates) < 6 or num_edges < 9:
-        return None
-
-    def attempt(left, right, rng, exhaustive):
-        branch = set(left) | set(right)
-        pairs = [(l, r) for l in left for r in right]
-        paths = _route_disjoint(core, pairs, branch, rng, exhaustive)
-        if paths is None:
-            return None
-        cert = K33Certificate(tuple(left), tuple(right), paths)
-        return cert if validate_k33_certificate(adj, cert) else None
-
-    if len(core) <= _K33_EXHAUSTIVE_CORE:
-        for sextet in itertools.combinations(candidates, 6):
-            remaining = set(sextet)
-            first = sextet[0]
-            for rest in itertools.combinations(sorted(remaining - {first}), 2):
-                left = (first,) + rest
-                right = tuple(sorted(remaining - set(left)))
-                cert = attempt(left, right, None, exhaustive=True)
-                if cert is not None:
-                    return cert
-        return None
-
-    rng = np.random.default_rng(rng_seed)
-    cand = np.array(candidates)
-    for _ in range(_K33_RESTARTS):
-        pick = rng.choice(len(cand), size=6, replace=False)
-        order = [int(cand[i]) for i in pick]
-        for li, re_ in (((0, 1, 2), (3, 4, 5)), ((0, 1, 3), (2, 4, 5)), ((0, 2, 4), (1, 3, 5))):
-            cert = attempt([order[i] for i in li], [order[i] for i in re_], rng, exhaustive=False)
-            if cert is not None:
-                return cert
-    return None
+        if nxt not in path:
+            path.append(nxt)
+            yield from _simple_paths(adj, path, length)
+            path.pop()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qacsim.classical import KinkModel, exponential_fit, flip_probability, lorentzian_fit, no_kink_probability
+from qacsim.classical import exponential_fit, lorentzian_fit
 from qacsim.errors import ValidationError
 
 NS = np.arange(2, 40, 3)
@@ -30,32 +30,6 @@ def test_fits_flag_all_ones_as_degenerate(fit):
     assert result.degenerate and result.p == 0.0 and result.residual == 0.0
 
 
-@pytest.mark.parametrize("alpha, temperature", [(1.0, 0.5), (0.3, 2.0), (2.0, 0.1)])
-def test_no_kink_probability_is_independent_bonds(alpha, temperature):
-    model = KinkModel(alpha, temperature)
-    p = flip_probability(model)
-    assert p == pytest.approx(1.0 / (1.0 + np.exp(2.0 * alpha / temperature)), rel=1e-14)
-    for N in (1, 2, 7, 40):
-        assert no_kink_probability(model, N) == pytest.approx((1.0 - p) ** (N - 1), rel=1e-12)
-
-
-@pytest.mark.parametrize("temperature", [0.0, -1.0])
-def test_kink_model_rejects_non_positive_temperature(temperature):
-    with pytest.raises(ValidationError):
-        KinkModel(1.0, temperature)
-
-
-@pytest.mark.parametrize("alpha, temperature", [(np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan), (1.0, np.inf)])
-def test_kink_model_rejects_non_finite_fields(alpha, temperature):
-    with pytest.raises(ValidationError):
-        KinkModel(alpha, temperature)
-
-
-def test_no_kink_probability_rejects_empty_chain():
-    with pytest.raises(ValidationError):
-        no_kink_probability(KinkModel(1.0, 1.0), 0)
-
-
 @pytest.mark.parametrize("fit", [exponential_fit, lorentzian_fit])
 @pytest.mark.parametrize(
     "data",
@@ -71,10 +45,3 @@ def test_no_kink_probability_rejects_empty_chain():
 def test_fits_reject_bad_curves(fit, data):
     with pytest.raises(ValidationError):
         fit(data)
-
-
-def test_no_kink_probability_rejects_non_integer_length():
-    # N = 2.5 used to give (1 - p)^1.5
-    with pytest.raises(ValidationError, match="integer"):
-        no_kink_probability(KinkModel(1.0, 1.0), 2.5)
-    assert no_kink_probability(KinkModel(1.0, 1.0), np.int64(3)) == no_kink_probability(KinkModel(1.0, 1.0), 3)

@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from qacsim._integrator import connected_components, sector_blocks
+from qacsim._integrator import annealing_hamiltonian, connected_components, sector_blocks
 from qacsim.dynamics import (
     QuantumState,
     evolve_closed,
     gap_profile,
-    hamiltonian_at,
     ising_diagonal,
     pauli_x_sum,
     sample_readout,
@@ -112,6 +111,18 @@ def test_quantum_state_rejects_bad_data(kind, data, match):
         QuantumState(kind, np.asarray(data, dtype=complex))
 
 
+@pytest.mark.parametrize("lowest, accepted", [(-5e-8, True), (-2e-7, False)])
+def test_quantum_state_eigenvalue_floor(lowest, accepted):
+    # QuantumState.EIG_FLOOR is -1e-7; rotate so the check sees a full matrix
+    U = np.linalg.qr(np.random.default_rng(0).normal(size=(4, 4)))[0]
+    rho = U @ np.diag([0.6 - lowest, 0.3, 0.1, lowest]) @ U.T
+    if accepted:
+        QuantumState.density(rho)
+    else:
+        with pytest.raises(ValidationError, match="negative eigenvalue"):
+            QuantumState.density(rho)
+
+
 @pytest.mark.parametrize("num_qubits", range(1, 9))
 def test_transverse_ground_popcount(num_qubits):
     dim = 1 << num_qubits
@@ -132,10 +143,9 @@ def test_ising_diagonal_enumeration(strategy):
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("s", [0.0, 0.37, 1.0])
-def test_hamiltonian_at_kronecker(strategy, s):
+def test_annealing_hamiltonian_kronecker(strategy, s):
     problem = encoded(strategy)
-    H = hamiltonian_at(problem, SCHEDULE, s)
-    assert H.dtype == complex
+    H = annealing_hamiltonian(pauli_x_sum(problem.num_physical), ising_diagonal(problem), SCHEDULE.A_of(s), SCHEDULE.B_of(s))
     assert np.allclose(H, kron_hamiltonian(problem, SCHEDULE, s), rtol=0, atol=1e-12)
 
 

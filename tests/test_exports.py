@@ -1,6 +1,8 @@
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -31,3 +33,20 @@ def test_public_definitions_are_exported(name):
     }
     missing = defined - set(getattr(module, "__all__", ()))
     assert not missing, f"qacsim.{name} defines {sorted(missing)} outside __all__"
+
+
+@pytest.mark.parametrize("path", sorted(Path(qacsim.__file__).parent.glob("*.py")), ids=lambda path: path.stem)
+def test_no_unused_imports(path):
+    # no linter is at hand: a name imported by a module must be used in it or
+    # re-exported through its __all__
+    tree = ast.parse(path.read_text())
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module != "__future__")
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    module = importlib.import_module("qacsim" if path.stem == "__init__" else f"qacsim.{path.stem}")
+    unused = imported - used - set(getattr(module, "__all__", ()))
+    assert not unused, f"{path.name} imports {sorted(unused)} without using them"

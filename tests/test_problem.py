@@ -12,7 +12,6 @@ from qacsim.problem import (
     config_from_index,
     dense_encoding,
     encode_problem,
-    index_from_config,
     ising_energy,
     make_af_chain,
     schedule_linear,
@@ -99,10 +98,6 @@ class TestIsingEnergy:
 
 
 class TestIndexConvention:
-    def test_roundtrip(self):
-        for x in range(16):
-            assert index_from_config(config_from_index(x, 4)) == x
-
     def test_bit_zero_is_spin_up(self):
         assert list(config_from_index(0, 3)) == [1, 1, 1]
         assert list(config_from_index(0b100, 3)) == [-1, 1, 1]

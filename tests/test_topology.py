@@ -5,15 +5,7 @@ import numpy as np
 import pytest
 
 from qacsim.errors import ResourceLimitError, ValidationError
-from qacsim.topology import (
-    HardwareGraph,
-    K33Certificate,
-    build_chimera,
-    build_encoding,
-    contains_k33_subdivision,
-    embed_chain,
-    validate_k33_certificate,
-)
+from qacsim.topology import HardwareGraph, build_chimera, build_encoding, embed_chain
 
 
 def chimera_edge_count(r: int, c: int) -> int:
@@ -228,7 +220,7 @@ class TestEmbedChain:
 
     def test_24_embeddings_of_length_86(self):
         _, eg = build_encoding(build_chimera(8, 8, 4))
-        adj = eg.adjacency(complete_only=True)
+        adj = eg.adjacency()
         paths = embed_chain(eg, 86, 24, rng_seed=7)
         assert len(paths) == 24
         assert len({min(p, p[::-1]) for p in paths}) == 24
@@ -253,75 +245,48 @@ class TestEmbedChain:
                 embed_chain(eg, length, count)
 
 
-def complete_bipartite(p, q):
-    adj = {i: set() for i in range(p + q)}
-    for l in range(p):
-        for r in range(p, p + q):
-            adj[l].add(r)
-            adj[r].add(l)
-    return adj
+def is_k33_subdivision(adj, left, right, paths):
+    # independent oracle: plain loops over a K3,3 subdivision certificate,
+    # one path from each left to each right branch vertex along edges of
+    # adj, with interiors disjoint from each other and from the branch vertices
+    branch = set(left) | set(right)
+    if len(branch) != 6 or set(paths) != {(l, r) for l in left for r in right}:
+        return False
+    seen = set()
+    for (l, r), path in paths.items():
+        if path[0] != l or path[-1] != r or len(set(path)) != len(path):
+            return False
+        if any(b not in adj.get(a, ()) for a, b in zip(path, path[1:])):
+            return False
+        interior = set(path[1:-1])
+        if interior & (branch | seen):
+            return False
+        seen |= interior
+    return True
 
 
-class TestK33Search:
-    def test_k33_itself(self):
-        adj = complete_bipartite(3, 3)
-        cert = contains_k33_subdivision(adj)
-        assert cert is not None
-        assert validate_k33_certificate(adj, cert)
-        assert all(len(p) == 2 for p in cert.paths.values())
-
-    def test_k4_is_planar(self):
-        adj = {i: {j for j in range(4) if j != i} for i in range(4)}
-        assert contains_k33_subdivision(adj) is None
-
-    def test_subdivided_k33(self):
-        adj = complete_bipartite(3, 3)
-        # subdivide edge (0, 3) twice
-        adj[0].discard(3)
-        adj[3].discard(0)
-        adj[6] = {0, 7}
-        adj[7] = {6, 3}
-        adj[0].add(6)
-        adj[3].add(7)
-        cert = contains_k33_subdivision(adj)
-        assert cert is not None and validate_k33_certificate(adj, cert)
+class TestNonPlanar:
+    # A K3,3 subdivision in the encoded 8x8 graph: the graph is non-planar,
+    # so the polynomial-time ground-state method for field-free Ising models
+    # on planar graphs (Barahona, J. Phys. A 15, 3241 (1982)) does not cover it.
+    LEFT, RIGHT = (18, 16, 20), (19, 35, 3)
+    PATHS = {
+        (18, 19): (18, 19), (18, 35): (18, 34, 35), (18, 3): (18, 2, 3),
+        (16, 19): (16, 17, 19), (16, 35): (16, 32, 33, 35), (16, 3): (16, 0, 1, 3),
+        (20, 19): (20, 21, 19), (20, 35): (20, 36, 37, 35), (20, 3): (20, 4, 5, 3),
+    }
 
     def test_encoded_chimera_not_planar(self):
         _, eg = build_encoding(build_chimera(8, 8, 4))
-        adj = eg.adjacency()
-        cert = contains_k33_subdivision(adj, rng_seed=3)
-        assert cert is not None
-        assert validate_k33_certificate(adj, cert)
-
-    def test_planar_delaunay_graphs_rejected(self):
-        from scipy.spatial import Delaunay
-
-        rng = np.random.default_rng(11)
-        for trial in range(5):
-            pts = rng.random((18, 2))
-            tri = Delaunay(pts)
-            adj = {i: set() for i in range(18)}
-            for simplex in tri.simplices:
-                for a in simplex:
-                    for b in simplex:
-                        if a != b:
-                            adj[int(a)].add(int(b))
-            assert contains_k33_subdivision(adj, rng_seed=trial) is None
-
-    def test_edge_list_rejected(self):
-        edges = [(l, r) for l in range(3) for r in range(3, 6)]
-        with pytest.raises(ValidationError):
-            contains_k33_subdivision(edges)
+        assert is_k33_subdivision(eg.adjacency(), self.LEFT, self.RIGHT, self.PATHS)
 
     def test_validator_rejects_bad_certificates(self):
-        adj = complete_bipartite(3, 3)
-        good = contains_k33_subdivision(adj)
-        bad_paths = dict(good.paths)
-        bad_paths[(0, 3)] = (0, 4)  # wrong endpoint
-        assert not validate_k33_certificate(adj, K33Certificate(good.left, good.right, bad_paths))
-        missing = dict(good.paths)
-        del missing[(0, 3)]
-        assert not validate_k33_certificate(adj, K33Certificate(good.left, good.right, missing))
+        adj = build_encoding(build_chimera(8, 8, 4))[1].adjacency()
+        wrong_end = {**self.PATHS, (18, 19): (18, 34)}
+        no_edge = {**self.PATHS, (18, 35): (18, 35)}
+        missing = {k: v for k, v in self.PATHS.items() if k != (20, 3)}
+        for paths in (wrong_end, no_edge, missing):
+            assert not is_k33_subdivision(adj, self.LEFT, self.RIGHT, paths)
 
 
 def test_counts_must_be_integers():
