@@ -32,7 +32,9 @@ There are two:
   that agree in value and slope at every node, runs as classical RK4 in
   the interaction picture of P on the step's start, midpoint and end
   nodes, with Kutta's third-order rule as the embedded estimate, so a step
-  builds two nodes.  The step keeps its two half-step propagators; the
+  builds two nodes, together: one stacked eigensolve, one projection of
+  dH/dt and one dissipator build serve both, and only the level matching
+  runs node after node.  The step keeps its two half-step propagators; the
   one-step propagator only gives a Richardson estimate of the coherent
   error.  Overlap matching keeps the eigenbasis continuous from node to
   node, within each sector: columns are permuted to follow each level
@@ -104,13 +106,14 @@ def transverse_ground(num_qubits: int) -> np.ndarray:
     return config_from_index(np.arange(dim)[:, None], num_qubits).prod(axis=1) / np.sqrt(dim)
 
 
-def annealing_hamiltonian(X: np.ndarray, Ez: np.ndarray, A: float, B: float) -> np.ndarray:
+def annealing_hamiltonian(X: np.ndarray, Ez: np.ndarray, A, B) -> np.ndarray:
     """Dense real H = A * X + B * diag(Ez); at anneal fraction s the
     coefficients are the schedule's A(s) and B(s).  A stack of X blocks
-    gives the stack of their H blocks, each with the same diag(Ez)."""
-    H = float(A) * X
-    diag = np.arange(len(Ez))
-    H[..., diag, diag] += float(B) * Ez
+    gives the stack of their H blocks, each with the same diag(Ez), and
+    arrays of A and B, one pair a node, stack the nodes' H on a leading axis."""
+    H = np.multiply.outer(A, X)
+    diagonals = np.einsum("...ii->...i", H)  # a writable view of every block's diagonal
+    diagonals += np.multiply.outer(B, Ez).reshape(np.shape(B) + (1,) * (X.ndim - 2) + Ez.shape)
     return H
 
 
@@ -146,9 +149,9 @@ class IntegratorReport:
     ``accepted`` and ``rejected`` count steps; ``min_step_ns`` is the
     smallest step the error control chose: a step cut short to land on a
     snapshot or a schedule knot counts at the length it was cut from, so
-    ``min_step_ns`` lies in (0, t_f].  ``node_builds`` counts eigensolves: 0
-    for the matrix-free :func:`split_operator_run`, two a step for
-    :func:`frame_run` (a node's sector eigensolves count once).
+    ``min_step_ns`` lies in (0, t_f].  ``node_builds`` counts frame nodes, not
+    eigensolve calls: 0 for the matrix-free :func:`split_operator_run`; for
+    :func:`frame_run` the s = 0 node and two a step attempt, built together.
     ``truncation_margin`` is the smallest gap between the last kept and the
     first dropped level of one frame sector over the nodes with 0 < s < 1,
     or None when every level is kept: near zero, the truncation cuts a
@@ -394,29 +397,28 @@ def _conjugation(P: np.ndarray):
     return (lambda y: P @ y @ P_h), (lambda y: P_h @ y @ P)
 
 
-def _sector_eigh(H: np.ndarray, signs, keep: int, where: str):
-    """Eigenpairs of the stacked sector blocks H (..., sectors, d, d): all of
-    them, or, when keep < d, the lowest ``keep`` of each sector and one more,
-    so the gap at the cut is exact.  A failed eigensolve raises
-    NumericalError naming ``where`` and the sector."""
+def _sector_eigh(H: np.ndarray, signs, keep: int, where):
+    """Eigenpairs of the stacked sector blocks H (len(where), sectors, d, d):
+    all of them, or, when keep < d, the lowest ``keep`` of each block and
+    one more, so the gap at the cut is exact.  A failed eigensolve raises
+    NumericalError naming the block's entry of ``where`` and its sector."""
     d = H.shape[-1]
     if keep >= d:
         try:
             return np.linalg.eigh(H)
         except np.linalg.LinAlgError:
-            pass  # solved again below, one sector at a time, to name the one that fails
+            pass  # solved again below, one block at a time, to name the one that fails
     solved = []
-    for k, sign in enumerate(signs):
-        try:
-            if keep < d:
-                solved.append(scipy.linalg.eigh(H[k], subset_by_index=(0, keep), driver="evx"))
-            else:
-                solved.append(np.linalg.eigh(H[..., k, :, :]))
-        except np.linalg.LinAlgError as exc:
-            sector = "whole-space" if sign == 0 else f"{sign:+g}"
-            raise NumericalError(f"{where} in the {sector} sector: {exc}") from exc
-    e, u = zip(*solved)
-    return np.stack(e, axis=-2), np.stack(u, axis=-3)
+    for blocks, place in zip(H, where, strict=True):
+        for block, sign in zip(blocks, signs):
+            try:
+                solved.append(np.linalg.eigh(block) if keep >= d
+                              else scipy.linalg.eigh(block, subset_by_index=(0, keep), driver="evx"))
+            except np.linalg.LinAlgError as exc:
+                sector = "whole-space" if sign == 0 else f"{sign:+g}"
+                raise NumericalError(f"{place} in the {sector} sector: {exc}") from exc
+    e, u = zip(*solved)  # np.stack keeps each block's memory order, and products round by it
+    return np.stack(e).reshape(H.shape[:2] + (-1,)), np.stack(u).reshape(H.shape[:3] + (-1,))
 
 
 def frame_run(problem: IsingProblem, schedule, bath, levels, snapshots, rtol):
@@ -430,8 +432,7 @@ def frame_run(problem: IsingProblem, schedule, bath, levels, snapshots, rtol):
     ValidationError), and otherwise the one whole-space sector σ = 0.  Each
     sector takes its own eigensolve, its own gauge fixes and its own level
     matching, so every frame column stays a parity eigenvector and no level
-    crosses the cut at an exact crossing between sectors.  Untruncated
-    sectors are solved in one stacked eigensolve.
+    crosses the cut at an exact crossing between sectors.
 
     The frame density matrix y is carried as a stack of its blocks, one per
     sector.  It starts as the projector on the lowest level of the s = 0
@@ -443,8 +444,10 @@ def frame_run(problem: IsingProblem, schedule, bath, levels, snapshots, rtol):
     stay zero.  The coherent propagators, the dissipator, the error norms
     and the Hermitian clean-up act block by block, and the step's three
     propagators are exponentiated together, each sector on its own.  A step
-    attempt builds the frame nodes (eigensolves, alignment, dissipator
-    program) at its midpoint and end.
+    attempt builds its midpoint and end nodes in one pass: one stacked
+    eigensolve (a subset solve per node and sector when truncated), one
+    dH/dt projection, cluster screen and dissipator build; only the overlap
+    matching runs node by node, the end node's on the midpoint's.
     Runs under :func:`adaptive_run` at order 4; returns (s values, density
     matrices in the computational basis at the snapshots,
     IntegratorReport)."""
@@ -462,46 +465,53 @@ def frame_run(problem: IsingProblem, schedule, bath, levels, snapshots, rtol):
     margin = None if per == d else np.inf
     layout = _layout(signs, per)
 
-    def build_node(t: float, prev: _Node | None) -> _Node:
+    def build_nodes(ts, prev: _Node | None) -> list[_Node]:
+        """The nodes at the times ``ts``: the s = 0 node alone, in the
+        eigensolver's gauge (``prev`` None), or a step's midpoint and end,
+        each aligned to the node before it, the first to ``prev``."""
         nonlocal node_builds, margin
-        s = t / t_f
-        A, B = schedule.A_of(s), schedule.B_of(s)
-        dA, dB = schedule.derivatives_of(s)
-        node_builds += 1
-        e, u = _sector_eigh(annealing_hamiltonian(X_sectors, Ez_sector, A, B), signs, per,
-                            f"eigensolve failed at t={t} ns")
-        if per < d and 0.0 < s < 1.0:
-            margin = min(margin, float((e[:, per] - e[:, per - 1]).min()))
-        e, u = e[:, :per], u[:, :, :per]
-        scale = max(1.0, float(np.abs(e).max()))
-        M_dot = u.swapaxes(1, 2) @ (float(dA) * (X_sectors @ u) + float(dB) * (Ez_sector[:, None] * u)) / t_f
-        for k in range(sectors):
-            uk, Mk = u[k], M_dot[k]
+        s = np.array(ts) / t_f
+        dA, dB = (c[:, None, None, None] for c in schedule.derivatives_of(s))
+        node_builds += len(ts)
+        e, u = _sector_eigh(annealing_hamiltonian(X_sectors, Ez_sector, schedule.A_of(s), schedule.B_of(s)),
+                            signs, per, [f"eigensolve failed at t={t} ns" for t in ts])
+        inner = (0.0 < s) & (s < 1.0)
+        if per < d and inner.any():
+            margin = min(margin, float((e[inner, :, per] - e[inner, :, per - 1]).min()))
+        e, u = e[..., :per], u[..., :per]
+        scale = np.maximum(1.0, np.abs(e).max(axis=(1, 2)))
+        M_dot = u.swapaxes(-1, -2) @ (dA * (X_sectors @ u) + dB * (Ez_sector[:, None] * u)) / t_f
+        # no two sorted levels of a block within 1e-6 scale: no cluster to
+        # rotate, nor for _align, whose per-sector tolerance is no larger
+        clustered = (np.diff(np.sort(e), axis=-1) < 1e-6 * scale[:, None, None]).any(axis=-1)
+        for i, k in zip(*np.nonzero(clustered)):
+            uk, Mk = u[i, k], M_dot[i, k]
             # Within each (near-)degenerate cluster the eigensolver basis is
             # arbitrary; rotate to the basis diagonalizing dH/dt (degenerate
             # perturbation theory), which is the correct adiabatic continuation
             # and removes spurious couplings over vanishing denominators.
-            for cluster in _degenerate_clusters(e[k], 1e-6 * scale):
+            for cluster in _degenerate_clusters(e[i, k], 1e-6 * scale[i]):
                 ix = np.ix_(cluster, cluster)
                 _, rot = np.linalg.eigh(0.5 * (Mk[ix] + Mk[ix].T))
                 uk[:, cluster] = uk[:, cluster] @ rot
                 Mk[cluster, :] = rot.T @ Mk[cluster, :]
                 Mk[:, cluster] = Mk[:, cluster] @ rot
-            if prev is not None:  # the first node keeps the eigensolver's gauge
-                e[k], u[k], M_dot[k] = _align(prev.U[k], e[k], uk, Mk)
         # contiguous copies of the kept levels: products of strided views round differently
+        for i in range(len(ts) if prev is not None else 0):
+            _align(prev.U if i == 0 else np.ascontiguousarray(u[i - 1]), e[i], u[i], M_dot[i], clustered[i])
         eps, U = np.ascontiguousarray(e), np.ascontiguousarray(u)
-        guard = 1e-9 * scale
-        denom = eps[:, None, :] - eps[:, :, None]
+        guard = 1e-9 * scale[:, None, None, None]
+        denom = eps[..., None, :] - eps[..., :, None]
         K = M_dot / np.where(np.abs(denom) > guard, denom, np.inf)
         diag = np.arange(per)
-        K[:, diag, diag] = 0.0
-        eps_dot = M_dot[:, diag, diag]
-        return _Node(t, eps, U, eps_dot, K, _build_dissipator(eps, U, zdiags, bath, layout, eps_dot))
+        K[..., diag, diag] = 0.0
+        eps_dot = M_dot[..., diag, diag]
+        programs = _build_dissipator(eps, U, zdiags, bath, layout, eps_dot)
+        return [_Node(*fields) for fields in zip(ts, eps, U, eps_dot, K, programs)]
 
     def start():
         """The state at s = 0: its node, and the projector on its lowest level."""
-        node = build_node(0.0, None)
+        node, = build_nodes((0.0,), None)
         y = np.zeros((sectors, per, per), dtype=complex)
         y[np.argmin(node.eps[:, 0]), 0, 0] = 1.0
         return node, y
@@ -510,8 +520,7 @@ def frame_run(problem: IsingProblem, schedule, bath, levels, snapshots, rtol):
         """One attempt from ``state`` = (node, sector blocks of the frame
         density matrix); returns ((end node, blocks there), err)."""
         node0, y = state
-        node_mid = build_node(t + 0.5 * h, node0)
-        node1 = build_node(t + h, node_mid)
+        node_mid, node1 = build_nodes((t + 0.5 * h, t + h), node0)
         # P1 and P = P2 P1 propagate the frame over [t, t+h/2] and [t, t+h];
         # the one-step P_full only measures the coherent model's error
         P1, P2, P_full = _propagators(node0, node_mid, node1, h, signs)
@@ -552,38 +561,44 @@ def frame_run(problem: IsingProblem, schedule, bath, levels, snapshots, rtol):
     return s_points, rhos, replace(report, node_builds=node_builds, truncation_margin=margin)
 
 
-def _align(prev_U: np.ndarray, eps: np.ndarray, U: np.ndarray, M_dot: np.ndarray):
-    """Follow the previous node's levels within one sector: permute columns
-    by overlap with ``prev_U``, fix each level's sign, and rotate clusters
-    where both the energy and its slope coincide onto the previous gauge."""
-    overlap = prev_U.T @ U
-    perm = linear_sum_assignment(np.abs(overlap), maximize=True)[1]
-    eps = eps[perm]
-    U = U[:, perm]
-    M_dot = M_dot[perm][:, perm]
+def _align(prev_U: np.ndarray, eps: np.ndarray, U: np.ndarray, M_dot: np.ndarray, clustered: np.ndarray):
+    """Follow the previous node's levels in place, sector by sector: permute
+    columns by overlap with ``prev_U``, fix each level's sign, and rotate
+    clusters where both the energy and its slope coincide onto the previous
+    gauge (there are none in a sector unless ``clustered``).  Each argument
+    is a stack over the sectors, like the node's."""
+    overlap = prev_U.swapaxes(-1, -2) @ U
+    for k, o in enumerate(overlap):
+        perm = linear_sum_assignment(np.abs(o), maximize=True)[1]
+        if (perm[1:] < perm[:-1]).any():  # not the identity
+            eps[k], U[k], M_dot[k], o[:] = eps[k, perm], U[k][:, perm], M_dot[k][perm][:, perm], o[:, perm]
     # per-level sign gauge; polar alignment only where both the energy
     # and its slope coincide (the dH/dt basis is then still arbitrary)
-    flip = overlap[:, perm].diagonal() < 0
-    eps_dot = M_dot.diagonal()
-    dot_tol = 1e-9 * max(1.0, float(np.abs(eps_dot).max()))
-    for cluster in _degenerate_clusters(eps, 1e-6 * max(1.0, float(np.abs(eps).max()))):
-        for sub in _degenerate_clusters(eps_dot[cluster], dot_tol):
-            idx = cluster[sub]
-            flip[idx] = False
-            u, _, vt = np.linalg.svd(U[:, idx].T @ prev_U[:, idx])
-            rot = u @ vt
-            U[:, idx] = U[:, idx] @ rot
-            M_dot[idx, :] = rot.T @ M_dot[idx, :]
-            M_dot[:, idx] = M_dot[:, idx] @ rot
+    flip = np.diagonal(overlap, axis1=1, axis2=2) < 0
+    for k in np.flatnonzero(clustered):
+        Uk, Mk, prev = U[k], M_dot[k], prev_U[k]
+        eps_dot = Mk.diagonal()
+        dot_tol = 1e-9 * max(1.0, float(np.abs(eps_dot).max()))
+        for cluster in _degenerate_clusters(eps[k], 1e-6 * max(1.0, float(np.abs(eps[k]).max()))):
+            for sub in _degenerate_clusters(eps_dot[cluster], dot_tol):
+                idx = cluster[sub]
+                flip[k, idx] = False
+                u, _, vt = np.linalg.svd(Uk[:, idx].T @ prev[:, idx])
+                rot = u @ vt
+                Uk[:, idx] = Uk[:, idx] @ rot
+                Mk[idx, :] = rot.T @ Mk[idx, :]
+                Mk[:, idx] = Mk[:, idx] @ rot
     signs = np.where(flip, -1.0, 1.0)
-    return eps, U * signs, signs[:, None] * M_dot * signs[None, :]
+    U *= signs[:, None, :]
+    M_dot *= signs[:, :, None] * signs[:, None, :]
 
 
 def _build_dissipator(eps: np.ndarray, U: np.ndarray, zdiags: np.ndarray, bath, layout: _Layout,
-                      slopes: np.ndarray) -> _DissipatorProgram:
-    """The dissipator in the frame of the sectors' eigenvectors ``U``
-    (sectors, d, levels per sector), with energies ``eps`` (sectors, levels
-    per sector), for sigma^z couplings with the (qubits, d) diagonals
+                      slopes: np.ndarray) -> list[_DissipatorProgram]:
+    """The dissipators of a stack of frame nodes, one program a node: node i
+    has the sectors' eigenvectors ``U[i]`` (sectors, d, levels per sector),
+    energies ``eps[i]`` (sectors, levels per sector) and level slopes
+    ``slopes[i]``, for sigma^z couplings with the (qubits, d) diagonals
     ``zdiags`` over a sector's d basis states, acting on the sector blocks
     of ``layout``.
 
@@ -601,19 +616,27 @@ def _build_dissipator(eps: np.ndarray, U: np.ndarray, zdiags: np.ndarray, bath, 
     transverse field's multiplets do at s = 0, part in the step.  Each
     bin's transitions are grouped by sector, and the terms between the
     groups, which read and write the blocks between the two ±1 sectors that
-    stay zero, are left out.
+    stay zero, are left out.  The nodes' transitions are binned in one
+    sort, the node its most significant key, so no bin spans two nodes, and
+    a node's program lists its terms as a build of that node alone would.
     """
-    per = eps.shape[1]
-    W = U[0].T @ (zdiags[:, :, None] * U[-1])  # all W_q of the (+, -) or whole-space block via one batched product
-    w = W.reshape(len(zdiags), -1)
-    if len(U) == 2:
-        w = np.concatenate([w, W.swapaxes(1, 2).reshape(len(zdiags), -1)], axis=1)
-    levels = eps.ravel()
-    gaps = levels[layout.pair_b] - levels[layout.pair_a]
-    keys = np.zeros((3, len(gaps)), dtype=np.int64)  # sort by frequency, then slope difference, then sector
+    nodes, _, per = eps.shape
+    size = eps[0].size * per  # elements of one node's sector blocks
+    # all W_q of the (+, -) or whole-space block of every node via one batched product
+    W = U[:, :1].swapaxes(-1, -2) @ (zdiags[:, :, None] * U[:, -1:])
+    w = W.reshape(nodes, len(zdiags), -1)
+    if U.shape[1] == 2:
+        w = np.concatenate([w, W.swapaxes(-1, -2).reshape(nodes, len(zdiags), -1)], axis=2)
+    w = np.concatenate(w, axis=1)  # (qubits, nodes * transitions): node i's transition t at i * transitions + t
+    transitions = len(layout.pair_a)
+    levels, slopes = eps.reshape(nodes, -1), slopes.reshape(nodes, -1)
+    gaps = levels[:, layout.pair_b] - levels[:, layout.pair_a]
+    keys = np.zeros((4, nodes, transitions), dtype=np.int64)  # sort by node, frequency, slope difference, then sector
     keys[0] = layout.split
-    keys[1] = np.rint((slopes.ravel()[layout.pair_b] - slopes.ravel()[layout.pair_a]) / _BIN_TOL)
+    keys[1] = np.rint((slopes[:, layout.pair_b] - slopes[:, layout.pair_a]) / _BIN_TOL)
     keys[2] = np.rint(gaps / _BIN_TOL)
+    keys[3] = np.arange(nodes)[:, None]
+    keys, gaps = keys.reshape(4, -1), gaps.ravel()
     order = np.lexsort(keys)
     ordered = keys[:, order]
     new = np.ones((2, len(order)), dtype=bool)  # where a sector group starts, and where its bin does
@@ -624,26 +647,33 @@ def _build_dissipator(eps: np.ndarray, U: np.ndarray, zdiags: np.ndarray, bath, 
     # a bin's groups share its Lindblad operator, at the bin's first frequency
     rates = bath.rate(gaps[order[new[1]]])[np.cumsum(new[1])[starts] - 1]
 
-    prefs, gathers, scatters = [], [], []
-    M = np.zeros(len(levels) * per)
+    prefs, gathers, scatters, owners = [], [], [], []
+    M = np.zeros(nodes * size)
     for c in np.flatnonzero(np.bincount(lengths)):
         bins_c = np.flatnonzero(lengths == c)
         members = order[starts[bins_c][:, None] + np.arange(c)[None, :]]  # (nb, c)
-        a, b = layout.pair_a[members], layout.pair_b[members]
+        owner, local = np.divmod(members, transitions)
+        a, b = layout.pair_a[local], layout.pair_b[local]
         pref = rates[bins_c][:, None, None] * np.einsum("qki,qkj->kij", w[:, members], w[:, members])
         gather = layout.position[b[:, :, None], b[:, None, :]].ravel()
+        owners.append(np.repeat(owner[:, 0], c * c))
         prefs.append(pref.ravel())
         gathers.append(gather)
         scatters.append(layout.position[a[:, :, None], a[:, None, :]].ravel())
         # L^dagger L pairs two levels b, b' below one level a, so of one sector
         same_a = a[:, :, None] == a[:, None, :]
-        M += np.bincount(gather, weights=(pref * same_a).ravel(), minlength=len(M))
-    M = M.reshape(-1, per, per).astype(complex)
+        M += np.bincount(owners[-1] * size + gather, weights=(pref * same_a).ravel(), minlength=len(M))
+    M = M.reshape(nodes, -1, per, per).astype(complex)
+    # the terms node by node, each node's in the order they were made
+    owner = np.concatenate(owners)
+    by_node = np.argsort(owner, kind="stable")
+    bounds = 2 * np.append(0, np.cumsum(np.bincount(owner, minlength=nodes)))
     # the jump terms act on a complex y viewed as floats: real, imaginary, real, ...
-    parts = np.arange(2)
-    return _DissipatorProgram(np.repeat(np.concatenate(prefs), 2),
-                              (2 * np.concatenate(gathers)[:, None] + parts).ravel(),
-                              (2 * np.concatenate(scatters)[:, None] + parts).ravel(), M)
+    pref = np.repeat(np.concatenate(prefs)[by_node], 2)
+    gather, scatter = ((2 * np.concatenate(index)[by_node][:, None] + np.arange(2)).ravel()
+                       for index in (gathers, scatters))
+    return [_DissipatorProgram(pref[lo:hi], gather[lo:hi], scatter[lo:hi], M_node)
+            for lo, hi, M_node in zip(bounds[:-1], bounds[1:], M)]
 
 
 def _dissipator_rhs(program: _DissipatorProgram, y: np.ndarray) -> np.ndarray:
@@ -696,7 +726,7 @@ def _propagators(n0: _Node, n_mid: _Node, n1: _Node, h: float, signs) -> np.ndar
     # omega is anti-Hermitian, so exponentiate through the Hermitian 1j*omega
     generator = 1j * omega
     evals, V = _sector_eigh(0.5 * (generator + _dagger(generator)), signs, omega.shape[-1],
-                            f"propagator eigensolve failed from t={n0.t} ns to t={n1.t} ns")
+                            [f"propagator eigensolve failed from t={n0.t} ns to t={n1.t} ns"] * 3)
     return np.exp(-1j * phis[-1])[..., :, None] * ((V * np.exp(-1j * evals)[..., None, :]) @ _dagger(V))
 
 

@@ -142,11 +142,18 @@ def test_ising_diagonal_enumeration(strategy):
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
-@pytest.mark.parametrize("s", [0.0, 0.37, 1.0])
+@pytest.mark.parametrize("s", [0.0, 0.37, 1.0, pytest.param(np.array([0.0, 0.37, 1.0]), id="stacked")])
 def test_annealing_hamiltonian_kronecker(strategy, s):
+    # arrays of A and B stack one H a node: the scalar calls, bit for bit,
+    # for the whole space and for a stack of sector blocks
     problem = encoded(strategy)
-    H = annealing_hamiltonian(pauli_x_sum(problem.num_physical), ising_diagonal(problem), SCHEDULE.A_of(s), SCHEDULE.B_of(s))
-    assert np.allclose(H, kron_hamiltonian(problem, SCHEDULE, s), rtol=0, atol=1e-12)
+    _, X_sectors, Ez_sector = sector_blocks(problem.physical)
+    for X, Ez in ((X_sectors, Ez_sector), (pauli_x_sum(problem.num_physical), ising_diagonal(problem))):
+        H = annealing_hamiltonian(X, Ez, SCHEDULE.A_of(s), SCHEDULE.B_of(s))
+        alone = [annealing_hamiltonian(X, Ez, SCHEDULE.A_of(x), SCHEDULE.B_of(x)) for x in np.atleast_1d(s)]
+        assert np.array_equal(H, alone if np.ndim(s) else alone[0])
+    for x, H_whole in zip(np.atleast_1d(s), alone):
+        assert np.allclose(H_whole, kron_hamiltonian(problem, SCHEDULE, x), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("strategy,length", [

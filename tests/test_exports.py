@@ -50,3 +50,21 @@ def test_no_unused_imports(path):
     module = importlib.import_module("qacsim" if path.stem == "__init__" else f"qacsim.{path.stem}")
     unused = imported - used - set(getattr(module, "__all__", ()))
     assert not unused, f"{path.name} imports {sorted(unused)} without using them"
+
+
+@pytest.mark.parametrize("path", sorted(Path(qacsim.__file__).parent.glob("*.py")), ids=lambda path: path.stem)
+def test_no_environment_switches(path):
+    # behaviour is set by arguments only: no module imports os, so none can
+    # read os.environ or os.getenv and keep a removed path behind a flag
+    tree = ast.parse(path.read_text())
+    imports_os = any(
+        (isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "os" for alias in node.names))
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "os")
+        for node in ast.walk(tree)
+    )
+    reads_environment = any(
+        isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv", "environb", "getenvb")
+        for node in ast.walk(tree)
+    )
+    assert not imports_os, f"{path.name} imports os"
+    assert not reads_environment, f"{path.name} reads the environment"

@@ -1,3 +1,4 @@
+import re
 from functools import cache, reduce
 
 import numpy as np
@@ -343,51 +344,70 @@ def test_truncated_whole_space_frame_keeps_the_start(levels):
     assert traj.report.truncation_margin is not None
 
 
-@pytest.mark.parametrize("case", ["flip-symmetric, diagonal blocks", "field, one block",
-                                  "flip-symmetric, diagonal blocks, s = 0", "field, one block, s = 0"])
+# (local field, the anneal fractions of the nodes built in one call)
+DISSIPATOR_CASES = {
+    "flip-symmetric, diagonal blocks": (False, (0.4,)),
+    "field, one block": (True, (0.4,)),
+    "flip-symmetric, diagonal blocks, s = 0": (False, (0.0,)),
+    "field, one block, s = 0": (True, (0.0,)),
+    "flip-symmetric, diagonal blocks, s = 0.4 twice": (False, (0.4, 0.4)),
+    "field, one block, s = 0.4 twice": (True, (0.4, 0.4)),
+    "flip-symmetric, diagonal blocks, s = 0 and 0.4": (False, (0.0, 0.4)),
+    "field, one block, s = 0 and 0.4": (True, (0.0, 0.4)),
+}
+
+
+@pytest.mark.parametrize("case", DISSIPATOR_CASES)
 def test_dissipator_program_matches_dense_lindblad_operators(case):
-    # one frame node at s = 0.4 or 0: the program acting on the sector
-    # blocks of a random Hermitian frame density matrix, against the dense
-    # dissipator of explicit L operators in the frame of all levels, binned
-    # on frequency and slope; at s = 0 the transverse field's multiplets
-    # give equal frequencies of different slopes
-    field = {0: FIELD} if case.startswith("field") else {}
-    problem = encode_problem(IsingProblem(2, field, {(0, 1): 1.0}), "U", ALPHA).physical
+    # frame nodes at s = 0.4 or 0, built in one call: each node's program
+    # acting on the sector blocks of a random Hermitian frame density
+    # matrix, against the dense dissipator of explicit L operators in the
+    # frame of all levels, binned on frequency and slope; at s = 0 the
+    # transverse field's multiplets give equal frequencies of different
+    # slopes.  A node built beside another gets the program of a call of its
+    # own: the same s twice puts every frequency in both nodes, and no bin
+    # may span the two
+    field, s_values = DISSIPATOR_CASES[case]
+    problem = encode_problem(IsingProblem(2, {0: FIELD} if field else {}, {(0, 1): 1.0}), "U", ALPHA).physical
     signs, X, Ez = _integrator.sector_blocks(problem)
-    s, bath = (0.0 if case.endswith("s = 0") else 0.4), BathSpec(8e-3)
+    s, bath = np.array(s_values), BathSpec(8e-3)
     eps, U = np.linalg.eigh(_integrator.annealing_hamiltonian(X, Ez, 2.0 * A0 * (1.0 - s), 2.0 * A0 * s))
     # the levels' slopes d(eps)/dt = <a|dH/dt|a>, dH/dt = 2 A0 (diag(E_z) - X) / t_f
     H_dot = 2.0 * A0 * _integrator.annealing_hamiltonian(-X, Ez, 1.0, 1.0) / (T_F_US * 1e3)
-    slopes = np.einsum("kia,kij,kja->ka", U, H_dot, U)
-    sectors, d = eps.shape
+    slopes = np.einsum("nkia,kij,nkja->nka", U, H_dot, U)
+    nodes, sectors, d = eps.shape
     per, m = d, 4
     layout = _integrator._layout(signs, per)
-    program = _integrator._build_dissipator(eps, U, ZS[:, :d], bath, layout, slopes)
-
-    # frame columns (|x> + sign |x'>) / sqrt(1 + sign^2), x' = 3 - x, sector by sector
-    V = np.zeros((4, m))
-    for k, sign in enumerate(signs):
-        V[:d, k * per:(k + 1) * per] = U[k]
-        V[4 - d:, k * per:(k + 1) * per] += sign * U[k][::-1]
-    V /= np.sqrt(1.0 + signs[0] ** 2)
-    rng = np.random.default_rng(5)
-    rho = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
-    rho = rho + rho.conj().T
-    if sectors == 2:
-        rho[:per, per:] = rho[per:, :per] = 0.0
-    L, omega = binned_lindblad_operators(eps.ravel(), V.T @ (ZS[:, :, None] * V), slopes.ravel())
-    expected = dense_dissipator(L, bath_rate(omega, bath), rho)
+    programs = _integrator._build_dissipator(eps, U, ZS[:, :d], bath, layout, slopes)
+    assert len(programs) == nodes
 
     def block(a, b):
         return (slice(a * per, (a + 1) * per), slice(b * per, (b + 1) * per))
 
-    y = np.array([rho[block(k, k)] for k in range(sectors)])
-    out = _integrator._dissipator_rhs(program, y)
-    got = np.zeros_like(rho)
-    for k, values in enumerate(out):
-        got[block(k, k)] = values
-    assert np.abs(expected).max() > 1e-3
-    assert np.abs(got - expected).max() < 1e-12
+    rng = np.random.default_rng(5)
+    for i, program in enumerate(programs):
+        alone, = _integrator._build_dissipator(eps[i:i + 1], U[i:i + 1], ZS[:, :d], bath, layout, slopes[i:i + 1])
+        for name in ("pref", "gather", "scatter", "M"):
+            assert np.array_equal(getattr(program, name), getattr(alone, name)), name
+        # frame columns (|x> + sign |x'>) / sqrt(1 + sign^2), x' = 3 - x, sector by sector
+        V = np.zeros((4, m))
+        for k, sign in enumerate(signs):
+            V[:d, k * per:(k + 1) * per] = U[i, k]
+            V[4 - d:, k * per:(k + 1) * per] += sign * U[i, k][::-1]
+        V /= np.sqrt(1.0 + signs[0] ** 2)
+        rho = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+        rho = rho + rho.conj().T
+        if sectors == 2:
+            rho[:per, per:] = rho[per:, :per] = 0.0
+        L, omega = binned_lindblad_operators(eps[i].ravel(), V.T @ (ZS[:, :, None] * V), slopes[i].ravel())
+        expected = dense_dissipator(L, bath_rate(omega, bath), rho)
+        y = np.array([rho[block(k, k)] for k in range(sectors)])
+        out = _integrator._dissipator_rhs(program, y)
+        got = np.zeros_like(rho)
+        for k, values in enumerate(out):
+            got[block(k, k)] = values
+        assert np.abs(expected).max() > 1e-3
+        assert np.abs(got - expected).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +511,44 @@ def test_failed_eigensolve_is_a_numerical_error(monkeypatch, case, match):
         problem, levels = encode_problem(make_af_chain(2), "U", ALPHA), None
     with pytest.raises(NumericalError, match=match):
         evolve_open(problem, schedule_linear(A0, T_F_US), BathSpec(1e-3), levels=levels)
+
+
+@pytest.mark.parametrize("case,node,sector", [
+    ("field", "midpoint", "whole-space"),
+    ("U", "end", "-1"),
+    ("U", "midpoint", "+1"),
+    ("truncated", "end", "-1"),
+])
+def test_failed_eigensolve_names_the_step_node(monkeypatch, case, node, sector):
+    # a step builds its midpoint and end nodes together: make the solver
+    # fail on one block of the first step's nodes only, and the error names
+    # that node's time and that block's sector
+    schedule = schedule_linear(A0, T_F_US)
+    if case == "field":
+        problem, levels = encode_problem(IsingProblem(2, {0: FIELD}, {(0, 1): 1.0}), "U", ALPHA), None
+    elif case == "truncated":
+        problem, levels = encode_problem(make_af_chain(2), "EP", ALPHA, 0.2), 8
+    else:
+        problem, levels = encode_problem(make_af_chain(2), "U", ALPHA), None
+    h = schedule.t_f_ns / 400  # the first step's proposal
+    t = 0.0 + (0.5 * h if node == "midpoint" else h)
+    signs, X, Ez = _integrator.sector_blocks(problem.physical)
+    s = t / schedule.t_f_ns
+    H = _integrator.annealing_hamiltonian(X, Ez, schedule.A_of(s), schedule.B_of(s))
+    target = H[[f"{sign:+g}" if sign else "whole-space" for sign in signs].index(sector)]
+
+    def failing(real):
+        def eigh(a, *args, **kwargs):
+            a = np.asarray(a)
+            if a.shape[-2:] == target.shape and (np.abs(a - target) < 1e-12).all(axis=(-2, -1)).any():
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return real(a, *args, **kwargs)
+        return eigh
+
+    monkeypatch.setattr(np.linalg, "eigh", failing(np.linalg.eigh))
+    monkeypatch.setattr(scipy.linalg, "eigh", failing(scipy.linalg.eigh))
+    with pytest.raises(NumericalError, match=re.escape(f"eigensolve failed at t={t} ns in the {sector} sector")):
+        evolve_open(problem, schedule, BathSpec(1e-3), levels=levels)
 
 
 # ---------------------------------------------------------------------------
