@@ -21,16 +21,16 @@ errors can be measured directly.  Both are built as
 A0 [(1-s) sum_q sigma^x_q + s diag(E_z)] by the package's one dense H
 builder (:func:`qacsim._integrator.annealing_hamiltonian`) from its one
 transverse operator (:func:`qacsim._integrator.pauli_x_sum`) and one Ising
-energy (:func:`qacsim.problem.all_config_energies`), with E_z summed from
-unit-weight Ising problems, each scaled like the problem and penalty parts
-of an encoded problem.
+energy (:func:`qacsim.problem.all_config_energies`); X and E_z, summed from
+scaled unit-weight Ising problems, are built once per parameter set.  The
+excited manifolds are outer products of the two-level eigenvectors.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -168,33 +168,41 @@ def coupled_pairs_perturbed_gap(params: PerturbParams, s) -> np.ndarray:
 # exact dense models
 
 
-def _dense_model(A0: float, s: float, num_qubits: int, parts) -> np.ndarray:
-    """A0 [(1-s) sum_q sigma^x_q + s diag(E_z)], E_z the sum of weight times
-    the energies of the unit-weight Ising problem (fields, couplings) over
-    the (weight, fields, couplings) ``parts``: weights such as omega/2 never
-    meet IsingProblem's |h|, |J| <= 1 bound."""
-    Ez = sum(w * all_config_energies(IsingProblem(num_qubits, h, J)) for w, h, J in parts)
-    return annealing_hamiltonian(pauli_x_sum(num_qubits), Ez, A0 * (1.0 - s), A0 * s)
+@lru_cache(maxsize=16)
+def _static_terms(num_qubits: int, parts: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """X = sum_q sigma^x_q and E_z, the sum of weight times the energies of
+    the unit-weight Ising problem over the (weight, fields, couplings)
+    ``parts``, items as tuples so they hash (omega/2 is a weight, free of the
+    |h| <= 1 bound).  Built once per parameter set and shared, so read-only."""
+    X = pauli_x_sum(num_qubits)
+    Ez = sum(w * all_config_energies(IsingProblem(num_qubits, dict(h), dict(J))) for w, h, J in parts)
+    X.flags.writeable = Ez.flags.writeable = False
+    return X, Ez
+
+
+def _dense_model(A0: float, s: float, num_qubits: int, parts: tuple) -> np.ndarray:
+    """A0 [(1-s) X + s diag(E_z)], a fresh array, from :func:`_static_terms`."""
+    return annealing_hamiltonian(*_static_terms(num_qubits, parts), A0 * (1.0 - s), A0 * s)
 
 
 def single_logical_model(params: PerturbParams, s: float) -> np.ndarray:
     """Dense 16x16 Hamiltonian: three omega-split qubits, one omega0 penalty
     qubit, ferromagnetic penalty coupling of strength A0 s beta."""
-    return _dense_model(params.A0, float(s), 4, [
-        (0.5 * params.omega, {0: 1.0, 1: 1.0, 2: 1.0}, {}),
-        (0.5 * params.omega0, {3: 1.0}, {}),
-        (-params.beta, {}, {(0, 3): 1.0, (1, 3): 1.0, (2, 3): 1.0}),
-    ])
+    return _dense_model(params.A0, float(s), 4, (
+        (0.5 * params.omega, ((0, 1.0), (1, 1.0), (2, 1.0)), ()),
+        (0.5 * params.omega0, ((3, 1.0),), ()),
+        (-params.beta, (), (((0, 3), 1.0), ((1, 3), 1.0), ((2, 3), 1.0))),
+    ))
 
 
 def coupled_pairs_model(params: PerturbParams, s: float) -> np.ndarray:
     """Dense 128-dim Hamiltonian: three AF pairs (coupling 1) plus an omega0
     penalty qubit attached to the first qubit of each pair."""
-    return _dense_model(params.A0, float(s), 7, [
-        (1.0, {}, {(0, 1): 1.0, (2, 3): 1.0, (4, 5): 1.0}),
-        (0.5 * params.omega0, {6: 1.0}, {}),
-        (-params.beta, {}, {(0, 6): 1.0, (2, 6): 1.0, (4, 6): 1.0}),
-    ])
+    return _dense_model(params.A0, float(s), 7, (
+        (1.0, (), (((0, 1), 1.0), ((2, 3), 1.0), ((4, 5), 1.0))),
+        (0.5 * params.omega0, ((6, 1.0),), ()),
+        (-params.beta, (), (((0, 6), 1.0), ((2, 6), 1.0), ((4, 6), 1.0))),
+    ))
 
 
 def single_logical_excited_manifold(params: PerturbParams, s: float) -> np.ndarray:
@@ -203,7 +211,7 @@ def single_logical_excited_manifold(params: PerturbParams, s: float) -> np.ndarr
     eig = single_qubit_eigs(params.omega, s)
     pen = single_qubit_eigs(params.omega0, s)
     vm, vp, pm = eig.vec_minus, eig.vec_plus, pen.vec_minus
-    cols = [reduce(np.kron, [vp if q == flipped else vm for q in range(3)] + [pm]) for flipped in range(3)]
+    cols = [reduce(np.multiply.outer, [vp if q == flipped else vm for q in range(3)] + [pm]).ravel() for flipped in range(3)]
     return np.stack(cols, axis=1)
 
 
@@ -215,15 +223,22 @@ def coupled_pairs_excited_manifold(params: PerturbParams, s: float) -> np.ndarra
     ground = np.array([even, odd, odd, even]) / np.sqrt(2.0)
     plus_s = np.array([-1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
     pm = single_qubit_eigs(params.omega0, s).vec_minus
-    cols = [reduce(np.kron, [plus_s if pair == which else ground for pair in range(3)] + [pm]) for which in range(3)]
+    cols = [reduce(np.multiply.outer, [plus_s if pair == which else ground for pair in range(3)] + [pm]).ravel() for which in range(3)]
     return np.stack(cols, axis=1)
 
 
 def exact_relevant_gap(H: np.ndarray, manifold: np.ndarray) -> float:
     """Gap from the exact ground level to the mean of the eigenlevels with
-    the largest projections onto the given unperturbed manifold."""
+    the largest projections onto the given unperturbed manifold.  Raises
+    ValidationError unless H is square and Hermitian to 1e-12 max(1, max|H|)
+    and the manifold has its dim rows and 1 to dim - 1 columns."""
+    H, manifold = np.asarray(H), np.asarray(manifold)
+    dim = len(H) if H.ndim == 2 and H.shape[0] == H.shape[1] else 0
+    if dim < 2 or not np.abs(H - H.conj().T).max() <= 1e-12 * max(1.0, np.abs(H).max()):
+        raise ValidationError("H must be a square Hermitian matrix of dimension >= 2")
+    if manifold.ndim != 2 or manifold.shape[0] != dim or not 1 <= manifold.shape[1] < dim:
+        raise ValidationError(f"manifold must have {dim} rows and 1 to {dim - 1} columns, got shape {manifold.shape}")
     vals, vecs = np.linalg.eigh(H)
     weights = np.sum(np.abs(manifold.conj().T @ vecs) ** 2, axis=0)
-    k = manifold.shape[1]
-    matched = np.sort(np.argsort(weights)[-k:])
+    matched = np.sort(np.argsort(weights)[-manifold.shape[1]:])
     return float(vals[matched].mean() - vals[0])

@@ -68,3 +68,44 @@ def test_no_environment_switches(path):
     )
     assert not imports_os, f"{path.name} imports os"
     assert not reads_environment, f"{path.name} reads the environment"
+
+
+def unbounded_caches(source: str) -> list[int]:
+    """Lines of ``source`` that use functools.cache or lru_cache(maxsize=None)."""
+    tree = ast.parse(source)
+
+    def is_lru_cache(func):
+        return (isinstance(func, ast.Name) and func.id == "lru_cache") or (
+            isinstance(func, ast.Attribute) and func.attr == "lru_cache")
+
+    def is_none(node):
+        return isinstance(node, ast.Constant) and node.value is None
+
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            lines += [node.lineno for alias in node.names if alias.name == "cache"]
+        elif isinstance(node, ast.Attribute) and node.attr == "cache" and isinstance(node.value, ast.Name) \
+                and node.value.id == "functools":
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Call) and is_lru_cache(node.func) and (
+                any(is_none(arg) for arg in node.args[:1])
+                or any(k.arg == "maxsize" and is_none(k.value) for k in node.keywords)):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_unbounded_cache_detector():
+    assert unbounded_caches("from functools import lru_cache\n@lru_cache(maxsize=16)\ndef f(): pass") == []
+    assert unbounded_caches("from functools import cache") == [1]
+    assert unbounded_caches("import functools\n@functools.cache\ndef f(): pass") == [2]
+    assert unbounded_caches("import functools\n@functools.lru_cache(None)\ndef f(): pass") == [2]
+    assert unbounded_caches("from functools import lru_cache\n@lru_cache(maxsize=None)\ndef f(): pass") == [2]
+
+
+@pytest.mark.parametrize("path", sorted(Path(qacsim.__file__).parent.glob("*.py")), ids=lambda path: path.stem)
+def test_caches_are_bounded(path):
+    # an unbounded cache holds every argument and result for the life of the
+    # process; bounded ones keep peak memory within the benchmark's bound
+    lines = unbounded_caches(path.read_text())
+    assert not lines, f"{path.name} uses an unbounded cache at lines {lines}"

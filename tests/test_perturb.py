@@ -1,4 +1,5 @@
 import dataclasses
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -140,3 +141,53 @@ def test_excited_manifolds_orthonormal_at_the_end_of_the_anneal(manifold):
     cols = manifold(PARAMS, 1.0)
     assert np.all(np.isfinite(cols))
     assert np.abs(cols.T @ cols - np.eye(cols.shape[1])).max() < 1e-12
+
+
+def test_model_cache_is_keyed_by_parameters_and_read_only():
+    # interleaved parameter sets must never be served each other's E_z
+    sets = [PARAMS, dataclasses.replace(PARAMS, beta=0.3), dataclasses.replace(PARAMS, omega0=-0.05)]
+    for s in (0.2, 0.6):
+        for p in sets + sets[::-1]:
+            assert np.abs(perturb.single_logical_model(p, s) - single_logical_kron(p, s)).max() < 1e-12
+            assert np.abs(perturb.coupled_pairs_model(p, s) - coupled_pairs_kron(p, s)).max() < 1e-12
+    H = perturb.single_logical_model(PARAMS, 0.4)
+    first = H.copy()
+    H[:] = 7.0
+    assert np.array_equal(perturb.single_logical_model(PARAMS, 0.4), first)
+    X, Ez = perturb._static_terms(2, ((0.5, ((0, 1.0),), ()), (-1.0, (), (((0, 1), 1.0),))))
+    for cached in (X, Ez):
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[0] = 1.0
+
+
+@pytest.mark.parametrize("s", [0.0, 0.3, 0.77, 1.0])
+def test_manifolds_equal_kronecker_builds_bit_for_bit(s):
+    eig, pen = perturb.single_qubit_eigs(PARAMS.omega, s), perturb.single_qubit_eigs(PARAMS.omega0, s)
+    vm, vp, pm = eig.vec_minus, eig.vec_plus, pen.vec_minus
+    want = np.stack([reduce(np.kron, [vp if q == k else vm for q in range(3)] + [pm]) for k in range(3)], axis=1)
+    assert np.array_equal(perturb.single_logical_excited_manifold(PARAMS, s), want)
+    even, odd = perturb.single_qubit_eigs(1.0, s).vec_minus
+    ground = np.array([even, odd, odd, even]) / np.sqrt(2.0)
+    plus_s = np.array([-1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
+    want = np.stack([reduce(np.kron, [plus_s if k == j else ground for j in range(3)] + [pm]) for k in range(3)], axis=1)
+    assert np.array_equal(perturb.coupled_pairs_excited_manifold(PARAMS, s), want)
+
+
+@pytest.mark.parametrize(
+    "make_H, make_manifold",
+    [
+        (lambda H: H, lambda M: M[:, :0]),  # no columns: argsort(...)[-0:] took every level
+        (lambda H: H, lambda M: np.eye(16)),  # every level: no gap left to measure
+        (lambda H: H + np.triu(np.full_like(H, 1e-6), 1), lambda M: M),  # eigh reads the lower triangle only
+        (lambda H: np.where(np.eye(len(H), dtype=bool), np.nan, H), lambda M: M),
+        (lambda H: H, lambda M: M[:8]),
+        (lambda H: H[:, :8], lambda M: M),
+        (lambda H: H[0], lambda M: M),
+    ],
+    ids=["no-columns", "all-columns", "asymmetric", "nan", "short-manifold", "non-square", "one-dimensional"],
+)
+def test_exact_relevant_gap_rejects_malformed_input(make_H, make_manifold):
+    H, M = perturb.single_logical_model(PARAMS, 0.4), perturb.single_logical_excited_manifold(PARAMS, 0.4)
+    with pytest.raises(ValidationError):
+        perturb.exact_relevant_gap(make_H(H), make_manifold(M))
