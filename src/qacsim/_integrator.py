@@ -617,8 +617,9 @@ def _build_dissipator(eps: np.ndarray, U: np.ndarray, zdiags: np.ndarray, bath, 
     bin's transitions are grouped by sector, and the terms between the
     groups, which read and write the blocks between the two ±1 sectors that
     stay zero, are left out.  The nodes' transitions are binned in one
-    sort, the node its most significant key, so no bin spans two nodes, and
-    a node's program lists its terms as a build of that node alone would.
+    sort, the node its most significant key, so no bin spans two nodes.  A
+    term pairs two members of one group, and a node's terms are listed group
+    by group, in sorted order, as a build of that node alone lists them.
     """
     nodes, _, per = eps.shape
     size = eps[0].size * per  # elements of one node's sector blocks
@@ -647,31 +648,22 @@ def _build_dissipator(eps: np.ndarray, U: np.ndarray, zdiags: np.ndarray, bath, 
     # a bin's groups share its Lindblad operator, at the bin's first frequency
     rates = bath.rate(gaps[order[new[1]]])[np.cumsum(new[1])[starts] - 1]
 
-    prefs, gathers, scatters, owners = [], [], [], []
-    M = np.zeros(nodes * size)
-    for c in np.flatnonzero(np.bincount(lengths)):
-        bins_c = np.flatnonzero(lengths == c)
-        members = order[starts[bins_c][:, None] + np.arange(c)[None, :]]  # (nb, c)
-        owner, local = np.divmod(members, transitions)
-        a, b = layout.pair_a[local], layout.pair_b[local]
-        pref = rates[bins_c][:, None, None] * np.einsum("qki,qkj->kij", w[:, members], w[:, members])
-        gather = layout.position[b[:, :, None], b[:, None, :]].ravel()
-        owners.append(np.repeat(owner[:, 0], c * c))
-        prefs.append(pref.ravel())
-        gathers.append(gather)
-        scatters.append(layout.position[a[:, :, None], a[:, None, :]].ravel())
-        # L^dagger L pairs two levels b, b' below one level a, so of one sector
-        same_a = a[:, :, None] == a[:, None, :]
-        M += np.bincount(owners[-1] * size + gather, weights=(pref * same_a).ravel(), minlength=len(M))
+    # every ordered pair (i, j) of each group's members, group by group in
+    # sorted order, so each node's terms are contiguous
+    group = np.repeat(np.arange(len(starts)), lengths**2)
+    i, j = np.divmod(np.arange(len(group)) - (np.cumsum(lengths**2) - lengths**2)[group], lengths[group])
+    member = order[starts[group] + np.stack([i, j])]  # (2, terms)
+    owner, local = np.divmod(member, transitions)
+    a, b = layout.pair_a[local], layout.pair_b[local]
+    pref = rates[group] * np.einsum("qk,qk->k", w[:, member[0]], w[:, member[1]])
+    gather, scatter = layout.position[b[0], b[1]], layout.position[a[0], a[1]]
+    # L^dagger L pairs two levels b, b' below one level a, so of one sector
+    M = np.bincount(owner[0] * size + gather, weights=pref * (a[0] == a[1]), minlength=nodes * size)
     M = M.reshape(nodes, -1, per, per).astype(complex)
-    # the terms node by node, each node's in the order they were made
-    owner = np.concatenate(owners)
-    by_node = np.argsort(owner, kind="stable")
-    bounds = 2 * np.append(0, np.cumsum(np.bincount(owner, minlength=nodes)))
+    bounds = 2 * np.searchsorted(owner[0], np.arange(nodes + 1))
     # the jump terms act on a complex y viewed as floats: real, imaginary, real, ...
-    pref = np.repeat(np.concatenate(prefs)[by_node], 2)
-    gather, scatter = ((2 * np.concatenate(index)[by_node][:, None] + np.arange(2)).ravel()
-                       for index in (gathers, scatters))
+    pref = np.repeat(pref, 2)
+    gather, scatter = ((2 * index[:, None] + np.arange(2)).ravel() for index in (gather, scatter))
     return [_DissipatorProgram(pref[lo:hi], gather[lo:hi], scatter[lo:hi], M_node)
             for lo, hi, M_node in zip(bounds[:-1], bounds[1:], M)]
 

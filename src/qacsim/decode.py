@@ -144,6 +144,8 @@ def align_and_distance(decoded, ground_set) -> tuple[tuple[int, ...], int]:
     if not ground_set:
         raise ValidationError("empty ground set")
     decoded = tuple(int(v) for v in np.asarray(decoded))
+    if any(len(g) != len(decoded) for g in ground_set):
+        raise ValidationError(f"every ground must have the decoded length {len(decoded)}")
     best = min(
         ((sum(a != b for a, b in zip(decoded, g)), g) for g in ground_set),
         key=lambda pair: (pair[0], pair[1]),
@@ -223,6 +225,8 @@ def empirical_success(samples: SampleSet, problem: EncodedProblem) -> tuple[floa
     (every copy alike), P_S readouts that majority-decode to one.  Under C
     the L = 2 chain has 2 such code states, against 8 physical ground
     configurations in :func:`qacsim.dynamics.success_probabilities`."""
+    if samples.num_qubits != problem.num_physical:
+        raise ValidationError(f"{samples.num_qubits}-bit samples for a problem of {problem.num_physical} qubits")
     ground_set = ground_reference(problem.logical)
     code_grounds = {tuple(problem.code_config(g)) for g in ground_set}
     n_gs = n_s = 0

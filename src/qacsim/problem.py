@@ -272,6 +272,11 @@ def encode_problem(
     for (i, j), v in logical.couplings.items():
         for qa, qb in zip(blocks[i].problem_ids, blocks[j].problem_ids):
             prob_couplings[(min(qa, qb), max(qa, qb))] = v
+    host = None if strategy == "U" or encoding is None else encoding.host
+    if host is not None:  # each block's penalty couplers are checked by the encoding itself
+        pairs = [(hw_ids[a], hw_ids[b]) if hw_ids[a] < hw_ids[b] else (hw_ids[b], hw_ids[a]) for a, b in prob_couplings]
+        if not host.edges.issuperset(pairs):
+            raise ValidationError(f"hardware pairs {sorted(set(pairs) - host.edges)} have no coupler in the host graph")
     if strategy in ("EP", "QAC"):
         for blk in blocks:
             if blk.penalty_id is not None:

@@ -281,7 +281,7 @@ def build_encoding(hw: HardwareGraph) -> tuple[LogicalEncoding, EncodedGraph]:
 # ---------------------------------------------------------------------------
 # chain embeddings
 
-_EMBED_RESTARTS = 20000  # randomized walks before the exhaustive fallback
+_EMBED_RESTARTS = 20000  # randomized walks on a graph too large to search exhaustively
 _EMBED_EXHAUSTIVE_NODES = 24  # largest usable graph searched exhaustively
 
 
@@ -293,14 +293,13 @@ def embed_chain(
 ) -> list[tuple[int, ...]]:
     """Find ``count`` distinct simple paths of ``length`` logical qubits.
 
-    Paths use only complete blocks.  The search is a seeded self-avoiding
-    walk with backtracking and restarts; paths equal up to reversal count
-    once.
-
-    Returns fewer than ``count`` paths only when exhaustive enumeration
-    proves no more exist (always the case for graphs with at most
-    24 usable nodes); otherwise raises
-    :class:`ResourceLimitError` when the randomized budget is exhausted.
+    Paths use only complete blocks; paths equal up to reversal count once.
+    A graph of at most 24 usable nodes is searched exhaustively, start by
+    start and neighbour by neighbour in sorted order: the result is the
+    first ``count`` distinct paths of that order, whatever ``rng_seed``, and
+    has fewer only when no more exist.  A larger graph is searched by a
+    seeded self-avoiding walk with backtracking and restarts, which raises
+    :class:`ResourceLimitError` when its budget is exhausted.
     """
     if not isinstance(length, numbers.Integral) or length < 2:
         raise ValidationError(f"chain length must be an integer >= 2, got {length!r}")
@@ -310,13 +309,22 @@ def embed_chain(
     if length > len(adj):
         return []
 
-    rng = np.random.default_rng(rng_seed)
-    nodes = sorted(adj)
     found: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def canonical(path: tuple[int, ...]) -> tuple[int, ...]:
         rev = path[::-1]
         return path if path <= rev else rev
+
+    if len(adj) <= _EMBED_EXHAUSTIVE_NODES:
+        for start in sorted(adj):
+            for path in _simple_paths(adj, [start], length):
+                found.setdefault(canonical(path), path)
+                if len(found) >= count:
+                    return list(found.values())
+        return list(found.values())
+
+    rng = np.random.default_rng(rng_seed)
+    nodes = sorted(adj)
 
     def random_attempt(budget: int) -> tuple[int, ...] | None:
         start = nodes[rng.integers(len(nodes))]
@@ -353,15 +361,6 @@ def embed_chain(
 
     if len(found) >= count:
         return list(found.values())[:count]
-
-    if len(adj) <= _EMBED_EXHAUSTIVE_NODES:
-        found.clear()
-        for start in sorted(adj):
-            for path in _simple_paths(adj, [start], length):
-                found.setdefault(canonical(path), path)
-                if len(found) >= count:
-                    return list(found.values())
-        return list(found.values())
     raise ResourceLimitError(
         f"found {len(found)} of {count} embeddings; graph too large ({len(adj)} nodes) for an exhaustive scarcity proof"
     )

@@ -276,6 +276,25 @@ def test_empirical_success_against_loop(strategy, encoding):
     assert empirical_success(samples, problem) == (n_gs / total, n_s / total)
 
 
+@pytest.mark.parametrize("width", [12, 5])
+def test_empirical_success_rejects_samples_of_another_width(width):
+    # on the 8-qubit EP pair, 12-bit code states used to give (0.0, 1.0) and
+    # 5-bit ones an IndexError
+    problem = encoded(make_af_chain(2), "EP")
+    samples = SampleSet((SampleRecord((1, -1) * (width // 2) + (1,) * (width % 2), 3),))
+    with pytest.raises(ValidationError, match="qubits"):
+        empirical_success(samples, problem)
+
+
+def test_grounds_must_match_the_decoded_length():
+    # a ground of another length used to be matched over the shorter of the two
+    with pytest.raises(ValidationError, match="length"):
+        align_and_distance((1, -1, 1), ((-1, 1, -1), (1, -1)))
+    problem = encoded(make_af_chain(3), "EP")
+    with pytest.raises(ValidationError, match="length"):
+        decode_record(problem.code_config((1, -1, 1)), problem, ground_set=((1,), (-1,)))
+
+
 @pytest.mark.parametrize("count", [np.nan, 2.5, 0])
 def test_sample_record_count_must_be_a_positive_integer(count):
     # a NaN count used to give empirical_success (nan, nan)

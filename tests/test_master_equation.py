@@ -344,16 +344,22 @@ def test_truncated_whole_space_frame_keeps_the_start(levels):
     assert traj.report.truncation_margin is not None
 
 
-# (local field, the anneal fractions of the nodes built in one call)
+TWO_SPIN = IsingProblem(2, {}, {(0, 1): 1.0})
+TWO_SPIN_FIELD = IsingProblem(2, {0: FIELD}, {(0, 1): 1.0})
+# (logical problem, the anneal fractions of the nodes built in one call,
+# whether a sector group holds more than one transition)
 DISSIPATOR_CASES = {
-    "flip-symmetric, diagonal blocks": (False, (0.4,)),
-    "field, one block": (True, (0.4,)),
-    "flip-symmetric, diagonal blocks, s = 0": (False, (0.0,)),
-    "field, one block, s = 0": (True, (0.0,)),
-    "flip-symmetric, diagonal blocks, s = 0.4 twice": (False, (0.4, 0.4)),
-    "field, one block, s = 0.4 twice": (True, (0.4, 0.4)),
-    "flip-symmetric, diagonal blocks, s = 0 and 0.4": (False, (0.0, 0.4)),
-    "field, one block, s = 0 and 0.4": (True, (0.0, 0.4)),
+    "flip-symmetric, diagonal blocks": (TWO_SPIN, (0.4,), False),
+    "field, one block": (TWO_SPIN_FIELD, (0.4,), True),
+    "flip-symmetric, diagonal blocks, s = 0": (TWO_SPIN, (0.0,), False),
+    "field, one block, s = 0": (TWO_SPIN_FIELD, (0.0,), True),
+    "flip-symmetric, diagonal blocks, s = 0.4 twice": (TWO_SPIN, (0.4, 0.4), False),
+    "field, one block, s = 0.4 twice": (TWO_SPIN_FIELD, (0.4, 0.4), True),
+    "flip-symmetric, diagonal blocks, s = 0 and 0.4": (TWO_SPIN, (0.0, 0.4), False),
+    "field, one block, s = 0 and 0.4": (TWO_SPIN_FIELD, (0.0, 0.4), True),
+    "three-spin, diagonal blocks": (make_af_chain(3), (0.4,), True),
+    "three-spin, diagonal blocks, s = 0": (make_af_chain(3), (0.0,), True),
+    "three-spin, diagonal blocks, s = 0 and 0.4": (make_af_chain(3), (0.0, 0.4), True),
 }
 
 
@@ -366,9 +372,13 @@ def test_dissipator_program_matches_dense_lindblad_operators(case):
     # transverse field's multiplets give equal frequencies of different
     # slopes.  A node built beside another gets the program of a call of its
     # own: the same s twice puts every frequency in both nodes, and no bin
-    # may span the two
-    field, s_values = DISSIPATOR_CASES[case]
-    problem = encode_problem(IsingProblem(2, {0: FIELD} if field else {}, {(0, 1): 1.0}), "U", ALPHA).physical
+    # may span the two.  A group of c transitions makes c^2 terms, so a
+    # program has more terms than transitions just when a group holds more
+    # than one: the field chain's groups, and the three-spin chain's in both
+    # sectors (3 transitions at s = 0, 2 at s = 0.4)
+    logical, s_values, grouped = DISSIPATOR_CASES[case]
+    problem = encode_problem(logical, "U", ALPHA).physical
+    full, zs = 2 ** problem.num_spins, spin_operators(problem.num_spins)[1]
     signs, X, Ez = _integrator.sector_blocks(problem)
     s, bath = np.array(s_values), BathSpec(8e-3)
     eps, U = np.linalg.eigh(_integrator.annealing_hamiltonian(X, Ez, 2.0 * A0 * (1.0 - s), 2.0 * A0 * s))
@@ -376,9 +386,9 @@ def test_dissipator_program_matches_dense_lindblad_operators(case):
     H_dot = 2.0 * A0 * _integrator.annealing_hamiltonian(-X, Ez, 1.0, 1.0) / (T_F_US * 1e3)
     slopes = np.einsum("nkia,kij,nkja->nka", U, H_dot, U)
     nodes, sectors, d = eps.shape
-    per, m = d, 4
+    per, m = d, full
     layout = _integrator._layout(signs, per)
-    programs = _integrator._build_dissipator(eps, U, ZS[:, :d], bath, layout, slopes)
+    programs = _integrator._build_dissipator(eps, U, zs[:, :d], bath, layout, slopes)
     assert len(programs) == nodes
 
     def block(a, b):
@@ -386,20 +396,21 @@ def test_dissipator_program_matches_dense_lindblad_operators(case):
 
     rng = np.random.default_rng(5)
     for i, program in enumerate(programs):
-        alone, = _integrator._build_dissipator(eps[i:i + 1], U[i:i + 1], ZS[:, :d], bath, layout, slopes[i:i + 1])
+        assert (len(program.pref) // 2 > len(layout.pair_a)) == grouped
+        alone, = _integrator._build_dissipator(eps[i:i + 1], U[i:i + 1], zs[:, :d], bath, layout, slopes[i:i + 1])
         for name in ("pref", "gather", "scatter", "M"):
             assert np.array_equal(getattr(program, name), getattr(alone, name)), name
-        # frame columns (|x> + sign |x'>) / sqrt(1 + sign^2), x' = 3 - x, sector by sector
-        V = np.zeros((4, m))
+        # frame columns (|x> + sign |x'>) / sqrt(1 + sign^2), x' = full - 1 - x, sector by sector
+        V = np.zeros((full, m))
         for k, sign in enumerate(signs):
             V[:d, k * per:(k + 1) * per] = U[i, k]
-            V[4 - d:, k * per:(k + 1) * per] += sign * U[i, k][::-1]
+            V[full - d:, k * per:(k + 1) * per] += sign * U[i, k][::-1]
         V /= np.sqrt(1.0 + signs[0] ** 2)
         rho = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
         rho = rho + rho.conj().T
         if sectors == 2:
             rho[:per, per:] = rho[per:, :per] = 0.0
-        L, omega = binned_lindblad_operators(eps[i].ravel(), V.T @ (ZS[:, :, None] * V), slopes[i].ravel())
+        L, omega = binned_lindblad_operators(eps[i].ravel(), V.T @ (zs[:, :, None] * V), slopes[i].ravel())
         expected = dense_dissipator(L, bath_rate(omega, bath), rho)
         y = np.array([rho[block(k, k)] for k in range(sectors)])
         out = _integrator._dissipator_rhs(program, y)

@@ -16,6 +16,7 @@ from qacsim.problem import (
     make_af_chain,
     schedule_linear,
 )
+from qacsim.topology import LogicalEncoding, build_chimera, build_encoding
 
 
 def naive_energy(config, problem):
@@ -144,6 +145,20 @@ class TestEncodeProblem:
         enc = dense_encoding(2)
         with pytest.raises(ValidationError):
             encode_problem(make_af_chain(3), "QAC", 0.5, 0.1, enc)
+
+    @pytest.mark.parametrize("strategy", ["C", "EP", "QAC"])
+    def test_host_couplers_required(self, strategy):
+        # blocks 0 and 2 of a 2x2 Chimera host share no coupler: encoding a
+        # logical edge between them used to couple (0,8), (1,9) and (2,10)
+        host = build_chimera(2, 2, 4)
+        blocks = build_encoding(host)[0].blocks
+        beta = 0.0 if strategy == "C" else 0.2
+        apart = LogicalEncoding(3, (blocks[0], blocks[2]), host=host)
+        with pytest.raises(ValidationError, match=r"\(0, 8\), \(1, 9\), \(2, 10\)"):
+            encode_problem(make_af_chain(2), strategy, 0.3, beta, apart)
+        adjacent = encode_problem(make_af_chain(2), strategy, 0.3, beta, LogicalEncoding(3, blocks[:2], host=host))
+        hw = adjacent.hardware_ids
+        assert {(min(hw[a], hw[b]), max(hw[a], hw[b])) for a, b in adjacent.physical.couplings} <= host.edges
 
     def test_incomplete_block_drops_penalties_only(self):
         enc = dense_encoding(2, incomplete={1})

@@ -229,6 +229,31 @@ class TestEmbedChain:
             for a, b in zip(p, p[1:]):
                 assert b in adj[a]
 
+    @pytest.mark.parametrize("rows,length,count", [(2, 3, 4), (2, 5, 1000), (3, 12, 50), (3, 18, 1000)])
+    def test_small_graphs_enumerate_in_sorted_order(self, rows, length, count):
+        # at most 24 usable blocks: the first count distinct paths of the
+        # sorted-order search, whatever the seed.  The 3x3 host has no path
+        # of length 18, and used to run 20000 random restarts, about 5 s,
+        # before proving it
+        _, eg = build_encoding(build_chimera(rows, rows, 4))
+        adj = eg.adjacency()
+
+        def extend(path):
+            if len(path) == length:
+                yield tuple(path)
+                return
+            for nxt in sorted(adj[path[-1]]):
+                if nxt not in path:
+                    yield from extend(path + [nxt])
+
+        expected = {}
+        for path in (p for start in sorted(adj) for p in extend([start])):
+            expected.setdefault(min(path, path[::-1]), path)
+        expected = list(expected.values())[:count]
+        assert len(adj) <= 24
+        for seed in range(3):
+            assert embed_chain(eg, length, count, rng_seed=seed) == expected
+
     def test_deterministic_under_seed(self):
         _, eg = build_encoding(build_chimera(4, 4, 4))
         assert embed_chain(eg, 12, 5, rng_seed=3) == embed_chain(eg, 12, 5, rng_seed=3)
