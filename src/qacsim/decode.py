@@ -210,13 +210,21 @@ def ground_indices(problem: EncodedProblem) -> np.ndarray:
     return _ground_indices(problem.physical)
 
 
+def _one_of(rows: np.ndarray, targets) -> np.ndarray:
+    """Whether each row of a ``(rows, width)`` array equals one of ``targets``."""
+    return (rows[:, None, :] == np.asarray(targets)).all(axis=-1).any(axis=-1)
+
+
+def _decodes(rows: np.ndarray, encoding: LogicalEncoding, grounds) -> np.ndarray:
+    """Whether the vote of each row of a ``(rows, qubits)`` array is one of the logical ``grounds``."""
+    return _one_of(_vote(rows, encoding.layout), grounds)
+
+
 def decodable_mask(problem: EncodedProblem) -> np.ndarray:
     """Boolean mask over all basis states: True where the configuration
     majority-decodes to a logical ground configuration."""
     n = problem.num_physical
-    logical, _, _ = majority_decode(config_from_index(np.arange(1 << n)[:, None], n), problem.encoding)
-    grounds = np.array(ground_reference(problem.logical))
-    return (logical[:, None, :] == grounds).all(axis=-1).any(axis=-1)
+    return _decodes(config_from_index(np.arange(1 << n)[:, None], n), problem.encoding, ground_reference(problem.logical))
 
 
 def empirical_success(samples: SampleSet, problem: EncodedProblem) -> tuple[float, float]:
@@ -227,17 +235,13 @@ def empirical_success(samples: SampleSet, problem: EncodedProblem) -> tuple[floa
     configurations in :func:`qacsim.dynamics.success_probabilities`."""
     if samples.num_qubits != problem.num_physical:
         raise ValidationError(f"{samples.num_qubits}-bit samples for a problem of {problem.num_physical} qubits")
-    ground_set = ground_reference(problem.logical)
-    code_grounds = {tuple(problem.code_config(g)) for g in ground_set}
-    n_gs = n_s = 0
-    for rec in samples.records:
-        if rec.bits in code_grounds:
-            n_gs += rec.count
-        logical, _, _ = majority_decode(rec.bits, problem.encoding)
-        if tuple(logical.tolist()) in ground_set:
-            n_s += rec.count
+    grounds = ground_reference(problem.logical)
+    bits = np.array([rec.bits for rec in samples.records])
+    counts = np.array([rec.count for rec in samples.records])
     total = samples.total_count
-    return n_gs / total, n_s / total
+    n_gs = counts[_one_of(bits, [problem.code_config(g) for g in grounds])].sum()
+    n_s = counts[_decodes(bits, problem.encoding, grounds)].sum()
+    return int(n_gs) / total, int(n_s) / total
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +258,7 @@ class HistogramSuite:
 
     hamming_physical: dict[int, float]
     hamming_logical: dict[int, float]
-    position_weights: np.ndarray  # (num_logical, 3): weight-1/2/3 frequencies
+    position_weights: np.ndarray  # (num_logical, max(3, n)): column w - 1 holds weight-w frequencies
     penalty_flips: np.ndarray  # (num_logical,)
     decodability: dict[tuple[int, float], tuple[int, int]]  # (d_phys, energy) -> (total, decodable)
     total_count: int = 0
@@ -281,7 +285,7 @@ def histogram_suite(
 
     ham_phys: dict[int, int] = {}
     ham_log: dict[int, int] = {}
-    pos = np.zeros((num_logical, 3))
+    pos = np.zeros((num_logical, max(3, problem.encoding.n)))
     pen = np.zeros(num_logical)
     dec_map: dict[tuple[int, float], list[int]] = {}
 
@@ -290,7 +294,7 @@ def histogram_suite(
         ham_phys[record.d_physical] = ham_phys.get(record.d_physical, 0) + rec.count
         ham_log[record.d_logical] = ham_log.get(record.d_logical, 0) + rec.count
         weights = np.array(record.per_block_error_weight)
-        blocks = np.flatnonzero((weights >= 1) & (weights <= 3))
+        blocks = np.flatnonzero(weights)
         pos[blocks, weights[blocks] - 1] += rec.count
         pen += rec.count * np.array(record.penalty_flipped)
         energy_rel = round((record.energy - e_ground) / problem.alpha, 9)

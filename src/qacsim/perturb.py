@@ -28,6 +28,7 @@ excited manifolds are outer products of the two-level eigenvectors.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -102,8 +103,12 @@ def single_qubit_eigs(omega: float, s, A0: float = 1.0) -> SingleQubitEigs:
     Eigenvalues are -+(A0/2) lambda with lambda = sqrt(4(1-s)^2 + s^2 w^2);
     with theta = atan2(2(1-s), s w) the eigenvectors are
     (-sin(theta/2), cos(theta/2)) and (cos(theta/2), sin(theta/2)), finite
-    for every s in [0, 1] and either sign of w.
+    for every s in [0, 1] and either sign of w.  Raises ValidationError
+    unless omega is finite and 0 < A0 < inf, which keeps eps_minus the lower
+    level.
     """
+    if not (math.isfinite(omega) and 0 < A0 < math.inf):
+        raise ValidationError(f"omega must be finite and A0 finite and positive, got omega={omega!r}, A0={A0!r}")
     s, lam = _splitting(omega, s)
     half = 0.5 * np.arctan2(2.0 * (1.0 - s), s * omega)
     cos, sin = np.cos(half), np.sin(half)

@@ -14,16 +14,18 @@ it when constructed.
 For ``cell_size == 4`` each cell hosts two logical qubits: block A takes
 shore-0 indices {0,1,2} as problem qubits with the shore-1 index 3 qubit as
 its penalty; block B mirrors this (shore-1 problem qubits {0,1,2}, shore-0
-penalty at index 3).  Logical edges are realized by the three same-index
-physical couplers between the blocks' problem qubits.  An
-:class:`EncodedGraph` checks that every logical edge's couplers pair the
-problem qubits of its two blocks one to one, so no coupler realizes two
-logical edges.
+penalty at index 3).  The same coupler rule yields the logical edges: two
+blocks are joined when a host coupler joins their k-th problem qubits for
+every k.  An :class:`EncodedGraph` checks that every logical edge's couplers
+pair the problem qubits of its two blocks one to one, so no coupler
+realizes two logical edges.
 """
 
 from __future__ import annotations
 
+import itertools
 import numbers
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -48,13 +50,18 @@ __all__ = [
 # hardware graph
 
 
+def _chimera_ids(rows: int, cols: int, cell_size: int) -> np.ndarray:
+    """The qubit ids as a (row, col, shore, index) grid."""
+    if not all(isinstance(v, numbers.Integral) and v >= 1 for v in (rows, cols, cell_size)):
+        raise ValidationError(f"rows, cols and cell_size must all be integers >= 1, got {(rows, cols, cell_size)}")
+    return np.arange(2 * cell_size * rows * cols).reshape(rows, cols, 2, cell_size)
+
+
 def _chimera_couplers(rows: int, cols: int, cell_size: int) -> list[tuple[int, int]]:
     """Every coupler (a, b), a < b, of the defect-free Chimera graph: the
     complete bipartite graph inside each cell, shore 0 to the same index in
     the cell below and shore 1 to the same index in the cell to the right."""
-    if not all(isinstance(v, numbers.Integral) and v >= 1 for v in (rows, cols, cell_size)):
-        raise ValidationError(f"rows, cols and cell_size must all be integers >= 1, got {(rows, cols, cell_size)}")
-    ids = np.arange(2 * cell_size * rows * cols).reshape(rows, cols, 2, cell_size)
+    ids = _chimera_ids(rows, cols, cell_size)
     vertical, horizontal = ids[:, :, 0], ids[:, :, 1]
     pairs = [
         (np.repeat(vertical, cell_size, axis=-1), np.tile(horizontal, cell_size)),  # in-cell, every (i, j)
@@ -157,19 +164,13 @@ class LogicalEncoding:
             if ids & seen:
                 raise ValidationError(f"block {blk.logical_id} shares physical ids with another block")
             seen |= ids
-        if self.host is not None:
-            self._validate_against_host()
-
-    def _validate_against_host(self) -> None:
-        assert self.host is not None
-        for blk in self.blocks:
-            for q in blk.problem_ids:
-                if q not in self.host.active_qubits:
-                    raise ValidationError(f"problem qubit {q} inactive in host graph")
+            if self.host is None:
+                continue
+            if not self.host.active_qubits.issuperset(blk.problem_ids):
+                raise ValidationError(f"a problem qubit of block {blk.logical_id} is inactive in host graph")
             p = blk.penalty_id
-            if p is not None:
-                if not all((min(q, p), max(q, p)) in self.host.edges for q in blk.problem_ids):
-                    raise ValidationError(f"penalty qubit {blk.penalty_id} not adjacent to all problem qubits of block {blk.logical_id}")
+            if p is not None and not all((min(q, p), max(q, p)) in self.host.edges for q in blk.problem_ids):
+                raise ValidationError(f"penalty qubit {p} not adjacent to all problem qubits of block {blk.logical_id}")
 
     @property
     def num_physical(self) -> int:
@@ -244,44 +245,28 @@ def build_encoding(hw: HardwareGraph) -> tuple[LogicalEncoding, EncodedGraph]:
     """
     if hw.cell_size != 4:
         raise ValidationError("encoding layout requires cell_size == 4")
-    present: dict[int, LogicalBlock] = {}
-    for r in range(hw.rows):
-        for c in range(hw.cols):
-            for pos, (pshore, qshore) in enumerate(((0, 1), (1, 0))):
-                lid = 2 * (r * hw.cols + c) + pos
-                problem = tuple(hw.qubit_id(r, c, pshore, i) for i in range(3))
-                penalty = hw.qubit_id(r, c, qshore, 3)
-                if not all(q in hw.active_qubits for q in problem):
-                    continue
-                present[lid] = LogicalBlock(lid, problem, penalty if penalty in hw.active_qubits else None)
+    # row 2 * cell + shore: block 2 * cell + shore takes indices 0-2 of that
+    # shore as problem qubits and index 3 of the other shore as its penalty
+    grid = _chimera_ids(hw.rows, hw.cols, 4).reshape(-1, 4).tolist()
+    blocks = []
+    for lid, qubits in enumerate(grid):
+        problem, penalty = tuple(qubits[:3]), grid[lid ^ 1][3]
+        if all(q in hw.active_qubits for q in problem):
+            blocks.append(LogicalBlock(lid, problem, penalty if penalty in hw.active_qubits else None))
 
-    edges: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
-
-    # every call below passes la < lb and couplers (a, b) with a < b
-    def try_edge(la: int, lb: int, couplers: list[tuple[int, int]]) -> None:
-        if la in present and lb in present:
-            if all(c in hw.edges for c in couplers):
-                edges[(la, lb)] = tuple(couplers)
-
-    for r in range(hw.rows):
-        for c in range(hw.cols):
-            cell = 2 * (r * hw.cols + c)
-            try_edge(cell, cell + 1, [(hw.qubit_id(r, c, 0, i), hw.qubit_id(r, c, 1, i)) for i in range(3)])
-            if r + 1 < hw.rows:
-                below = 2 * ((r + 1) * hw.cols + c)
-                try_edge(cell, below, [(hw.qubit_id(r, c, 0, i), hw.qubit_id(r + 1, c, 0, i)) for i in range(3)])
-            if c + 1 < hw.cols:
-                right = 2 * (r * hw.cols + c + 1)
-                try_edge(cell + 1, right + 1, [(hw.qubit_id(r, c, 1, i), hw.qubit_id(r, c + 1, 1, i)) for i in range(3)])
-
-    encoding = LogicalEncoding(n=3, blocks=tuple(present.values()), host=hw)
+    # a logical edge joins the k-th problem qubits of two blocks for every k;
+    # ids grow with the block id, so a coupler (a, b), a < b, joins blocks i < j
+    slot = {q: (blk.logical_id, k) for blk in blocks for k, q in enumerate(blk.problem_ids)}
+    joined = Counter((slot[a][0], slot[b][0]) for a, b in hw.edges if a in slot and b in slot and slot[a][1] == slot[b][1])
+    edges = {(i, j): tuple(zip(grid[i][:3], grid[j][:3])) for (i, j), hits in sorted(joined.items()) if hits == 3}
+    encoding = LogicalEncoding(n=3, blocks=tuple(blocks), host=hw)
     return encoding, EncodedGraph(encoding, edges)
 
 
 # ---------------------------------------------------------------------------
 # chain embeddings
 
-_EMBED_RESTARTS = 20000  # randomized walks on a graph too large to search exhaustively
+_EMBED_RESTARTS = 20000  # walks on a larger graph, and steps of the scarcity proof after them
 _EMBED_EXHAUSTIVE_NODES = 24  # largest usable graph searched exhaustively
 
 
@@ -294,12 +279,13 @@ def embed_chain(
     """Find ``count`` distinct simple paths of ``length`` logical qubits.
 
     Paths use only complete blocks; paths equal up to reversal count once.
-    A graph of at most 24 usable nodes is searched exhaustively, start by
-    start and neighbour by neighbour in sorted order: the result is the
+    Both searches run :func:`_simple_paths`.  A graph of at most 24 usable
+    nodes is searched in sorted order, start by start: the result is the
     first ``count`` distinct paths of that order, whatever ``rng_seed``, and
-    has fewer only when no more exist.  A larger graph is searched by a
-    seeded self-avoiding walk with backtracking and restarts, which raises
-    :class:`ResourceLimitError` when its budget is exhausted.
+    has fewer only when no more exist.  A larger graph gets up to 20000
+    seeded self-avoiding walks of ``20 * length`` steps; if they fall short,
+    the sorted search gets 20000 steps, and its result stands if it ends or
+    finds ``count`` paths in them: else :class:`ResourceLimitError`.
     """
     if not isinstance(length, numbers.Integral) or length < 2:
         raise ValidationError(f"chain length must be an integer >= 2, got {length!r}")
@@ -308,73 +294,61 @@ def embed_chain(
     adj = eg.adjacency()
     if length > len(adj):
         return []
-
-    found: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-    def canonical(path: tuple[int, ...]) -> tuple[int, ...]:
-        rev = path[::-1]
-        return path if path <= rev else rev
-
-    if len(adj) <= _EMBED_EXHAUSTIVE_NODES:
-        for start in sorted(adj):
-            for path in _simple_paths(adj, [start], length):
-                found.setdefault(canonical(path), path)
-                if len(found) >= count:
-                    return list(found.values())
-        return list(found.values())
-
-    rng = np.random.default_rng(rng_seed)
     nodes = sorted(adj)
 
-    def random_attempt(budget: int) -> tuple[int, ...] | None:
-        start = nodes[rng.integers(len(nodes))]
-        path = [start]
-        on_path = {start}
-        choice_stack: list[list[int]] = []
-        steps = 0
-        while steps < budget:
-            steps += 1
-            if len(path) == length:
-                return tuple(path)
-            if len(choice_stack) < len(path):
-                cands = [v for v in adj[path[-1]] if v not in on_path]
-                rng.shuffle(cands)
-                choice_stack.append(cands)
-            cands = choice_stack[-1]
-            if cands:
-                nxt = cands.pop()
-                path.append(nxt)
-                on_path.add(nxt)
-            else:
-                choice_stack.pop()
-                if len(path) == 1:
-                    return None
-                on_path.discard(path.pop())
-        return None
+    def distinct(paths) -> list[tuple[int, ...]]:
+        # the first ``count`` of ``paths`` that differ up to reversal
+        found: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for path in paths:
+            found.setdefault(min(path, path[::-1]), path)
+            if len(found) == count:
+                break
+        return list(found.values())
 
-    for _ in range(_EMBED_RESTARTS):
-        if len(found) >= count:
-            break
-        path = random_attempt(budget=20 * length)
-        if path is not None:
-            found.setdefault(canonical(path), path)
+    def sorted_search(steps) -> list[tuple[int, ...]]:
+        return distinct(p for start in nodes for p in _simple_paths(adj, start, length, lambda c: sorted(c, reverse=True), steps))
 
-    if len(found) >= count:
-        return list(found.values())[:count]
-    raise ResourceLimitError(
-        f"found {len(found)} of {count} embeddings; graph too large ({len(adj)} nodes) for an exhaustive scarcity proof"
-    )
+    if len(adj) <= _EMBED_EXHAUSTIVE_NODES:
+        return sorted_search(itertools.count())
+
+    rng = np.random.default_rng(rng_seed)
+
+    def shuffled(cands: list[int]) -> list[int]:
+        rng.shuffle(cands)
+        return cands
+
+    walks = (next(_simple_paths(adj, nodes[rng.integers(len(nodes))], length, shuffled, range(20 * length)), None)
+             for _ in range(_EMBED_RESTARTS))
+    paths = distinct(p for p in walks if p is not None)
+    if len(paths) < count:
+        steps = iter(range(_EMBED_RESTARTS))
+        proof = sorted_search(steps)
+        if len(proof) < count and next(steps, None) is None:
+            raise ResourceLimitError(f"found {len(paths)} of {count} embeddings; no scarcity proof of the {len(adj)}-node graph within {_EMBED_RESTARTS} steps")
+        paths = proof
+    return paths
 
 
-def _simple_paths(adj, path, length):
-    """Yield each simple path of ``length`` vertices through ``adj`` that
-    extends ``path``, trying neighbours in sorted order.  ``path`` is grown
-    and restored in place as the search goes."""
-    if len(path) == length:
-        yield tuple(path)
-        return
-    for nxt in sorted(adj[path[-1]]):
-        if nxt not in path:
+def _simple_paths(adj, start, length, order, steps):
+    """Yield each simple path of ``length`` vertices from ``start`` through
+    ``adj``, depth first: a vertex's neighbours off the path pass through
+    ``order`` and are tried from the end.  Each step forward, step back or
+    completed path takes one item of ``steps``; the search stops when they
+    run out."""
+    path, on_path, cands = [start], {start}, []
+    for _ in steps:
+        if len(path) == length:
+            yield tuple(path)
+            on_path.discard(path.pop())
+            continue
+        if len(cands) < len(path):
+            cands.append(order([v for v in adj[path[-1]] if v not in on_path]))
+        if cands[-1]:
+            nxt = cands[-1].pop()
             path.append(nxt)
-            yield from _simple_paths(adj, path, length)
-            path.pop()
+            on_path.add(nxt)
+        else:
+            cands.pop()
+            if len(path) == 1:
+                return
+            on_path.discard(path.pop())

@@ -211,7 +211,7 @@ def naive_histograms(samples, problem, symmetrize):
     e_ground = naive_energy(naive_code_state(grounds[0], problem.encoding, problem.num_physical), problem.physical)
     total = sum(rec.count for rec in samples.records)
     ham_phys, ham_log, decodability = {}, {}, {}
-    pos, pen = np.zeros((len(blocks), 3)), np.zeros(len(blocks))
+    pos, pen = np.zeros((len(blocks), max(3, problem.encoding.n))), np.zeros(len(blocks))
     for rec in samples.records:
         logical, _, _ = naive_vote(rec.bits, problem.encoding)
         matched, d_logical = naive_align(tuple(logical), grounds)
@@ -241,12 +241,15 @@ def naive_histograms(samples, problem, symmetrize):
 
 
 @pytest.mark.parametrize("symmetrize", [False, True])
-@pytest.mark.parametrize("strategy,encoding", CASES)
+@pytest.mark.parametrize("strategy,encoding", CASES + [("C", dense_encoding(3, n=5, with_penalty=False))])
 def test_histogram_suite_against_loop(strategy, encoding, symmetrize):
     problem = encoded(make_af_chain(3), strategy, encoding)
     samples = noisy_samples(problem, 6)
     suite = histogram_suite(samples, problem, symmetrize=symmetrize)
     ham_phys, ham_log, pos, pen, decodability, total = naive_histograms(samples, problem, symmetrize)
+    if problem.encoding.n == 5:
+        # block weights of 4 and 5 used to be dropped: three columns
+        assert pos[:, 3:].any()
     assert list(suite.hamming_physical.items()) == ham_phys
     assert list(suite.hamming_logical.items()) == ham_log
     assert np.array_equal(suite.position_weights, pos)

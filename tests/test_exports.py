@@ -109,3 +109,47 @@ def test_caches_are_bounded(path):
     # process; bounded ones keep peak memory within the benchmark's bound
     lines = unbounded_caches(path.read_text())
     assert not lines, f"{path.name} uses an unbounded cache at lines {lines}"
+
+
+
+def unreferenced_privates(sources: dict[str, str]) -> list[str]:
+    """``module.name`` of each module-level private function, class or
+    constant of ``sources`` ({module: source}) whose name no module loads,
+    imports or reads as an attribute.  A definition's references to itself
+    do not count, so a function only its own recursion calls is unused."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            own = set()
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = {stmt.name}
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                own = {node.id for target in targets for node in ast.walk(target) if isinstance(node, ast.Name)}
+            defined += [(module, name) for name in sorted(own) if name.startswith("_") and not name.startswith("__")]
+            for node in ast.walk(stmt):
+                name = (node.id if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                        else node.attr if isinstance(node, ast.Attribute)
+                        else node.name if isinstance(node, ast.alias) else None)
+                if name is not None and name not in own:
+                    used.add(name)
+    return [f"{module}.{name}" for module, name in defined if name not in used]
+
+
+def test_dead_name_detector():
+    assert unreferenced_privates({"a": "def _f(): pass\ndef g(): return _f()"}) == []
+    assert unreferenced_privates({"a": "def _f(): pass\ndef g(): pass"}) == ["a._f"]
+    assert unreferenced_privates({"a": "def _f(n): return _f(n - 1)"}) == ["a._f"]
+    assert unreferenced_privates({"a": "class _C: pass\n_K: int = 2\n_L = 3\nx = _L"}) == ["a._C", "a._K"]
+    assert unreferenced_privates({"a": "_K = 1", "b": "from .a import _K"}) == []
+    assert unreferenced_privates({"a": "def _f(): pass", "b": "from . import a\na._f()"}) == []
+    # dunders are not private names, and a name in a string is no reference
+    assert unreferenced_privates({"a": "__all__ = ['_f']\ndef _f(): pass"}) == ["a._f"]
+
+
+def test_no_dead_private_names():
+    # a removed code path is deleted, not left behind: every module-level
+    # private name of the package is referenced somewhere in it
+    paths = sorted(Path(qacsim.__file__).parent.glob("*.py"))
+    dead = unreferenced_privates({path.stem: path.read_text() for path in paths})
+    assert not dead, f"private names referenced nowhere in qacsim: {dead}"

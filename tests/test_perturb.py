@@ -71,6 +71,15 @@ def test_single_qubit_eigs_against_eigh(omega):
             assert abs(vec @ ref) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("omega,A0", [(np.nan, 1.0), (np.inf, 1.0), (-np.inf, 1.0), (1.0, np.nan), (1.0, -1.0),
+                                      (1.0, 0.0), (1.0, np.inf)])
+def test_single_qubit_eigs_rejects_unlabelled_inputs(omega, A0):
+    # NaN and infinite omega or A0 used to give NaN or infinite levels, and
+    # A0 = -1 swapped the labels: eps_minus = +0.559 above eps_plus
+    with pytest.raises(ValidationError, match="finite"):
+        perturb.single_qubit_eigs(omega, 0.5, A0=A0)
+
+
 def perturbation_coefficients(model, manifold, p, s):
     """Gap shifts per beta and per beta^2 by numerical perturbation theory
     on the dense model: V = model(beta=1) - model(beta=0) in the eigenbasis

@@ -203,6 +203,24 @@ class TestBuildEncoding:
         assert embed_chain(graph, 2, 5, rng_seed=1) == before
 
 
+def sorted_order_paths(adj, length):
+    # independent oracle: the simple paths of a recursive search, start by
+    # start and neighbour by neighbour in sorted order, the first of each
+    # pair of reversals kept
+    def extend(path):
+        if len(path) == length:
+            yield tuple(path)
+            return
+        for nxt in sorted(adj[path[-1]]):
+            if nxt not in path:
+                yield from extend(path + [nxt])
+
+    found = {}
+    for path in (p for start in sorted(adj) for p in extend([start])):
+        found.setdefault(min(path, path[::-1]), path)
+    return list(found.values())
+
+
 class TestEmbedChain:
     def test_unique_pair_in_single_cell(self):
         _, eg = build_encoding(build_chimera(1, 1, 4))
@@ -237,22 +255,24 @@ class TestEmbedChain:
         # before proving it
         _, eg = build_encoding(build_chimera(rows, rows, 4))
         adj = eg.adjacency()
-
-        def extend(path):
-            if len(path) == length:
-                yield tuple(path)
-                return
-            for nxt in sorted(adj[path[-1]]):
-                if nxt not in path:
-                    yield from extend(path + [nxt])
-
-        expected = {}
-        for path in (p for start in sorted(adj) for p in extend([start])):
-            expected.setdefault(min(path, path[::-1]), path)
-        expected = list(expected.values())[:count]
+        expected = sorted_order_paths(adj, length)[:count]
         assert len(adj) <= 24
         for seed in range(3):
             assert embed_chain(eg, length, count, rng_seed=seed) == expected
+
+    def test_fragmented_host_proves_scarcity(self):
+        # 30 usable blocks, too many to enumerate at once, and no path of more
+        # than 5: the walks fall short, and the sorted search after them
+        # proves how many paths exist.  Both calls used to raise
+        # ResourceLimitError, calling the graph too large
+        defects = np.random.default_rng(100).choice(288, 60, replace=False)
+        _, eg = build_encoding(build_chimera(6, 6, 4, {int(q) for q in defects}))
+        adj = eg.adjacency()
+        assert len(adj) == 30 and sorted_order_paths(adj, 6) == []
+        assert embed_chain(eg, 10, 3) == []
+        expected = sorted_order_paths(adj, 4)
+        assert len(expected) == 10
+        assert embed_chain(eg, 4, 1000, rng_seed=3) == expected
 
     def test_deterministic_under_seed(self):
         _, eg = build_encoding(build_chimera(4, 4, 4))
